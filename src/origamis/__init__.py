@@ -51,7 +51,6 @@ from .origami import (
     canonical_form,
     genus,
     is_reduced,
-    new_origami,
     parse_origami,
     period_lattice,
     random_origami,
@@ -70,14 +69,7 @@ from .quadfield import (
     MinimalPoly,
     QuadMatrix,
     QuadNum,
-    conjugate_num,
-    mat_det,
-    mat_mul,
-    mat_trace,
     minimal_poly_degree,
-    qadd,
-    qdiv,
-    qmul,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -18,11 +18,12 @@ exact for genus ≤ 2 and flagged otherwise in OrbitReport.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .origami import Origami, _canonical_key, canonical_form
+from .origami import Origami, _canonical_key
 from .perm import Permutation, compose
 
 INFINITY = math.inf
@@ -141,10 +142,6 @@ def act_S_inv(o: Origami) -> Origami:
     return Origami(o.v.inverse(), o.h)
 
 
-def act_minus_id(o: Origami) -> Origami:
-    return Origami(o.h.inverse(), o.v.inverse())
-
-
 _ACTS = {"T": act_T, "T^-1": act_T_inv, "S": act_S, "S^-1": act_S_inv}
 
 
@@ -210,10 +207,16 @@ def transport_direction(w: SL2ZWord, p, q):
 
 
 def _proj_key(o: Origami):
-    """Canonical key of the projective class {o, -I·o}, plus whether -I moved o."""
+    """Canonical keys of o and of -I·o, least first.
+
+    The first key names the projective class {o, -I·o}. When -I fixes o the
+    two keys are one object, so an orbit table stores no second copy.
+    """
     k1 = _canonical_key(o.h.images, o.v.images)
     k2 = _canonical_key(o.h.inverse().images, o.v.inverse().images)
-    return min(k1, k2), k1 != k2
+    if k1 == k2:
+        return k1, k1
+    return (k1, k2) if k1 < k2 else (k2, k1)
 
 
 def _origami_from_key(key) -> Origami:
@@ -237,83 +240,87 @@ class OrbitReport:
     curve_genus: int
     input_reduced: bool
     minus_id_nontrivial: bool
+    # one (projective key, -I key, index into cusps) per representative, same order
+    members: tuple[tuple[tuple, tuple, int], ...]
 
     def cusp_widths(self) -> tuple[int, ...]:
         return tuple(sorted((c.width for c in self.cusps), reverse=True))
 
 
 def orbit(o: Origami) -> OrbitReport:
-    """Breadth-first closure under T, T⁻¹, S with projective deduplication.
+    """The orbit of o under SL₂(ℤ)/±I as a coset table.
 
-    Cusps are the T-orbits on the closure (width = orbit size, decoration =
-    horizontal cylinder count of a representative); e2 and e3 count the fixed
-    points of S and of S∘T; the curve genus comes from the index formula
-    1 + index/12 - e2/4 - e3/3 - cusps/2 for subgroups of the modular group.
+    A breadth-first search applies T and S to each projective class and keeps
+    the images as index lists t and s; T⁻¹ is not needed, since T has finite
+    order on a finite orbit. Cusps are the cycles of t (width = cycle length,
+    decoration = horizontal cylinder count of the least member); e2 and e3
+    count the fixed points of S and of S∘T; the curve genus comes from the
+    index formula 1 + index/12 - e2/4 - e3/3 - cusps/2 for subgroups of the
+    modular group.
     """
     from .cylinders import horizontal_decomposition
 
     from .origami import is_reduced
 
-    reduced = is_reduced(o)
-    start_key, start_flag = _proj_key(canonical_form(o))
-    seen = {start_key: _origami_from_key(start_key)}
-    minus_nontrivial = start_flag
-    frontier = [start_key]
-    while frontier:
-        new_frontier = []
-        for key in frontier:
-            rep = seen[key]
-            for step in (act_T, act_T_inv, act_S):
-                img_key, flag = _proj_key(step(rep))
-                minus_nontrivial = minus_nontrivial or flag
-                if img_key not in seen:
-                    seen[img_key] = _origami_from_key(img_key)
-                    new_frontier.append(img_key)
-        frontier = new_frontier
-    index = len(seen)
+    keys = [_proj_key(o)]  # (key, -I key) per orbit element, in discovery order
+    position = {keys[0][0]: 0}
+    reps = [_origami_from_key(keys[0][0])]
+    t: list[int] = []
+    s: list[int] = []
+    for rep in reps:  # reps grows while the loop runs: this is the BFS queue
+        for step, images in ((act_T, t), (act_S, s)):
+            pair = _proj_key(step(rep))
+            j = position.get(pair[0])
+            if j is None:
+                j = position[pair[0]] = len(keys)
+                keys.append(pair)
+                reps.append(_origami_from_key(pair[0]))
+            images.append(j)
+    index = len(keys)
+    order = sorted(range(index), key=lambda i: keys[i][0])
 
-    def t_image(key):
-        return _proj_key(act_T(seen[key]))[0]
-
-    # cusps: cycles of act_T on the orbit
-    cusps = []
-    unassigned = set(seen)
-    for key in sorted(seen):
-        if key not in unassigned:
-            continue
-        cyc = [key]
-        unassigned.discard(key)
-        nxt = t_image(key)
-        while nxt != key:
-            cyc.append(nxt)
-            unassigned.discard(nxt)
-            nxt = t_image(nxt)
-        rep = seen[cyc[0]]
-        cusps.append(Cusp(len(cyc), len(horizontal_decomposition(rep)), rep))
-    cusps.sort(key=lambda c: -c.width)
+    # cusps: the cycles of t, each walked from its least key
+    cycles = []
+    walked = [False] * index
+    for i in order:
+        cyc = []
+        j = i
+        while not walked[j]:
+            walked[j] = True
+            cyc.append(j)
+            j = t[j]
+        if cyc:
+            cycles.append(cyc)
+    cycles.sort(key=len, reverse=True)
+    cusp_of = [0] * index
+    for c, cyc in enumerate(cycles):
+        for i in cyc:
+            cusp_of[i] = c
+    cusps = tuple(
+        Cusp(len(cyc), len(horizontal_decomposition(reps[cyc[0]])), reps[cyc[0]]) for cyc in cycles
+    )
 
     assert sum(c.width for c in cusps) == index, "cusp widths must partition the orbit"
-    e2 = sum(1 for key in seen if _proj_key(act_S(seen[key]))[0] == key)
-    e3 = sum(1 for key in seen if _proj_key(act_S(act_T(seen[key])))[0] == key)
+    e2 = sum(1 for i in range(index) if s[i] == i)
+    e3 = sum(1 for i in range(index) if s[t[i]] == i)
     g = Fraction(1) + Fraction(index, 12) - Fraction(e2, 4) - Fraction(e3, 3) - Fraction(len(cusps), 2)
     assert g.denominator == 1 and g >= 0, f"bad curve genus {g}"
     return OrbitReport(
-        representatives=tuple(seen[k] for k in sorted(seen)),
+        representatives=tuple(reps[i] for i in order),
         index=index,
-        cusps=tuple(cusps),
+        cusps=cusps,
         e2=e2,
         e3=e3,
         curve_genus=int(g),
-        input_reduced=reduced,
-        minus_id_nontrivial=minus_nontrivial,
+        input_reduced=is_reduced(o),
+        minus_id_nontrivial=any(k != minus_k for k, minus_k in keys),
+        members=tuple((*keys[i], cusp_of[i]) for i in order),
     )
 
 
 def in_veech_group(o: Origami, w: SL2ZWord) -> bool:
     """Whether the word's matrix stabilizes o (projectively: up to -I)."""
-    key, _ = _proj_key(o)
-    img_key, _ = _proj_key(apply_word(w, o))
-    return key == img_key
+    return _proj_key(o) == _proj_key(apply_word(w, o))
 
 
 @dataclass(frozen=True)
@@ -326,8 +333,8 @@ class SlopeCusp:
 def slope_cusp(o: Origami, p: int, q: int, report: OrbitReport | None = None) -> SlopeCusp:
     """Which cusp of the Teichmüller curve the direction (p, q) escapes into.
 
-    Transports the direction to horizontal and locates the T-orbit of the
-    transported surface inside orbit(o).
+    Transports the direction to horizontal and looks the transported surface
+    up in the member table of orbit(o).
     """
     from .cylinders import direction_to_horizontal
 
@@ -337,17 +344,13 @@ def slope_cusp(o: Origami, p: int, q: int, report: OrbitReport | None = None) ->
         raise ValueError(f"direction ({p}, {q}) is not primitive")
     if report is None:
         report = orbit(o)
-    w = direction_to_horizontal(p, q)
-    key, _ = _proj_key(apply_word(w, o))
-    for i, cusp in enumerate(report.cusps):
-        cusp_keys = set()
-        k = _proj_key(cusp.representative)[0]
-        for _ in range(cusp.width):
-            cusp_keys.add(k)
-            k = _proj_key(act_T(_origami_from_key(k)))[0]
-        if key in cusp_keys:
-            return SlopeCusp(i, cusp.cylinder_count, cusp.width)
-    raise AssertionError("transported surface left its own orbit")
+    key = _proj_key(apply_word(direction_to_horizontal(p, q), o))[0]
+    i = bisect_left(report.members, (key,))
+    if i == len(report.members) or report.members[i][0] != key:
+        raise AssertionError("transported surface left its own orbit")
+    cusp_index = report.members[i][2]
+    cusp = report.cusps[cusp_index]
+    return SlopeCusp(cusp_index, cusp.cylinder_count, cusp.width)
 
 
 # -- hyperbolic helpers for the Teichmüller disk of the torus ----------------------

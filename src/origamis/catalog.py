@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 from itertools import permutations
 
 from .action import orbit
-from .origami import Origami, Stratum, canonical_form, genus, is_reduced, stratum
+from .origami import Origami, Stratum, genus, is_reduced, stratum
 from .perm import Permutation
 
 DEFAULT_BOUND = 8
@@ -34,9 +34,7 @@ class CatalogEntry:
     curve_genus: int
 
     def to_json(self) -> str:
-        d = asdict(self)
-        d["cusp_widths"] = list(self.cusp_widths)
-        return json.dumps(d, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)  # the tuple cusp_widths becomes a list
 
     @staticmethod
     def from_json(text: str) -> "CatalogEntry":
@@ -118,29 +116,31 @@ def enumerate_origamis(
         if reduced_only and not is_reduced(o):
             continue
         selected.append(o)
-    # group into orbits; filters are SL2(Z)-invariant so orbits never straddle them
-    by_text = {o.to_text(): o for o in selected}
-    orbit_of: dict[str, tuple[str, object]] = {}
-    for text in sorted(by_text):
-        if text in orbit_of:
+    # group into orbits; filters are SL2(Z)-invariant so orbits never straddle them.
+    # A canonical origami's images are its canonical key, so the keys in an
+    # orbit report (projective and -I alike) look the enumerated surfaces up.
+    by_key = {(o.h.images, o.v.images): o for o in selected}
+    text_of = {key: o.to_text() for key, o in by_key.items()}
+    orbit_of: dict[tuple, tuple[str, object]] = {}
+    for key, o in by_key.items():
+        if key in orbit_of:
             continue
-        report = orbit(by_text[text])
+        report = orbit(o)
         members = set()
-        for rep in report.representatives:
-            members.add(canonical_form(rep).to_text())
-            flipped = Origami(rep.h.inverse(), rep.v.inverse())
-            members.add(canonical_form(flipped).to_text())
-        orbit_id = min(members)
-        for m in members:
-            assert m in by_text, f"orbit member {m} missing from the enumeration"
-            orbit_of[m] = (orbit_id, report)
+        for k, minus_k, _ in report.members:
+            members.update((k, minus_k))
+        for k in members:
+            assert k in by_key, f"orbit member {k} missing from the enumeration"
+        orbit_id = min(text_of[k] for k in members)
+        for k in members:
+            orbit_of[k] = (orbit_id, report)
     entries = []
-    for text in sorted(by_text):
-        o = by_text[text]
-        orbit_id, report = orbit_of[text]
+    for key in sorted(by_key, key=text_of.get):
+        o = by_key[key]
+        orbit_id, report = orbit_of[key]
         entries.append(
             CatalogEntry(
-                origami=text,
+                origami=text_of[key],
                 n=n,
                 genus=genus(o),
                 stratum=str(stratum(o)),

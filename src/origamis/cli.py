@@ -141,20 +141,6 @@ def _cmd_lshape(args) -> None:
     )
 
 
-def _entry_dict(e: cat.CatalogEntry) -> dict:
-    return {
-        "origami": e.origami,
-        "n": e.n,
-        "genus": e.genus,
-        "stratum": e.stratum,
-        "reduced": e.reduced,
-        "orbit_id": e.orbit_id,
-        "index": e.index,
-        "cusp_widths": list(e.cusp_widths),
-        "curve_genus": e.curve_genus,
-    }
-
-
 def _cmd_enumerate(args) -> None:
     entries = cat.enumerate_origamis(
         args.n,
@@ -162,7 +148,7 @@ def _cmd_enumerate(args) -> None:
         reduced_only=args.reduced,
         bound=args.bound,
     )
-    _emit([_entry_dict(e) for e in entries])
+    _emit([vars(e) for e in entries])  # the fields; json writes the tuple cusp_widths as a list
 
 
 def _cmd_catalog(args) -> None:
@@ -174,7 +160,7 @@ def _cmd_catalog(args) -> None:
         _emit({"written": written, "skipped": skipped})
     else:
         entries = cat.catalog_query(args.path, n=args.n, stratum_filter=args.stratum, orbit_id=args.orbit_id)
-        _emit([_entry_dict(e) for e in entries])
+        _emit([vars(e) for e in entries])
 
 
 def _cmd_strata_dim(args) -> None:
@@ -228,7 +214,6 @@ def build_parser() -> _Parser:
     p.add_argument("--stratum", default=None, help="filter, e.g. 'H(2)'")
     p.add_argument("--reduced", action="store_true", help="keep only primitive (reduced) origamis")
     p.add_argument("--bound", type=int, default=cat.DEFAULT_BOUND)
-    p.add_argument("--json", action="store_true", help="accepted for compatibility; output is always JSON")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("catalog", help="write/query the JSONL catalog")

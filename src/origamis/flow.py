@@ -12,6 +12,7 @@ vector (p, q); geometric length is then (elapsed time)·√(p²+q²).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -202,6 +203,8 @@ def discrepancy(o: Origami, slope: float, crossings: int, grid: int) -> float:
     """
     if crossings < 1 or grid < 1:
         raise ValueError("need crossings >= 1 and grid >= 1")
+    if not math.isfinite(slope):
+        raise ValueError("slope must be finite")
     g = grid
     inv_g = 1.0 / g
     dy = float(slope)  # direction (1, slope), so time to the x-walls is just distance

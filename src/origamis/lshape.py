@@ -21,7 +21,7 @@ from typing import Optional
 from .cylinders import QuadCylinder
 from .intlattice import rational_hermite_form
 from .origami import Stratum
-from .quadfield import QuadMatrix, QuadNum, _square_part, mat_trace, minimal_poly_degree
+from .quadfield import QuadMatrix, QuadNum, _square_part, minimal_poly_degree
 
 
 def _as_quad(x) -> QuadNum:
@@ -127,7 +127,7 @@ def trace_field(L: LSurface) -> TraceFieldReport:
     """Trace field of L(a,1) read off the product of the two parabolic
     generators, whose trace is 2+16a²."""
     A, B = veech_generators(L)
-    tr = mat_trace(A * B)
+    tr = (A * B).trace()
     assert tr == 2 + 16 * L.a * L.a
     degree = minimal_poly_degree(tr).degree
     field = "Q" if degree == 1 else f"Q[sqrt({tr.d})]"

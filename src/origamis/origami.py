@@ -94,10 +94,6 @@ class Origami:
         return self.to_text()
 
 
-def new_origami(h: Permutation, v: Permutation) -> Origami:
-    return Origami(h, v)
-
-
 def parse_origami(text: str) -> Origami:
     parts = [p.strip() for p in text.split(";")]
     if len(parts) != 3:
@@ -149,20 +145,6 @@ def genus(o: Origami) -> int:
     V = len(vertex_cycles(o))
     assert (o.n - V) % 2 == 0, "n - V must be even"
     return 1 + (o.n - V) // 2
-
-
-def genus_from_euler(o: Origami) -> int:
-    """Same genus through the cell structure: V - E + F with E = 2n, F = n.
-
-    Edge count: every edge of the square complex is the bottom or the left
-    edge of exactly one square (tops and rights are re-identifications), so
-    counting the distinct identified pairs gives 2n.
-    """
-    edges = {("b", s) for s in range(1, o.n + 1)} | {("l", s) for s in range(1, o.n + 1)}
-    E = len(edges)
-    chi = len(vertex_cycles(o)) - E + o.n
-    assert chi % 2 == 0
-    return 1 - chi // 2
 
 
 def stratum(o: Origami) -> Stratum:

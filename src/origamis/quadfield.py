@@ -249,25 +249,6 @@ def _coerce(x, d: int):
     return NotImplemented
 
 
-# -- function-style aliases ---------------------------------------------------
-
-
-def qadd(x: QuadNum, y) -> QuadNum:
-    return x + y
-
-
-def qmul(x: QuadNum, y) -> QuadNum:
-    return x * y
-
-
-def qdiv(x: QuadNum, y) -> QuadNum:
-    return x / y
-
-
-def conjugate_num(x: QuadNum) -> QuadNum:
-    return x.conjugate()
-
-
 class MinimalPoly(NamedTuple):
     degree: int
     coeffs: tuple[Fraction, ...]  # ascending, monic: coeffs[-1] == 1
@@ -346,15 +327,3 @@ class QuadMatrix:
 
     def __str__(self) -> str:
         return f"[[{self.m11}, {self.m12}], [{self.m21}, {self.m22}]]"
-
-
-def mat_mul(A: QuadMatrix, B: QuadMatrix) -> QuadMatrix:
-    return A * B
-
-
-def mat_trace(A: QuadMatrix) -> QuadNum:
-    return A.trace()
-
-
-def mat_det(A: QuadMatrix) -> QuadNum:
-    return A.det()

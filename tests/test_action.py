@@ -13,6 +13,7 @@ from origamis.action import (
     act_S,
     act_T,
     act_T_inv,
+    apply_word,
     geodesic_endpoints,
     horocycle_data,
     in_veech_group,
@@ -21,7 +22,7 @@ from origamis.action import (
     torus_point,
     word_for_matrix,
 )
-from origamis.origami import Origami, canonical_form, random_origami, same_surface, st3, st4, torus
+from origamis.origami import Origami, canonical_form, random_origami, relabel, same_surface, st3, st4, torus
 from origamis.perm import Permutation
 
 
@@ -181,6 +182,36 @@ class TestOrbit:
         rep = orbit(o)
         assert sum(c.width for c in rep.cusps) == rep.index
         assert rep.curve_genus >= 0
+
+
+class TestCosetTable:
+    @given(st.integers(2, 6), st.integers(0, 10**6))
+    def test_start_point_invariance(self, n, seed):
+        rng = random.Random(seed)
+        o = random_origami(n, rng)
+        w = SL2ZWord(tuple(rng.choice(("T", "T^-1", "S", "S^-1")) for _ in range(rng.randint(0, 10))))
+        g = Permutation(tuple(rng.sample(range(1, n + 1), n)))
+        assert orbit(relabel(apply_word(w, o), g)) == orbit(o)
+
+    @given(st.integers(2, 6), st.integers(0, 10**6))
+    def test_elliptic_points_by_direct_membership(self, n, seed):
+        rep = orbit(random_origami(n, random.Random(seed)))
+        assert rep.e2 == sum(in_veech_group(r, S_WORD) for r in rep.representatives)
+        assert rep.e3 == sum(in_veech_group(r, SL2ZWord(("S", "T"))) for r in rep.representatives)
+
+    @given(st.integers(2, 6), st.integers(0, 10**6))
+    def test_member_keys_and_cusps(self, n, seed):
+        rep = orbit(random_origami(n, random.Random(seed)))
+        assert [m[0] for m in rep.members] == sorted(m[0] for m in rep.members)
+        for r, (key, minus_key, c) in zip(rep.representatives, rep.members):
+            flipped = Origami(r.h.inverse(), r.v.inverse())
+            assert key == (r.h.images, r.v.images)
+            assert canonical_form(flipped) == Origami(Permutation(minus_key[0]), Permutation(minus_key[1]))
+            # the cusp's width is the T-period of the member, up to -I
+            img, width = act_T(r), 1
+            while not (same_surface(img, r) or same_surface(img, flipped)):
+                img, width = act_T(img), width + 1
+            assert rep.cusps[c].width == width
 
 
 class TestSlopeCusp:

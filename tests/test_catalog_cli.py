@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -174,6 +175,21 @@ class TestCLI:
         )
         assert code == 0
         assert 0 <= json.loads(out) <= 1
+
+    @pytest.mark.parametrize("slope", ["inf", "nan", "-inf"])
+    def test_flow_discrepancy_rejects_non_finite_slope(self, slope):
+        import origamis
+
+        src = os.path.dirname(os.path.dirname(origamis.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "origamis", "flow", "discrepancy", "1; h=(); v=()", f"--slope={slope}"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "error: slope must be finite\n"
 
     def test_lshape(self):
         code, out, _ = run_cli("lshape", "--d", "5")
