@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .origami import Origami, _canonical_key
+from .origami import Origami, _canonical_key, genus, is_reduced
 from .perm import Permutation, compose
 
 INFINITY = math.inf
@@ -206,21 +206,28 @@ def transport_direction(w: SL2ZWord, p, q):
 # -- orbits ------------------------------------------------------------------------
 
 
-def _proj_key(o: Origami):
-    """Canonical keys of o and of -I·o, least first.
+def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(p)
+    for i, j in enumerate(p, start=1):
+        inv[j - 1] = i
+    return tuple(inv)
+
+
+def _proj_key(h: tuple[int, ...], v: tuple[int, ...], half_turn_trivial: bool):
+    """Canonical keys of (h, v) and of -I·(h, v) = (h⁻¹, v⁻¹), least first.
 
     The first key names the projective class {o, -I·o}. When -I fixes o the
-    two keys are one object, so an orbit table stores no second copy.
+    two keys are one object, so an orbit table stores no second copy. With
+    half_turn_trivial (genus ≤ 2, where -I is the hyperelliptic involution)
+    the second key is not computed.
     """
-    k1 = _canonical_key(o.h.images, o.v.images)
-    k2 = _canonical_key(o.h.inverse().images, o.v.inverse().images)
+    k1 = _canonical_key(h, v)
+    if half_turn_trivial:
+        return k1, k1
+    k2 = _canonical_key(_inverse(h), _inverse(v))
     if k1 == k2:
         return k1, k1
     return (k1, k2) if k1 < k2 else (k2, k1)
-
-
-def _origami_from_key(key) -> Origami:
-    return Origami(Permutation(key[0]), Permutation(key[1]))
 
 
 @dataclass(frozen=True)
@@ -260,24 +267,25 @@ def orbit(o: Origami) -> OrbitReport:
     """
     from .cylinders import horizontal_decomposition
 
-    from .origami import is_reduced
-
-    keys = [_proj_key(o)]  # (key, -I key) per orbit element, in discovery order
+    # genus is SL2(Z)-invariant, so one test covers every member
+    half_turn_trivial = genus(o) <= 2
+    keys = [_proj_key(o.h.images, o.v.images, half_turn_trivial)]  # (key, -I key) per element
     position = {keys[0][0]: 0}
-    reps = [_origami_from_key(keys[0][0])]
     t: list[int] = []
     s: list[int] = []
-    for rep in reps:  # reps grows while the loop runs: this is the BFS queue
-        for step, images in ((act_T, t), (act_S, s)):
-            pair = _proj_key(step(rep))
+    for (h, v), _ in keys:  # keys grows while the loop runs: this is the BFS queue
+        hinv = _inverse(h)
+        # T: (h, v∘h⁻¹) and S: (v, h⁻¹) on the least member's image tuples
+        for images, h2, v2 in ((t, h, tuple([v[j - 1] for j in hinv])), (s, v, hinv)):
+            pair = _proj_key(h2, v2, half_turn_trivial)
             j = position.get(pair[0])
             if j is None:
                 j = position[pair[0]] = len(keys)
                 keys.append(pair)
-                reps.append(_origami_from_key(pair[0]))
             images.append(j)
     index = len(keys)
     order = sorted(range(index), key=lambda i: keys[i][0])
+    reps = [Origami(Permutation(h), Permutation(v)) for (h, v), _ in keys]
 
     # cusps: the cycles of t, each walked from its least key
     cycles = []
@@ -320,7 +328,11 @@ def orbit(o: Origami) -> OrbitReport:
 
 def in_veech_group(o: Origami, w: SL2ZWord) -> bool:
     """Whether the word's matrix stabilizes o (projectively: up to -I)."""
-    return _proj_key(o) == _proj_key(apply_word(w, o))
+    half_turn_trivial = genus(o) <= 2
+    image = apply_word(w, o)
+    return _proj_key(o.h.images, o.v.images, half_turn_trivial) == _proj_key(
+        image.h.images, image.v.images, half_turn_trivial
+    )
 
 
 @dataclass(frozen=True)
@@ -344,7 +356,8 @@ def slope_cusp(o: Origami, p: int, q: int, report: OrbitReport | None = None) ->
         raise ValueError(f"direction ({p}, {q}) is not primitive")
     if report is None:
         report = orbit(o)
-    key = _proj_key(apply_word(direction_to_horizontal(p, q), o))[0]
+    image = apply_word(direction_to_horizontal(p, q), o)
+    key = _proj_key(image.h.images, image.v.images, genus(o) <= 2)[0]
     i = bisect_left(report.members, (key,))
     if i == len(report.members) or report.members[i][0] != key:
         raise AssertionError("transported surface left its own orbit")

@@ -10,6 +10,7 @@ runs produce byte-identical catalogs.
 from __future__ import annotations
 
 import json
+import os
 import warnings
 from dataclasses import asdict, dataclass
 from itertools import permutations
@@ -160,7 +161,14 @@ class CatalogError(ValueError):
         self.line = line
 
 
-def _read_entries(path) -> list[CatalogEntry]:
+def _read_entries(path, repair: bool = False) -> list[CatalogEntry]:
+    """The records of a catalog file, in file order.
+
+    A last line with no newline is what an interrupted append leaves. If it
+    does not parse, readers skip it, and with repair it is cut off the file;
+    if it does parse, repair completes it with its newline. Either way the
+    next append starts on a fresh line.
+    """
     entries = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -169,7 +177,14 @@ def _read_entries(path) -> list[CatalogEntry]:
             try:
                 entries.append(CatalogEntry.from_json(line))
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise CatalogError(f"malformed catalog record ({exc})", lineno) from None
+                if line.endswith("\n"):
+                    raise CatalogError(f"malformed catalog record ({exc})", lineno) from None
+                if repair:
+                    os.truncate(path, os.path.getsize(path) - len(line.encode("utf-8")))
+                return entries
+    if repair and entries and not line.endswith("\n"):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("\n")
     return entries
 
 
@@ -177,7 +192,7 @@ def catalog_write(path, entries) -> tuple[int, int]:
     """Append new entries (keyed by canonical origami text); duplicates are
     skipped with a warning.  Returns (written, skipped)."""
     try:
-        existing = {e.origami for e in _read_entries(path)}
+        existing = {e.origami for e in _read_entries(path, repair=True)}
     except FileNotFoundError:
         existing = set()
     written = skipped = 0

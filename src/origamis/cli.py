@@ -1,6 +1,7 @@
 """Command-line front end: every subcommand prints JSON on stdout.
 
-Exit codes: 0 success, 1 input error, 2 internal assertion failure.
+Exit codes: 0 success, 1 input error, 2 internal error (a failed assertion
+or any other unexpected exception); either failure prints one line on stderr.
 """
 
 from __future__ import annotations
@@ -244,11 +245,14 @@ def main(argv=None) -> int:
         args.func(args)
     except SystemExit as exc:
         return exc.code or 0
-    except (ValueError, OSError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:  # a zero denominator in the input
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return 0
 

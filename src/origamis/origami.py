@@ -185,33 +185,50 @@ def _canonical_key(h_img: tuple[int, ...], v_img: tuple[int, ...]) -> tuple:
     in discovery order, makes the relabeling canonical given the root; taking
     the minimum over roots kills the root choice. Equality of keys is exactly
     simultaneous-conjugation equivalence.
+
+    The h-key entry of a square is known as soon as it leaves the queue, so a
+    root is dropped at the first entry where its h-key exceeds the best one,
+    and stops comparing once it falls below; v-keys are compared only when
+    the h-keys tie.
     """
     n = len(h_img)
+    h = (0, *h_img)
+    v = (0, *v_img)
     hinv = [0] * (n + 1)
     vinv = [0] * (n + 1)
-    for i, j in enumerate(h_img, start=1):
-        hinv[j] = i
-    for i, j in enumerate(v_img, start=1):
-        vinv[j] = i
-    best = None
+    for i in range(1, n + 1):
+        hinv[h[i]] = i
+        vinv[v[i]] = i
+    best_h = best_v = None
     for root in range(1, n + 1):
-        label = {root: 1}
+        label = [0] * (n + 1)
+        label[root] = 1
         order = [root]
-        qi = 0
-        while qi < len(order):
-            s = order[qi]
-            qi += 1
-            for nb in (h_img[s - 1], hinv[s], v_img[s - 1], vinv[s]):
-                if nb not in label:
+        push = order.append
+        h_key = []
+        tied = best_h is not None  # the h-prefix so far equals best_h's
+        for s in order:  # order grows while the loop runs: this is the BFS queue
+            nb = h[s]
+            e = label[nb]
+            if not e:
+                e = label[nb] = len(order) + 1
+                push(nb)
+            if tied:
+                b = best_h[len(h_key)]
+                if e != b:
+                    if e > b:
+                        break
+                    tied = False
+            h_key.append(e)
+            for nb in (hinv[s], v[s], vinv[s]):
+                if not label[nb]:
                     label[nb] = len(order) + 1
-                    order.append(nb)
-        key = (
-            tuple(label[h_img[s - 1]] for s in order),
-            tuple(label[v_img[s - 1]] for s in order),
-        )
-        if best is None or key < best:
-            best = key
-    return best
+                    push(nb)
+        else:
+            v_key = [label[v[s]] for s in order]
+            if not tied or v_key < best_v:
+                best_h, best_v = h_key, v_key
+    return tuple(best_h), tuple(best_v)
 
 
 def canonical_form(o: Origami) -> Origami:

@@ -65,6 +65,29 @@ class TestActionFormulas:
                     flagged += 1
         assert flagged > 0  # genus-3 surfaces moved by the half turn do exist
 
+        # orbit() skips the -I key in genus <= 2; check the half turn with the
+        # full key on larger surfaces: seeded H(2) L-shapes and random genus 2
+        rng = random.Random(2024)
+        samples = []
+        for n in range(9, 15):
+            arm = rng.randrange(2, n)
+            h = Permutation.from_cycles([tuple(range(1, arm + 1))], n)
+            v = Permutation.from_cycles([(1, *range(arm + 1, n + 1))], n)
+            g = list(range(1, n + 1))
+            rng.shuffle(g)
+            samples.append(relabel(Origami(h, v), Permutation(tuple(g))))
+        while len(samples) < 6 + 12:
+            o = random_origami(rng.choice((7, 8)), rng)
+            if genus(o) == 2:
+                samples.append(o)
+        for o in samples:
+            assert genus(o) == 2
+            assert same_surface(Origami(o.h.inverse(), o.v.inverse()), o)
+            rep = orbit(o)
+            assert not rep.minus_id_nontrivial
+            for r in rep.representatives[:: max(1, rep.index // 20)]:
+                assert same_surface(Origami(r.h.inverse(), r.v.inverse()), r)
+
     def test_minus_id_flag_reported(self):
         moved = Origami(Permutation.parse("(2,3,5,4)", 5), Permutation.parse("(1,2)(4,5)", 5))
         rep = orbit(moved)

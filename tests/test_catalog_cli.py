@@ -152,6 +152,42 @@ class TestCatalogFile:
         with pytest.raises(CatalogError, match="line 2"):
             catalog_query(path)
 
+    def test_malformed_inner_line_raises_before_a_torn_last_line(self, tmp_path):
+        path = tmp_path / "cat.jsonl"
+        good = enumerate_origamis(1)[0].to_json()
+        path.write_text(good + "\n{not json}\n" + good[:10])
+        with pytest.raises(CatalogError, match="line 2"):
+            catalog_query(path)
+        with pytest.raises(CatalogError, match="line 2"):
+            catalog_write(path, enumerate_origamis(2))
+
+    def test_torn_final_record_is_skipped_and_repaired(self, tmp_path):
+        # an append interrupted mid-record leaves a last line with no newline
+        path = str(tmp_path / "c.jsonl")
+        code, out, _ = run_cli("catalog", "write", "--path", path, "--n", "3")
+        assert code == 0
+        three = json.loads(run_cli("catalog", "query", "--path", path)[1])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"origami": "4; h=(1,2')
+        code, out, err = run_cli("catalog", "query", "--path", path)
+        assert code == 0 and json.loads(out) == three and err == ""
+        code, out, _ = run_cli("catalog", "write", "--path", path, "--n", "4")
+        four = enumerate_origamis(4)
+        assert code == 0 and json.loads(out) == {"written": len(four), "skipped": 0}
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        assert text.endswith("\n") and "4; h=(1,2\n" not in text
+        assert catalog_query(path, n=4) == four
+        assert len(catalog_query(path)) == len(three) + len(four)
+
+    def test_record_cut_before_its_newline_is_kept(self, tmp_path):
+        path = tmp_path / "cat.jsonl"
+        one, two = enumerate_origamis(1), enumerate_origamis(2)
+        path.write_text(one[0].to_json())
+        assert catalog_query(path) == one
+        assert catalog_write(path, two) == (len(two), 0)
+        assert catalog_query(path) == one + two
+
 
 def run_cli(*argv):
     import io
@@ -213,6 +249,37 @@ class TestCLI:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr == "error: slope must be finite\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("flow", ST3, "--dir", "1,2", "--start", "1:1/0:0"),
+            ("lshape", "--d", "5", "--shift", "1/0"),
+        ],
+    )
+    def test_zero_denominator_is_an_input_error(self, argv):
+        import origamis
+
+        src = os.path.dirname(os.path.dirname(origamis.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "origamis", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "error: Fraction(1, 0)\n"
+
+    def test_unexpected_exception_is_an_internal_error(self, monkeypatch):
+        import origamis.cli
+
+        def boom(o):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(origamis.cli, "orbit", boom)
+        code, out, err = run_cli("orbit", ST3)
+        assert (code, out, err) == (2, "", "internal error: RuntimeError: boom\n")
 
     def test_lshape(self):
         code, out, _ = run_cli("lshape", "--d", "5")
