@@ -5,8 +5,6 @@ from .action import (
     S_WORD,
     SL2ZWord,
     T_WORD,
-    act_S,
-    act_T,
     apply_word,
     geodesic_endpoints,
     horocycle_data,

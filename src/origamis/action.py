@@ -1,9 +1,12 @@
 """The SL₂(ℤ)-action on origamis: orbits, Veech groups, cusps, elliptic points.
 
-Action formulas, fixed by the package's worked fixtures:
+Action formulas on image tuples, fixed by the package's worked fixtures
+(``_act`` holds the only copy):
 
-    act_T: (h, v) -> (h, v∘h⁻¹)        (horizontal shear)
-    act_S: (h, v) -> (v, h⁻¹)          (quarter rotation)
+    T:   (h, v) -> (h, v∘h⁻¹)          (horizontal shear)
+    T⁻¹: (h, v) -> (h, v∘h)
+    S:   (h, v) -> (v, h⁻¹)            (quarter rotation)
+    S⁻¹: (h, v) -> (v⁻¹, h)
 
 With these, T·St(3) is the other three-square surface, T²·St(3) ≅ St(3) and
 S·St(3) ≅ St(3), as they must be.
@@ -24,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .origami import Origami, _canonical_key, genus, is_reduced
-from .perm import Permutation, compose
+from .perm import Permutation
 
 INFINITY = math.inf
 
@@ -126,36 +129,37 @@ def word_for_matrix(M) -> SL2ZWord:
 # -- the action ------------------------------------------------------------------
 
 
-def act_T(o: Origami) -> Origami:
-    return Origami(o.h, compose(o.v, o.h.inverse()))
+def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(p)
+    for i, j in enumerate(p, start=1):
+        inv[j - 1] = i
+    return tuple(inv)
 
 
-def act_T_inv(o: Origami) -> Origami:
-    return Origami(o.h, compose(o.v, o.h))
-
-
-def act_S(o: Origami) -> Origami:
-    return Origami(o.v, o.h.inverse())
-
-
-def act_S_inv(o: Origami) -> Origami:
-    return Origami(o.v.inverse(), o.h)
-
-
-_ACTS = {"T": act_T, "T^-1": act_T_inv, "S": act_S, "S^-1": act_S_inv}
+def _act(g: str, h: tuple[int, ...], v: tuple[int, ...]):
+    """Image tuples of (h, v) under the generator g."""
+    if g == "T":
+        return h, tuple([v[j - 1] for j in _inverse(h)])
+    if g == "S":
+        return v, _inverse(h)
+    if g == "T^-1":
+        return h, tuple([v[j - 1] for j in h])
+    return _inverse(v), h  # S^-1; SL2ZWord admits no other generator
 
 
 def apply_word(w: SL2ZWord, o: Origami) -> Origami:
+    h, v = o.h.images, o.v.images
     for g in reversed(w.gens):
-        o = _ACTS[g](o)
-    return o
+        h, v = _act(g, h, v)
+    return Origami(Permutation(h), Permutation(v))
 
 
 # -- point transport (used to cross-check flow against the action) ----------------
 
 
-def act_point(gen: str, o: Origami, sq: int, x, y):
-    """Image of the point (sq, x, y) under one generator, on the new surface.
+def act_point(gen: str, h: tuple[int, ...], sq: int, x, y):
+    """Image of the point (sq, x, y) under one generator, on the new surface;
+    h is the image tuple of the horizontal gluing of the surface acted on.
 
     T shears each square and re-cuts at x = 1; S rotates clockwise. Points on
     a cut line get the representative lying in the square named first below.
@@ -163,11 +167,11 @@ def act_point(gen: str, o: Origami, sq: int, x, y):
     if gen == "T":
         if x + y < 1:
             return (sq, x + y, y)
-        return (o.h(sq), x + y - 1, y)
+        return (h[sq - 1], x + y - 1, y)
     if gen == "T^-1":
         if x >= y:
             return (sq, x - y, y)
-        return (o.h.inverse()(sq), x - y + 1, y)
+        return (h.index(sq) + 1, x - y + 1, y)
     if gen == "S":
         return (sq, y, 1 - x)
     if gen == "S^-1":
@@ -191,10 +195,11 @@ def act_direction(gen: str, p, q):
 
 def transport_point(w: SL2ZWord, o: Origami, sq: int, x, y):
     """Push (sq, x, y) through the whole word; returns (surface, sq, x, y)."""
+    h, v = o.h.images, o.v.images
     for g in reversed(w.gens):
-        sq, x, y = act_point(g, o, sq, x, y)
-        o = _ACTS[g](o)
-    return o, sq, x, y
+        sq, x, y = act_point(g, h, sq, x, y)
+        h, v = _act(g, h, v)
+    return Origami(Permutation(h), Permutation(v)), sq, x, y
 
 
 def transport_direction(w: SL2ZWord, p, q):
@@ -204,13 +209,6 @@ def transport_direction(w: SL2ZWord, p, q):
 
 
 # -- orbits ------------------------------------------------------------------------
-
-
-def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for i, j in enumerate(p, start=1):
-        inv[j - 1] = i
-    return tuple(inv)
 
 
 def _proj_key(h: tuple[int, ...], v: tuple[int, ...], half_turn_trivial: bool):
@@ -234,12 +232,10 @@ def _proj_key(h: tuple[int, ...], v: tuple[int, ...], half_turn_trivial: bool):
 class Cusp:
     width: int
     cylinder_count: int
-    representative: Origami
 
 
 @dataclass(frozen=True)
 class OrbitReport:
-    representatives: tuple[Origami, ...]
     index: int
     cusps: tuple[Cusp, ...]
     e2: int
@@ -249,6 +245,11 @@ class OrbitReport:
     minus_id_nontrivial: bool
     # one (projective key, -I key, index into cusps) per representative, same order
     members: tuple[tuple[tuple, tuple, int], ...]
+
+    @cached_property
+    def representatives(self) -> tuple[Origami, ...]:
+        """The canonical form of each member, in the order of members."""
+        return tuple(Origami(*map(Permutation, key)) for key, _, _ in self.members)
 
     def cusp_widths(self) -> tuple[int, ...]:
         return tuple(sorted((c.width for c in self.cusps), reverse=True))
@@ -274,10 +275,8 @@ def orbit(o: Origami) -> OrbitReport:
     t: list[int] = []
     s: list[int] = []
     for (h, v), _ in keys:  # keys grows while the loop runs: this is the BFS queue
-        hinv = _inverse(h)
-        # T: (h, v∘h⁻¹) and S: (v, h⁻¹) on the least member's image tuples
-        for images, h2, v2 in ((t, h, tuple([v[j - 1] for j in hinv])), (s, v, hinv)):
-            pair = _proj_key(h2, v2, half_turn_trivial)
+        for images, g in ((t, "T"), (s, "S")):
+            pair = _proj_key(*_act(g, h, v), half_turn_trivial)
             j = position.get(pair[0])
             if j is None:
                 j = position[pair[0]] = len(keys)
@@ -285,7 +284,6 @@ def orbit(o: Origami) -> OrbitReport:
             images.append(j)
     index = len(keys)
     order = sorted(range(index), key=lambda i: keys[i][0])
-    reps = [Origami(Permutation(h), Permutation(v)) for (h, v), _ in keys]
 
     # cusps: the cycles of t, each walked from its least key
     cycles = []
@@ -305,7 +303,8 @@ def orbit(o: Origami) -> OrbitReport:
         for i in cyc:
             cusp_of[i] = c
     cusps = tuple(
-        Cusp(len(cyc), len(horizontal_decomposition(reps[cyc[0]])), reps[cyc[0]]) for cyc in cycles
+        Cusp(len(cyc), len(horizontal_decomposition(Origami(*map(Permutation, keys[cyc[0]][0])))))
+        for cyc in cycles
     )
 
     assert sum(c.width for c in cusps) == index, "cusp widths must partition the orbit"
@@ -314,7 +313,6 @@ def orbit(o: Origami) -> OrbitReport:
     g = Fraction(1) + Fraction(index, 12) - Fraction(e2, 4) - Fraction(e3, 3) - Fraction(len(cusps), 2)
     assert g.denominator == 1 and g >= 0, f"bad curve genus {g}"
     return OrbitReport(
-        representatives=tuple(reps[i] for i in order),
         index=index,
         cusps=cusps,
         e2=e2,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import permutations
 
 from .action import orbit
@@ -35,7 +35,7 @@ class CatalogEntry:
     curve_genus: int
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)  # the tuple cusp_widths becomes a list
+        return json.dumps(vars(self), sort_keys=True)  # the tuple cusp_widths becomes a list
 
     @staticmethod
     def from_json(text: str) -> "CatalogEntry":

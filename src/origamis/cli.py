@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import catalog as cat
 from .action import orbit
-from .cylinders import decomposition_in_direction, horizontal_decomposition
+from .cylinders import decomposition_in_direction
 from .flow import FlowState, discrepancy, trace
 from .lshape import (
     LSurface,
@@ -85,18 +85,11 @@ def _cmd_orbit(args) -> None:
 
 def _cmd_cylinders(args) -> None:
     o = parse_origami(args.origami)
-    p, q = _parse_dir(args.dir)
-    if (p, q) == (1, 0):
-        cyls = horizontal_decomposition(o)
-        lengths = [str(c.width) for c in cyls]
-    else:
-        dd = decomposition_in_direction(o, p, q)
-        cyls = dd.cylinders
-        lengths = [str(length) for length in dd.lengths]
+    dd = decomposition_in_direction(o, *_parse_dir(args.dir))
     _emit(
         [
-            {"width": c.width, "height": c.height, "length": s}
-            for c, s in zip(cyls, lengths)
+            {"width": c.width, "height": c.height, "length": str(length)}
+            for c, length in zip(dd.cylinders, dd.lengths)
         ]
     )
 

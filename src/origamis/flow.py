@@ -97,6 +97,8 @@ def trace(
 ) -> TraceResult:
     """Follow the straight-line flow from ``start`` until a state recurs, a
     singularity is hit, or ``max_crossings`` edge crossings have happened."""
+    if max_crossings < 1:
+        raise ValueError(f"max_crossings must be at least 1, got {max_crossings}")
     x, y, p, q = _coerce_scalars(*start.pos, *start.direction)
     if not p and not q:
         raise ValueError("zero direction")
@@ -115,6 +117,9 @@ def trace(
         if corner_is_singular(_corner_square(o, sq, int(x == 1), int(y == 1))):
             raise ValueError("flow started at a singular vertex")
 
+    # the square entered across a vertical or a horizontal edge
+    step_x = (o.h if p > 0 else o.h.inverse()).images
+    step_y = (o.v if q > 0 else o.v.inverse()).images
     zero = x - x  # additive zero of the working field
     time = zero
     radicand = p * p + q * q
@@ -138,17 +143,15 @@ def trace(
             cx, cy = int(p > 0), int(q > 0)
             if corner_is_singular(_corner_square(o, sq, cx, cy)):
                 return TraceResult(False, True, crossing, time, None, radicand, tuple(events))
-            # regular cone point: pass straight through into the diagonal square
-            if p > 0:
-                sq = o.v(o.h(sq)) if q > 0 else o.v.inverse()(o.h(sq))
-            else:
-                sq = o.h.inverse()(o.v(sq)) if q > 0 else o.h.inverse()(o.v.inverse()(sq))
+            # regular corner: the commutator fixes it, so the horizontal and
+            # vertical steps commute there and either order reaches the diagonal square
+            sq = step_y[step_x[sq - 1] - 1]
             x, y = 1 - x + zero, 1 - y + zero
         elif hit_x:
-            sq = o.h(sq) if p > 0 else o.h.inverse()(sq)
+            sq = step_x[sq - 1]
             x = zero if p > 0 else 1 + zero
         else:
-            sq = o.v(sq) if q > 0 else o.v.inverse()(sq)
+            sq = step_y[sq - 1]
             y = zero if q > 0 else 1 + zero
         # a trajectory running along a grid line passes through lattice corners;
         # those are surface vertices and must stop the orbit when singular

@@ -10,9 +10,6 @@ from origamis.action import (
     S_WORD,
     SL2ZWord,
     T_WORD,
-    act_S,
-    act_T,
-    act_T_inv,
     apply_word,
     geodesic_endpoints,
     horocycle_data,
@@ -23,21 +20,29 @@ from origamis.action import (
     word_for_matrix,
 )
 from origamis.origami import Origami, canonical_form, random_origami, relabel, same_surface, st3, st4, torus
-from origamis.perm import Permutation
+from origamis.perm import Permutation, compose
+
+# the generator formulas written with compose/inverse, sharing no code with apply_word
+_GEN_ORACLE = {
+    "T": lambda o: Origami(o.h, compose(o.v, o.h.inverse())),
+    "T^-1": lambda o: Origami(o.h, compose(o.v, o.h)),
+    "S": lambda o: Origami(o.v, o.h.inverse()),
+    "S^-1": lambda o: Origami(o.v.inverse(), o.h),
+}
 
 
 class TestActionFormulas:
     def test_T_shears_the_staircase(self):
         # T·St(3) is the vertically 3-periodic 3-square surface
-        img = act_T(st3())
+        img = apply_word(T_WORD, st3())
         assert img == Origami(Permutation.parse("(1,2)", 3), Permutation.parse("(1,2,3)", 3))
         assert not same_surface(img, st3())
 
     def test_T_squared_stabilizes(self):
-        assert same_surface(act_T(act_T(st3())), st3())
+        assert same_surface(apply_word(T_WORD, apply_word(T_WORD, st3())), st3())
 
     def test_S_stabilizes(self):
-        assert same_surface(act_S(st3()), st3())
+        assert same_surface(apply_word(S_WORD, st3()), st3())
 
     def test_S_has_order_four(self):
         rng = random.Random(3)
@@ -45,9 +50,9 @@ class TestActionFormulas:
             o = random_origami(rng.randint(1, 6), rng)
             img = o
             for _ in range(4):
-                img = act_S(img)
+                img = apply_word(S_WORD, img)
             assert img == o
-            assert act_T(act_T_inv(o)) == o
+            assert apply_word(T_WORD, apply_word(SL2ZWord(("T^-1",)), o)) == o
 
     def test_minus_identity_trivial_in_genus_two(self):
         # every enumerated surface of genus <= 2 is fixed by the half turn
@@ -115,6 +120,16 @@ class TestActionFormulas:
         assert in_veech_group(o, T_WORD) and in_veech_group(o, S_WORD)
         assert not rep.input_reduced  # its absolute periods span only 2Z²
 
+    @given(st.integers(1, 9), st.integers(0, 10**6))
+    def test_apply_word_matches_composed_formulas(self, n, seed):
+        rng = random.Random(seed)
+        o = random_origami(n, rng)
+        w = SL2ZWord(tuple(rng.choice(tuple(_GEN_ORACLE)) for _ in range(rng.randint(0, 12))))
+        expected = o
+        for g in reversed(w.gens):
+            expected = _GEN_ORACLE[g](expected)
+        assert apply_word(w, o) == expected
+
 
 class TestWords:
     def test_generator_matrices(self):
@@ -181,7 +196,7 @@ class TestOrbit:
 
     def test_closure_contains_T_image(self):
         rep = orbit(st3())
-        img = canonical_form(act_T(st3()))
+        img = canonical_form(apply_word(T_WORD, st3()))
         assert any(same_surface(r, img) for r in rep.representatives)
 
     def test_st4_orbit_consistency(self):
@@ -190,12 +205,12 @@ class TestOrbit:
         assert rep.curve_genus >= 0
 
     def test_cusp_widths_by_direct_T_iteration(self):
-        # independent route: iterate act_T on St(3) and measure the cycle length
+        # independent route: iterate T on St(3) and measure the cycle length
         o = canonical_form(st3())
-        img = canonical_form(act_T(o))
+        img = canonical_form(apply_word(T_WORD, o))
         width = 1
         while not same_surface(img, o):
-            img = canonical_form(act_T(img))
+            img = canonical_form(apply_word(T_WORD, img))
             width += 1
         assert width == 2  # the cusp of St(3) at infinity
 
@@ -226,14 +241,16 @@ class TestCosetTable:
     def test_member_keys_and_cusps(self, n, seed):
         rep = orbit(random_origami(n, random.Random(seed)))
         assert [m[0] for m in rep.members] == sorted(m[0] for m in rep.members)
+        assert len(rep.representatives) == len(rep.members) == rep.index
         for r, (key, minus_key, c) in zip(rep.representatives, rep.members):
             flipped = Origami(r.h.inverse(), r.v.inverse())
+            assert r == Origami(Permutation(key[0]), Permutation(key[1]))
             assert key == (r.h.images, r.v.images)
             assert canonical_form(flipped) == Origami(Permutation(minus_key[0]), Permutation(minus_key[1]))
             # the cusp's width is the T-period of the member, up to -I
-            img, width = act_T(r), 1
+            img, width = apply_word(T_WORD, r), 1
             while not (same_surface(img, r) or same_surface(img, flipped)):
-                img, width = act_T(img), width + 1
+                img, width = apply_word(T_WORD, img), width + 1
             assert rep.cusps[c].width == width
 
 

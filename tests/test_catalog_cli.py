@@ -223,10 +223,24 @@ class TestCLI:
         data = json.loads(out)
         assert code == 0 and data == [{"width": 3, "height": 1, "length": "3*sqrt(2)"}]
 
+    def test_cylinders_default_direction_is_horizontal(self):
+        code, out, _ = run_cli("cylinders", ST3)
+        assert code == 0
+        assert json.loads(out) == [
+            {"width": 2, "height": 1, "length": "2"},
+            {"width": 1, "height": 1, "length": "1"},
+        ]
+
     def test_flow(self):
         code, out, _ = run_cli("flow", ST3, "--dir", "0,1", "--start", "2:1/2:0")
         data = json.loads(out)
         assert code == 0 and data["periodic"] is True and data["length"] == "1"
+
+    @pytest.mark.parametrize("bound", ["0", "-1"])
+    def test_flow_rejects_a_crossing_bound_below_one(self, bound):
+        code, out, err = run_cli("flow", ST3, "--max", bound)
+        assert (code, out) == (1, "")
+        assert err == f"error: max_crossings must be at least 1, got {bound}\n"
 
     def test_flow_discrepancy(self):
         code, out, _ = run_cli(

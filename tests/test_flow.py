@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -13,7 +14,7 @@ from origamis.flow import (
     sheared_st3_return,
     trace,
 )
-from origamis.origami import st3, st4, torus
+from origamis.origami import random_origami, st3, st4, torus
 from origamis.quadfield import QuadNum
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -64,6 +65,39 @@ class TestTrace:
     def test_negative_direction(self):
         r = trace(st3(), FlowState(1, (F(1, 2), F(1)), (F(0), F(-1))))
         assert r.periodic and r.period_time == 2
+
+    def test_diagonal_steps_match_the_four_way_reference(self):
+        # from a square centre, a diagonal direction passes through a corner at
+        # every crossing; the reference steps with the four composite cases
+        def reference(o, sq, p, q):
+            h, v, hi, vi = o.h, o.v, o.h.inverse(), o.v.inverse()
+            c = o.commutator
+            entered = []
+            while True:
+                corner = {(1, 1): v(h(sq)), (1, -1): h(sq), (-1, 1): v(sq), (-1, -1): sq}[(p, q)]
+                if c(corner) != corner:
+                    return entered, True
+                if p > 0:
+                    sq = v(h(sq)) if q > 0 else vi(h(sq))
+                else:
+                    sq = hi(v(sq)) if q > 0 else hi(vi(sq))
+                if sq in entered:
+                    return entered + [sq], False
+                entered.append(sq)
+
+        rng = random.Random(11)
+        singular = traced = 0
+        for _ in range(160):
+            o = random_origami(rng.randint(1, 9), rng)
+            for sq in range(1, o.n + 1):
+                for p, q in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                    r = trace(o, FlowState(sq, (F(1, 2), F(1, 2)), (F(p), F(q))), record_events=True)
+                    entered, hit = reference(o, sq, p, q)
+                    assert [e[1] for e in r.events] == entered
+                    assert (r.singular, r.periodic) == (hit, not hit)
+                    singular += hit
+                    traced += 1
+        assert traced > 2000 and 0 < singular < traced
 
 
 class TestPeriodicity:
