@@ -348,13 +348,10 @@ def slope_cusp(o: Origami, p: int, q: int, report: OrbitReport | None = None) ->
     """
     from .cylinders import direction_to_horizontal
 
-    if (p, q) == (0, 0):
-        raise ValueError("direction (0, 0)")
-    if math.gcd(p, q) != 1:
-        raise ValueError(f"direction ({p}, {q}) is not primitive")
+    word = direction_to_horizontal(p, q)  # rejects a bad direction before any orbit work
     if report is None:
         report = orbit(o)
-    image = apply_word(direction_to_horizontal(p, q), o)
+    image = apply_word(word, o)
     key = _proj_key(image.h.images, image.v.images, genus(o) <= 2)[0]
     i = bisect_left(report.members, (key,))
     if i == len(report.members) or report.members[i][0] != key:

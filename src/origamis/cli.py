@@ -158,9 +158,11 @@ def _cmd_catalog(args) -> None:
 
 
 def _cmd_strata_dim(args) -> None:
-    orders = [int(t) for t in args.orders.split(",")] if args.orders else []
+    abelian = args.orders_abelian is not None
+    text = args.orders_abelian if abelian else args.orders_quadratic
+    orders = [int(t) for t in text.split(",")] if text else []
     total = sum(orders)
-    if args.kind == "abelian":
+    if abelian:
         if total % 2:
             raise ValueError(f"abelian orders must sum to an even number, got {total}")
         _emit(stratum_dim_abelian(orders, 1 + total // 2))
@@ -221,8 +223,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("strata-dim", help="dimension of a stratum from its cone orders")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--abelian", dest="orders_abelian", default=None, help="orders k1,k2,...")
-    group.add_argument("--quadratic", dest="orders_quadratic", default=None, help="orders k1,k2,...")
+    orders = "orders k1,k2,...; a list that starts with '-' needs '=', as in --quadratic=-1,-1,-1,-1"
+    group.add_argument("--abelian", dest="orders_abelian", default=None, help=orders)
+    group.add_argument("--quadratic", dest="orders_quadratic", default=None, help=orders)
     p.set_defaults(func=_cmd_strata_dim)
 
     return parser
@@ -232,9 +235,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "strata-dim":
-            args.kind = "abelian" if args.orders_abelian is not None else "quadratic"
-            args.orders = args.orders_abelian if args.kind == "abelian" else args.orders_quadratic
         args.func(args)
     except SystemExit as exc:
         return exc.code or 0

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .action import SL2ZWord, apply_word, word_for_matrix
-from .origami import Origami, vertex_cycles
+from .origami import Origami
 from .perm import cycles
 from .quadfield import QuadNum, _square_part
 
@@ -37,44 +37,36 @@ class Cylinder:
 def horizontal_decomposition(o: Origami) -> list[Cylinder]:
     """Cylinders of the horizontal direction, widest first.
 
-    Rows are the cycles of h. A row R merges with the row above it exactly
-    when every bottom-left corner of v(s), s in R, is a regular vertex; the
-    regularity forces v to intertwine the cyclic order, so the merged row is
-    a single h-cycle of the same length.
+    Rows are the cycles of h. A row whose bottom corners are all regular
+    continues the cylinder below it: the regularity forces v to map the row
+    below onto it, in the same cyclic order. So each cylinder is walked
+    upwards from a row with a singular bottom corner; with no singular corner
+    at all (genus one) the surface is one cylinder, walked from any row.
     """
     rows = cycles(o.h)
-    row_of = {}
+    row_of = [0] * (o.n + 1)
     for i, r in enumerate(rows):
         for s in r:
             row_of[s] = i
-    vcycles = vertex_cycles(o)
-    owner = o.square_vertex
-    singular = {s: len(vcycles[owner[s - 1]]) > 1 for s in range(1, o.n + 1)}
-
-    parent = list(range(len(rows)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, r in enumerate(rows):
-        if all(not singular[o.v(s)] for s in r):
-            above = {row_of[o.v(s)] for s in r}
-            assert len(above) == 1, "regular interface must map onto one row"
-            ra, rb = find(i), find(above.pop())
-            if ra != rb:
-                parent[ra] = rb
-    groups: dict[int, list[int]] = {}
-    for i in range(len(rows)):
-        groups.setdefault(find(i), []).append(i)
+    singular = o.singular
+    starts = {i for i, r in enumerate(rows) if any(singular[s - 1] for s in r)} or {0}
+    v = o.v.images
     cyls = []
-    for members in groups.values():
-        widths = {len(rows[i]) for i in members}
+    for i in starts:
+        members = [i]
+        while True:
+            top = rows[members[-1]]
+            j = row_of[v[top[0] - 1]]
+            if j in starts:
+                break
+            assert {row_of[v[s - 1]] for s in top} == {j}, "regular interface must map onto one row"
+            members.append(j)
+        widths = {len(rows[k]) for k in members}
         assert len(widths) == 1, "merged rows must share a length"
-        row_tuples = tuple(sorted((rows[i] for i in members), key=min))
+        row_tuples = tuple(sorted((rows[k] for k in members), key=min))
         cyls.append(Cylinder(widths.pop(), len(members), row_tuples))
+    placed = sorted(row_of[r[0]] for c in cyls for r in c.rows)
+    assert placed == list(range(len(rows))), "every row lands in exactly one cylinder"
     cyls.sort(key=lambda c: (-c.width, -c.height, c.rows))
     return cyls
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .cylinders import RadicalLength, decomposition_in_direction
-from .origami import Origami, vertex_cycles
+from .origami import Origami
 from .quadfield import QuadNum
 
 Scalar = Union[Fraction, QuadNum]
@@ -107,14 +107,9 @@ def trace(
     sq = start.square
     if not 1 <= sq <= o.n:
         raise ValueError(f"square {sq} out of range 1..{o.n}")
-    vcycles = vertex_cycles(o)
-    owner = o.square_vertex
-
-    def corner_is_singular(s: int) -> bool:
-        return len(vcycles[owner[s - 1]]) > 1
-
+    singular = o.singular
     if x in (0, 1) and y in (0, 1):
-        if corner_is_singular(_corner_square(o, sq, int(x == 1), int(y == 1))):
+        if singular[_corner_square(o, sq, int(x == 1), int(y == 1)) - 1]:
             raise ValueError("flow started at a singular vertex")
 
     # the square entered across a vertical or a horizontal edge
@@ -141,7 +136,7 @@ def trace(
         x, y, time = x + t * p, y + t * q, time + t
         if hit_x and hit_y:
             cx, cy = int(p > 0), int(q > 0)
-            if corner_is_singular(_corner_square(o, sq, cx, cy)):
+            if singular[_corner_square(o, sq, cx, cy) - 1]:
                 return TraceResult(False, True, crossing, time, None, radicand, tuple(events))
             # regular corner: the commutator fixes it, so the horizontal and
             # vertical steps commute there and either order reaches the diagonal square
@@ -156,7 +151,7 @@ def trace(
         # a trajectory running along a grid line passes through lattice corners;
         # those are surface vertices and must stop the orbit when singular
         if x in (0, 1) and y in (0, 1):
-            if corner_is_singular(_corner_square(o, sq, int(x == 1), int(y == 1))):
+            if singular[_corner_square(o, sq, int(x == 1), int(y == 1)) - 1]:
                 return TraceResult(False, True, crossing, time, None, radicand, tuple(events))
         state = (sq, x, y)
         if record_events:

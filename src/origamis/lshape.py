@@ -187,7 +187,18 @@ def _quarter_turns(u, w) -> int:
 def _walk_cone_angles(polygons, gluings) -> list[int]:
     """Cone angles, in quarter turns, of the vertex classes of a glued
     rectangle complex.  ``polygons``: lists of ccw corner points (exact
-    scalars); ``gluings``: pairs of directed edges (poly, edge_index)."""
+    scalars); ``gluings``: pairs of directed edges (poly, edge_index).
+
+    Zero-length edges (breakpoints that coincide with a corner) are dropped
+    with their partners before the walk."""
+    keep = [[i for i in range(len(pts)) if pts[i] != pts[(i + 1) % len(pts)]] for pts in polygons]
+    index = [{i: k for k, i in enumerate(kept)} for kept in keep]
+    gluings = [
+        ((pa, index[pa][ia]), (pb, index[pb][ib]))
+        for (pa, ia), (pb, ib) in gluings
+        if ia in index[pa] and ib in index[pb]
+    ]
+    polygons = [[pts[i] for i in kept] for pts, kept in zip(polygons, keep)]
     nedges = {p: len(polygons[p]) for p in range(len(polygons))}
     twin = {}
     for e1, e2 in gluings:
@@ -234,21 +245,11 @@ def _walk_cone_angles(polygons, gluings) -> list[int]:
 def _lshape_complex(a: QuadNum, s: QuadNum):
     zero = QuadNum(0, 0, a.d)
     one = QuadNum(1, 0, a.d)
-    s = s if isinstance(s, QuadNum) else QuadNum(Fraction(s), 0, a.d)
-    if s == 0:
-        R = [(zero, zero), (one, zero), (a, zero), (a, one), (one, one), (zero, one)]
-        C = [(zero, one), (one, one), (one, a), (zero, a)]
-        gluings = [
-            ((0, 0), (1, 2)),  # e1: bottom [0,1] ~ column top
-            ((0, 1), (0, 3)),  # e2: bottom [1,a] ~ top of the bottom rectangle
-            ((0, 2), (0, 5)),  # f1: right side ~ left side of the bottom rectangle
-            ((1, 1), (1, 3)),  # f2: column right ~ column left
-            ((1, 0), (0, 4)),  # column bottom ~ rectangle top over [0,1]
-        ]
-        return [R, C], gluings
     # the column sits over [-s, 1-s]; every gluing is in place up to a shift
     # by the full width a, so vertical lines over [0, 1-s] and [a-s, a] run
-    # through both rectangles while those over [1-s, a-s] close after height 1
+    # through both rectangles while those over [1-s, a-s] close after height 1;
+    # at s = 0 the edges over [a-s, a] and [-s, 0] have length zero, and the
+    # walk drops them, which leaves the unshifted L
     R = [
         (zero, zero),
         (one - s, zero),

@@ -87,6 +87,13 @@ class Origami:
                 owner[s - 1] = idx
         return tuple(owner)
 
+    @cached_property
+    def singular(self) -> tuple[bool, ...]:
+        """singular[s-1] says whether the bottom-left corner of s is a cone
+        point, i.e. whether its commutator cycle is longer than one."""
+        c = self.commutator.images
+        return tuple(c[s - 1] != s for s in range(1, self.n + 1))
+
     def to_text(self) -> str:
         return f"{self.n}; h={self.h}; v={self.v}"
 
@@ -156,8 +163,11 @@ def stratum(o: Origami) -> Stratum:
 
 def stratum_dim_abelian(orders, g: int) -> int:
     """Complex dimension 2g + n - 1 of an abelian stratum, with H(0) counted
-    as one marked regular point (n = 1)."""
+    as one marked regular point (n = 1). Orders are ≥ 0: an abelian
+    differential has no poles, and 0 is a marked point."""
     orders = [k for k in orders if k != 0]
+    if any(k < 0 for k in orders):
+        raise ValueError(f"abelian orders must be >= 0, got {orders}")
     n = len(orders) if orders else 1
     if sum(orders) != 2 * g - 2:
         raise ValueError(f"orders {orders} do not sum to 2g-2 = {2 * g - 2}")
@@ -167,8 +177,11 @@ def stratum_dim_abelian(orders, g: int) -> int:
 def stratum_dim_quadratic(orders, g: int) -> int:
     """Complex dimension 2g + n - 2 of a stratum of non-square quadratic
     differentials (one parameter less: some side pair is glued with a
-    half-turn, and is then determined by the others)."""
+    half-turn, and is then determined by the others). Poles are simple:
+    orders are ≥ -1."""
     orders = list(orders)
+    if any(k < -1 for k in orders):
+        raise ValueError(f"quadratic orders must be >= -1, got {orders}")
     n = len(orders) if orders else 1
     if sum(orders) != 4 * g - 4:
         raise ValueError(f"orders {orders} do not sum to 4g-4 = {4 * g - 4}")
@@ -259,30 +272,27 @@ def period_lattice(o: Origami) -> list[tuple[int, int]]:
     """
     owner = o.square_vertex
     nverts = len(vertex_cycles(o))
-    edges = []  # (from_vertex, to_vertex, (dx, dy))
+    edges = []  # (from_vertex, to_vertex, dx, dy)
     for s in range(1, o.n + 1):
-        edges.append((owner[s - 1], owner[o.h(s) - 1], (1, 0)))
-        edges.append((owner[s - 1], owner[o.v(s) - 1], (0, 1)))
-    # spanning tree potentials: pot[w] = holonomy of the tree path root -> w
-    pot: dict[int, tuple[int, int]] = {0: (0, 0)}
-    in_tree = [False] * len(edges)
-    grew = True
-    while grew:
-        grew = False
-        for i, (a, b, (dx, dy)) in enumerate(edges):
-            if a in pot and b not in pot:
-                pot[b] = (pot[a][0] + dx, pot[a][1] + dy)
-                in_tree[i] = True
-                grew = True
-            elif b in pot and a not in pot:
-                pot[a] = (pot[b][0] - dx, pot[b][1] - dy)
-                in_tree[i] = True
-                grew = True
-    assert len(pot) == nverts, "surface is connected, so the tree spans"
-    gens = []
-    for i, (a, b, (dx, dy)) in enumerate(edges):
-        if not in_tree[i]:
-            gens.append((dx + pot[a][0] - pot[b][0], dy + pot[a][1] - pot[b][1]))
+        edges.append((owner[s - 1], owner[o.h(s) - 1], 1, 0))
+        edges.append((owner[s - 1], owner[o.v(s) - 1], 0, 1))
+    adj = [[] for _ in range(nverts)]
+    for a, b, dx, dy in edges:
+        adj[a].append((b, dx, dy))
+        adj[b].append((a, -dx, -dy))
+    # spanning tree potentials: pot[w] = holonomy of the BFS tree path root -> w
+    pot = [None] * nverts
+    pot[0] = (0, 0)
+    order = [0]
+    for a in order:  # order grows while the loop runs: this is the BFS queue
+        x, y = pot[a]
+        for b, dx, dy in adj[a]:
+            if pot[b] is None:
+                pot[b] = (x + dx, y + dy)
+                order.append(b)
+    assert len(order) == nverts, "surface is connected, so the tree spans"
+    # tree edges give (0, 0), which hermite_form drops
+    gens = [(dx + pot[a][0] - pot[b][0], dy + pot[a][1] - pot[b][1]) for a, b, dx, dy in edges]
     return [(r[0], r[1]) for r in hermite_form(gens)]
 
 

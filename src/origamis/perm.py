@@ -144,25 +144,24 @@ def conjugate(p: Permutation, g: Permutation) -> Permutation:
 def is_transitive(ps: list[Permutation]) -> bool:
     """Whether the group generated by ps acts transitively on 1..n.
 
-    Union-find over the undirected moves i ~ p(i); this already accounts for
-    inverses since the relation is symmetric.
+    Breadth-first search from 1 over the forward images only: each p has
+    finite order, so p⁻¹ = p^(k-1) reaches nothing that p does not.
     """
     if not ps:
         raise ValueError("need at least one permutation")
     n = ps[0].degree
     if any(p.degree != n for p in ps):
         raise ValueError("degree mismatch among generators")
-    parent = list(range(n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in ps:
-        for i in range(1, n + 1):
-            ri, rj = find(i), find(p(i))
-            if ri != rj:
-                parent[ri] = rj
-    return len({find(i) for i in range(1, n + 1)}) == 1
+    if n == 0:
+        return False
+    images = [p.images for p in ps]
+    seen = [False] * (n + 1)
+    seen[1] = True
+    order = [1]
+    for i in order:  # order grows while the loop runs: this is the BFS queue
+        for img in images:
+            j = img[i - 1]
+            if not seen[j]:
+                seen[j] = True
+                order.append(j)
+    return len(order) == n

@@ -14,9 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Union
-
-Rationalish = Union[int, Fraction]
+from typing import NamedTuple
 
 
 def _square_part(d: int) -> int:
@@ -61,10 +59,6 @@ class QuadNum:
     @staticmethod
     def sqrt(d: int) -> "QuadNum":
         return QuadNum(0, 1, d)
-
-    @staticmethod
-    def rational(x: Rationalish, d: int = 2) -> "QuadNum":
-        return QuadNum(Fraction(x), 0, d)
 
     # -- structure ---------------------------------------------------------
 

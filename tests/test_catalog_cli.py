@@ -313,6 +313,16 @@ class TestCLI:
         assert json.loads(run_cli("strata-dim", "--abelian", "0")[1]) == 2
         assert json.loads(run_cli("strata-dim", "--quadratic", "1,1,1,1")[1]) == 6
 
+    def test_strata_dim_pillowcase_needs_the_equals_form(self):
+        # Q(-1^4) in genus 0: 2g + n - 2 = 0 + 4 - 2
+        assert run_cli("strata-dim", "--quadratic=-1,-1,-1,-1") == (0, "2\n", "")
+
+    @pytest.mark.parametrize("argv", [("--abelian=-2,4",), ("--abelian=-1,1",), ("--quadratic=-3,-1",)])
+    def test_strata_dim_rejects_impossible_orders(self, argv):
+        code, out, err = run_cli("strata-dim", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_enumerate(self):
         code, out, _ = run_cli("enumerate", "--n", "3", "--stratum", "H(2)", "--reduced")
         data = json.loads(out)
@@ -341,6 +351,11 @@ class TestCLI:
     def test_input_error_exit_code(self):
         code, _, err = run_cli("info", "3; h=(1,2); v=(1,2)")  # disconnected
         assert code == 1 and "error" in err
+
+    def test_zero_squares_is_an_input_error(self):
+        code, out, err = run_cli("info", "0; h=[]; v=[]")
+        assert (code, out) == (1, "")
+        assert err == "error: (h, v) does not act transitively: the surface is disconnected\n"
 
     def test_unknown_subcommand(self):
         code, _, _ = run_cli("frobnicate")

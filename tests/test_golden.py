@@ -1,4 +1,4 @@
-"""Byte-identity of the enumeration: SHA-256 of the catalog lines for n = 1..6.
+"""Byte-identity of the enumeration: SHA-256 of the catalog lines for n = 1..7.
 
 The hashes pin canonical keys, orbit ids, cusp data and record order at once,
 so any change to canonical labelling or to orbit grouping fails here.
@@ -17,6 +17,7 @@ GOLDEN = {
     4: "c6e6f5365c133b9c8de12a15aa2d200550c818bb62225a333426ebbd1939ab59",
     5: "9c50f3b570fdac6f359a4300a964e3af7aaee773a4e75787de3d83063e0f16f0",
     6: "bbcf394651b4ae9cda6201e0ccde0739ed71a0daf34d32e6c47c149e88fe5bcb",
+    7: "15fb3d10a0c46fc440040a9d40736f09ec858363f42e542a37714dafd9e3e056",
 }
 
 

@@ -144,6 +144,20 @@ class TestStratumDimensions:
         for g in range(2, 7):
             assert stratum_dim_quadratic([1] * (4 * g - 4), g) == 6 * g - 6
 
+    def test_abelian_orders_have_no_poles(self):
+        # -2 + 4 = 2g - 2 with g = 2, but an abelian differential has no poles
+        with pytest.raises(ValueError):
+            stratum_dim_abelian([-2, 4], 2)
+        with pytest.raises(ValueError):
+            stratum_dim_abelian([-1, 1], 1)
+
+    def test_quadratic_poles_are_simple(self):
+        with pytest.raises(ValueError):
+            stratum_dim_quadratic([-3, -1], 0)
+        with pytest.raises(ValueError):
+            stratum_dim_quadratic([-2, 2], 1)
+        assert stratum_dim_quadratic([-1, -1, -1, -1], 0) == 2
+
     def test_inconsistent_orders(self):
         with pytest.raises(ValueError):
             stratum_dim_abelian([2], 3)

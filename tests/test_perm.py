@@ -78,6 +78,10 @@ class TestTransitive:
     def test_st4_pair(self):
         assert is_transitive([P("(1,2)(3,4)", 4), P("(1,2,3,4)", 4)])
 
+    def test_degree_zero_is_not(self):
+        # no point to start from: the empty surface is not connected
+        assert not is_transitive([Permutation(()), Permutation(())])
+
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             is_transitive([])
