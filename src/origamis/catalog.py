@@ -3,8 +3,9 @@
 Enumeration walks (h, v) with h fixed to one representative per cycle type
 (every pair is simultaneously conjugate to such a pair), keeps the transitive
 ones, and deduplicates by canonical form; the result is grouped into
-SL₂(ℤ)-orbits.  Output order is lexicographic on canonical forms so repeated
-runs produce byte-identical catalogs.
+SL₂(ℤ)-orbits, and the genus, stratum and reducedness of each orbit are
+computed once, on its first surface.  Output order is lexicographic on
+canonical forms so repeated runs produce byte-identical catalogs.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .action import orbit
-from .origami import Origami, Stratum, genus, is_reduced, stratum
+from .origami import Origami, Stratum, is_reduced, stratum
 from .perm import Permutation
 
 DEFAULT_BOUND = 8
@@ -109,50 +110,37 @@ def enumerate_origamis(
         raise ValueError(f"n must lie in 1..{bound}, got {n}")
     if isinstance(stratum_filter, str):
         stratum_filter = Stratum.parse(stratum_filter)
-    surfaces = canonical_origamis(n)
-    selected = []
-    for o in surfaces:
-        if stratum_filter is not None and stratum(o) != stratum_filter:
+    # A canonical origami's images are its canonical key, so the keys in an
+    # orbit report (projective and -I alike) look the enumerated surfaces up.
+    surfaces = {(o.h.images, o.v.images): o for o in canonical_origamis(n)}
+    fields_of: dict[tuple, dict] = {}
+    for images, o in surfaces.items():
+        if images in fields_of:
+            continue
+        # stratum and reducedness are SL2(Z)-invariant (Per(g·o) = g·Per(o) and
+        # g·Z² = Z²), so one test decides the whole orbit and orbits never
+        # straddle the filters
+        s = stratum(o)
+        if stratum_filter is not None and s != stratum_filter:
             continue
         if reduced_only and not is_reduced(o):
             continue
-        selected.append(o)
-    # group into orbits; filters are SL2(Z)-invariant so orbits never straddle them.
-    # A canonical origami's images are its canonical key, so the keys in an
-    # orbit report (projective and -I alike) look the enumerated surfaces up.
-    by_key = {(o.h.images, o.v.images): o for o in selected}
-    text_of = {key: o.to_text() for key, o in by_key.items()}
-    orbit_of: dict[tuple, tuple[str, object]] = {}
-    for key, o in by_key.items():
-        if key in orbit_of:
-            continue
         report = orbit(o)
-        members = set()
-        for k, minus_k, _ in report.members:
-            members.update((k, minus_k))
-        for k in members:
-            assert k in by_key, f"orbit member {k} missing from the enumeration"
-        orbit_id = min(text_of[k] for k in members)
-        for k in members:
-            orbit_of[k] = (orbit_id, report)
-    entries = []
-    for key in sorted(by_key, key=text_of.get):
-        o = by_key[key]
-        orbit_id, report = orbit_of[key]
-        entries.append(
-            CatalogEntry(
-                origami=text_of[key],
-                n=n,
-                genus=genus(o),
-                stratum=str(stratum(o)),
-                reduced=is_reduced(o),
-                orbit_id=orbit_id,
-                index=report.index,
-                cusp_widths=report.cusp_widths(),
-                curve_genus=report.curve_genus,
-            )
+        members = {k for key, minus_key, _ in report.members for k in (key, minus_key)}
+        assert members <= surfaces.keys(), "orbit members missing from the enumeration"
+        fields = dict(
+            genus=s.genus,
+            stratum=str(s),
+            reduced=report.input_reduced,
+            orbit_id=min(surfaces[k].to_text() for k in members),
+            index=report.index,
+            cusp_widths=report.cusp_widths(),
+            curve_genus=report.curve_genus,
         )
-    return entries
+        for k in members:
+            fields_of[k] = fields
+    entries = [CatalogEntry(origami=surfaces[k].to_text(), n=n, **f) for k, f in fields_of.items()]
+    return sorted(entries, key=lambda e: e.origami)
 
 
 class CatalogError(ValueError):

@@ -155,9 +155,9 @@ class QuadCylinder:
     width: QuadNum
     height: QuadNum
 
-    def __init__(self, width, height, d: int = 2):
-        width = width if isinstance(width, QuadNum) else QuadNum(width, 0, d)
-        height = height if isinstance(height, QuadNum) else QuadNum(height, 0, d)
+    def __init__(self, width, height):
+        width = width if isinstance(width, QuadNum) else QuadNum(width)
+        height = height if isinstance(height, QuadNum) else QuadNum(height)
         if not width > 0 or not height > 0:
             raise ValueError("cylinder sides must be positive")
         object.__setattr__(self, "width", width)

@@ -50,21 +50,16 @@ class TraceResult:
         rad = self.radicand
         if isinstance(rad, QuadNum):
             if not rad.is_rational:
-                raise ValueError("irrational radicand; use length_float()")
+                raise ValueError("irrational radicand: the length is not w·√r with w rational")
             rad = rad.a
         coeff = self.period_time
         if isinstance(coeff, QuadNum):
             if not coeff.is_rational:
-                raise ValueError("irrational period; use length_float()")
+                raise ValueError("irrational period: the length is not w·√r with w rational")
             coeff = coeff.a
         if rad.denominator != 1:
             raise ValueError("non-integer radicand")
         return RadicalLength(coeff, rad.numerator)
-
-    def length_float(self) -> float:
-        if not self.periodic:
-            raise ValueError("orbit was not found periodic")
-        return float(self.period_time) * float(self.radicand) ** 0.5
 
 
 def _coerce_scalars(*vals):

@@ -155,9 +155,9 @@ def genus(o: Origami) -> int:
 
 
 def stratum(o: Origami) -> Stratum:
-    orders = [len(c) - 1 for c in vertex_cycles(o) if len(c) > 1]
-    s = Stratum(orders)
-    assert sum(s.orders) == 2 * genus(o) - 2
+    vertices = vertex_cycles(o)
+    s = Stratum(len(c) - 1 for c in vertices)
+    assert sum(s.orders) == o.n - len(vertices), "order sum must be 2g - 2 = n - V"
     return s
 
 
@@ -178,14 +178,16 @@ def stratum_dim_quadratic(orders, g: int) -> int:
     """Complex dimension 2g + n - 2 of a stratum of non-square quadratic
     differentials (one parameter less: some side pair is glued with a
     half-turn, and is then determined by the others). Poles are simple:
-    orders are ≥ -1."""
+    orders are ≥ -1. Q(∅) and Q(1,-1) in genus 1 and Q(4) and Q(3,1) in
+    genus 2 are empty (Masur–Smillie, 1993), with or without marked points."""
     orders = list(orders)
     if any(k < -1 for k in orders):
         raise ValueError(f"quadratic orders must be >= -1, got {orders}")
-    n = len(orders) if orders else 1
     if sum(orders) != 4 * g - 4:
         raise ValueError(f"orders {orders} do not sum to 4g-4 = {4 * g - 4}")
-    return 2 * g + n - 2
+    if sorted(k for k in orders if k != 0) in ([], [-1, 1], [4], [1, 3]):
+        raise ValueError(f"the quadratic stratum with orders {orders} is empty")
+    return 2 * g + len(orders) - 2
 
 
 # -- canonical form --------------------------------------------------------------
@@ -271,7 +273,7 @@ def period_lattice(o: Origami) -> list[tuple[int, int]]:
     surject onto H₁ of the surface, so their holonomies generate the lattice.
     """
     owner = o.square_vertex
-    nverts = len(vertex_cycles(o))
+    nverts = max(owner) + 1
     edges = []  # (from_vertex, to_vertex, dx, dy)
     for s in range(1, o.n + 1):
         edges.append((owner[s - 1], owner[o.h(s) - 1], 1, 0))

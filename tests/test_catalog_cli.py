@@ -14,6 +14,7 @@ from origamis.catalog import (
     enumerate_origamis,
 )
 from origamis.cli import main
+from origamis.origami import genus, is_reduced, parse_origami, stratum
 
 
 class TestEnumerate:
@@ -87,6 +88,46 @@ class TestEnumerate:
         for e in h2:
             by_orbit.setdefault(e.orbit_id, e)
         assert sum(e.index for e in by_orbit.values()) == len(h2)
+
+    def test_orbit_fields_match_the_per_surface_invariants(self):
+        # genus, stratum and reducedness are read once per orbit; each entry
+        # must still agree with the functions applied to its own surface
+        for n in range(1, 7):
+            for e in enumerate_origamis(n):
+                o = parse_origami(e.origami)
+                assert (e.genus, e.stratum, e.reduced) == (genus(o), str(stratum(o)), is_reduced(o)), e
+
+    def test_filters_select_entries_of_the_unfiltered_list(self):
+        for n in range(1, 7):
+            entries = enumerate_origamis(n)
+            for s in sorted({e.stratum for e in entries}) + [None]:
+                for reduced_only in (False, True):
+                    expected = [
+                        e
+                        for e in entries
+                        if (s is None or e.stratum == s) and (e.reduced or not reduced_only)
+                    ]
+                    assert enumerate_origamis(n, s, reduced_only) == expected, (n, s, reduced_only)
+
+    def test_invariants_are_computed_once_per_orbit(self, monkeypatch):
+        from origamis import catalog
+
+        calls = {"stratum": 0, "is_reduced": 0}
+
+        def counted(name):
+            fn = getattr(catalog, name)
+
+            def wrapper(o):
+                calls[name] += 1
+                return fn(o)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(catalog, name, counted(name))
+        entries = enumerate_origamis(6)
+        assert calls == {"stratum": len({e.orbit_id for e in entries}), "is_reduced": 0}
+        assert calls["stratum"] == 28
 
     def test_against_brute_force_count(self):
         # independent route: enumerate every (h, v) pair directly
@@ -312,12 +353,19 @@ class TestCLI:
         assert json.loads(run_cli("strata-dim", "--abelian", "1,1")[1]) == 5
         assert json.loads(run_cli("strata-dim", "--abelian", "0")[1]) == 2
         assert json.loads(run_cli("strata-dim", "--quadratic", "1,1,1,1")[1]) == 6
+        assert json.loads(run_cli("strata-dim", "--quadratic", "2,-1,-1")[1]) == 3
 
     def test_strata_dim_pillowcase_needs_the_equals_form(self):
         # Q(-1^4) in genus 0: 2g + n - 2 = 0 + 4 - 2
         assert run_cli("strata-dim", "--quadratic=-1,-1,-1,-1") == (0, "2\n", "")
 
-    @pytest.mark.parametrize("argv", [("--abelian=-2,4",), ("--abelian=-1,1",), ("--quadratic=-3,-1",)])
+    @pytest.mark.parametrize(
+        "argv",
+        [("--abelian=-2,4",), ("--abelian=-1,1",), ("--quadratic=-3,-1",)]
+        # the empty quadratic strata Q(1,-1), Q(4), Q(3,1), Q() and Q(0,0)
+        # (Masur–Smillie, Comment. Math. Helv. 68, 1993)
+        + [(f"--quadratic={orders}",) for orders in ("1,-1", "4", "3,1", "", "0,0")],
+    )
     def test_strata_dim_rejects_impossible_orders(self, argv):
         code, out, err = run_cli("strata-dim", *argv)
         assert (code, out) == (1, "")

@@ -23,7 +23,7 @@ from origamis.origami import (
     torus,
     vertex_cycles,
 )
-from origamis.perm import Permutation
+from origamis.perm import Permutation, cycles
 
 
 def small_origamis():
@@ -126,6 +126,16 @@ class TestGenusAndStratum:
         assert stratum(o2) == stratum(o)
         assert is_reduced(o2) == is_reduced(o)
 
+    def test_one_commutator_cycle_list_per_call(self, monkeypatch):
+        from origamis import origami
+
+        calls = []
+        monkeypatch.setattr(origami, "cycles", lambda p: calls.append(p) or cycles(p))
+        for fn in (stratum, period_lattice):
+            calls.clear()
+            fn(st4())  # a fresh surface, so nothing is cached yet
+            assert len(calls) == 1, fn.__name__
+
 
 class TestStratumDimensions:
     def test_h2_and_h11(self):
@@ -157,6 +167,15 @@ class TestStratumDimensions:
         with pytest.raises(ValueError):
             stratum_dim_quadratic([-2, 2], 1)
         assert stratum_dim_quadratic([-1, -1, -1, -1], 0) == 2
+
+    def test_empty_quadratic_strata(self):
+        # Masur–Smillie (Comment. Math. Helv. 68, 1993); marked points
+        # (order 0) do not make a stratum non-empty
+        for orders, g in (([], 1), ([0, 0], 1), ([1, -1], 1), ([4], 2), ([3, 1], 2), ([0, 1, 3], 2)):
+            with pytest.raises(ValueError, match="empty"):
+                stratum_dim_quadratic(orders, g)
+        assert stratum_dim_quadratic([2, -1, -1], 1) == 3
+        assert stratum_dim_quadratic([2, 2], 2) == 4
 
     def test_inconsistent_orders(self):
         with pytest.raises(ValueError):
