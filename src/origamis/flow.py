@@ -111,43 +111,56 @@ def trace(
     step_x = (o.h if p > 0 else o.h.inverse()).images
     step_y = (o.v if q > 0 else o.v.inverse()).images
     zero = x - x  # additive zero of the working field
+    one = zero + 1
+    walls = (zero, one)
+    # moving right (up), the wall ahead is at 1 and the next square is entered
+    # at 0; moving left (down), the reverse. The time to a wall is its distance
+    # times 1/|speed|, and each speed is inverted once, here.
+    right, up = p > 0, q > 0
+    enter_x = zero if right else one
+    enter_y = zero if up else one
+    inv_p = (one / p if right else -one / p) if p else None
+    inv_q = (one / q if up else -one / q) if q else None
     time = zero
     radicand = p * p + q * q
     seen = {(sq, x, y): time}
     events = []
     for crossing in range(1, max_crossings + 1):
-        tx = ((1 - x) / p) if p > 0 else ((-x) / p if p < 0 else None)
-        ty = ((1 - y) / q) if q > 0 else ((-y) / q if q < 0 else None)
-        if tx is None:
-            t, hit_x, hit_y = ty, False, True
-        elif ty is None:
-            t, hit_x, hit_y = tx, True, False
-        elif tx < ty:
-            t, hit_x, hit_y = tx, True, False
-        elif ty < tx:
-            t, hit_x, hit_y = ty, False, True
+        if inv_q is None:
+            t, hit_x, hit_y = ((one - x) if right else x) * inv_p, True, False
+        elif inv_p is None:
+            t, hit_x, hit_y = ((one - y) if up else y) * inv_q, False, True
         else:
-            t, hit_x, hit_y = tx, True, True
-        x, y, time = x + t * p, y + t * q, time + t
+            tx = ((one - x) if right else x) * inv_p
+            ty = ((one - y) if up else y) * inv_q
+            if tx == ty:
+                t, hit_x, hit_y = tx, True, True
+            elif tx < ty:
+                t, hit_x, hit_y = tx, True, False
+            else:
+                t, hit_x, hit_y = ty, False, True
+        time = time + t
+        # the coordinate that hit a wall is exactly 0 or 1 in the square entered
         if hit_x and hit_y:
-            cx, cy = int(p > 0), int(q > 0)
-            if singular[_corner_square(o, sq, cx, cy) - 1]:
+            if singular[_corner_square(o, sq, int(right), int(up)) - 1]:
                 return TraceResult(False, True, crossing, time, None, radicand, tuple(events))
             # regular corner: the commutator fixes it, so the horizontal and
-            # vertical steps commute there and either order reaches the diagonal square
+            # vertical steps commute there and either order reaches the diagonal
+            # square, entered at that same regular corner
             sq = step_y[step_x[sq - 1] - 1]
-            x, y = 1 - x + zero, 1 - y + zero
-        elif hit_x:
-            sq = step_x[sq - 1]
-            x = zero if p > 0 else 1 + zero
+            x, y = enter_x, enter_y
         else:
-            sq = step_y[sq - 1]
-            y = zero if q > 0 else 1 + zero
-        # a trajectory running along a grid line passes through lattice corners;
-        # those are surface vertices and must stop the orbit when singular
-        if x in (0, 1) and y in (0, 1):
-            if singular[_corner_square(o, sq, int(x == 1), int(y == 1)) - 1]:
-                return TraceResult(False, True, crossing, time, None, radicand, tuple(events))
+            if hit_x:
+                sq = step_x[sq - 1]
+                x, y = enter_x, y + t * q
+            else:
+                sq = step_y[sq - 1]
+                x, y = x + t * p, enter_y
+            # a trajectory running along a grid line passes through lattice corners;
+            # those are surface vertices and must stop the orbit when singular
+            if x in walls and y in walls:
+                if singular[_corner_square(o, sq, int(x == one), int(y == one)) - 1]:
+                    return TraceResult(False, True, crossing, time, None, radicand, tuple(events))
         state = (sq, x, y)
         if record_events:
             events.append((time, sq, x, y))

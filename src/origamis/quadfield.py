@@ -5,7 +5,13 @@ every identity checked downstream (module ratios, traces of Veech elements)
 is exact. No floating point enters this module.
 
 Pure rationals are QuadNums with b = 0; they compare equal and combine across
-different d, which keeps mixed expressions like ``QuadNum.sqrt(5) + 1`` legal.
+different d, which keeps mixed expressions like ``QuadNum.sqrt(5) + 1`` legal,
+and hash like the Fraction they equal.
+
+The public constructor ``QuadNum(a, b, d)`` normalises a and b and checks d.
+Field operations build their results with ``_quad``, which checks nothing:
+their coefficients are already Fractions and their d comes from a checked
+operand.
 """
 
 from __future__ import annotations
@@ -70,48 +76,41 @@ class QuadNum:
         return self.b == 0 and self.a.denominator == 1
 
     def conjugate(self) -> "QuadNum":
-        return QuadNum(self.a, -self.b, self.d)
-
-    def _key(self):
-        # rationals are equal across fields
-        return (self.a, self.b, self.d if self.b else 0)
+        return _quad(self.a, -self.b, self.d)
 
     def __eq__(self, other) -> bool:
         other = _coerce(other, self.d)
         if other is NotImplemented:
             return NotImplemented
-        return self._key() == other._key()
+        # rationals are equal across fields
+        return self.a == other.a and self.b == other.b and (not self.b or self.d == other.d)
 
     def __hash__(self):
-        return hash(self._key())
+        # a rational equals its Fraction in every field, so it hashes like it
+        return hash((self.a, self.b, self.d)) if self.b else hash(self.a)
 
-    def _sign(self) -> int:
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # mixed signs: compare a² with b²·d
-        lhs, rhs = a * a, b * b * self.d
-        if a > 0:  # b < 0
-            return (lhs > rhs) - (lhs < rhs)
-        return (rhs > lhs) - (rhs < lhs)
+    def _cmp(self, other) -> int:
+        """Sign of self - other, without building the difference."""
+        other = _coerce(other, self.d)
+        if other is NotImplemented:
+            return NotImplemented
+        return _sign(self.a - other.a, self.b - other.b, self._common_d(other))
 
     def __lt__(self, other):
-        return (self - other)._sign() < 0
+        s = self._cmp(other)
+        return s if s is NotImplemented else s < 0
 
     def __le__(self, other):
-        return (self - other)._sign() <= 0
+        s = self._cmp(other)
+        return s if s is NotImplemented else s <= 0
 
     def __gt__(self, other):
-        return (self - other)._sign() > 0
+        s = self._cmp(other)
+        return s if s is NotImplemented else s > 0
 
     def __ge__(self, other):
-        return (self - other)._sign() >= 0
+        s = self._cmp(other)
+        return s if s is NotImplemented else s >= 0
 
     def __bool__(self) -> bool:
         return self.a != 0 or self.b != 0
@@ -134,33 +133,37 @@ class QuadNum:
         other = _coerce(other, self.d)
         if other is NotImplemented:
             return NotImplemented
-        d = self._common_d(other)
-        return QuadNum(self.a + other.a, self.b + other.b, d)
+        return _quad(self.a + other.a, self.b + other.b, self._common_d(other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadNum(-self.a, -self.b, self.d)
+        return _quad(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         other = _coerce(other, self.d)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return _quad(self.a - other.a, self.b - other.b, self._common_d(other))
 
     def __rsub__(self, other):
-        return -(self - other)
+        other = _coerce(other, self.d)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
         other = _coerce(other, self.d)
         if other is NotImplemented:
             return NotImplemented
         d = self._common_d(other)
-        return QuadNum(
-            self.a * other.a + self.b * other.b * d,
-            self.a * other.b + self.b * other.a,
-            d,
-        )
+        a, b, c, e = self.a, self.b, other.a, other.b
+        # a rational factor, as in every rescaling, costs two products
+        if not e:
+            return _quad(a * c, b * c, d)
+        if not b:
+            return _quad(a * c, a * e, d)
+        return _quad(a * c + b * e * d, a * e + b * c, d)
 
     __rmul__ = __mul__
 
@@ -174,10 +177,13 @@ class QuadNum:
         # rationalize by the conjugate: norm = a² - b²·d is a nonzero rational
         norm = other.a * other.a - other.b * other.b * d
         num = self * other.conjugate()
-        return QuadNum(num.a / norm, num.b / norm, d)
+        return _quad(num.a / norm, num.b / norm, d)
 
     def __rtruediv__(self, other):
-        return _coerce(other, self.d) / self
+        other = _coerce(other, self.d)
+        if other is NotImplemented:
+            return NotImplemented
+        return other / self
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -235,11 +241,41 @@ class QuadNum:
         raise ValueError(f"cannot parse QuadNum: {text!r}")
 
 
+_new = object.__new__
+_ZERO = Fraction(0)
+
+
+def _quad(a: Fraction, b: Fraction, d: int) -> QuadNum:
+    """The trusted constructor: a and b must be Fractions and d a checked
+    radicand, as they are for every field-operation result."""
+    x = _new(QuadNum)
+    # a frozen dataclass refuses setattr, so fill the instance dict itself
+    fields = x.__dict__
+    fields["a"] = a
+    fields["b"] = b
+    fields["d"] = d
+    return x
+
+
+def _sign(a: Fraction, b: Fraction, d: int) -> int:
+    """Sign of a + b·√d, in integer arithmetic on the coefficients."""
+    na, nb = a.numerator, b.numerator
+    if not nb:
+        return (na > 0) - (na < 0)
+    if not na or (na > 0) == (nb > 0):
+        return 1 if nb > 0 else -1
+    # mixed signs: the larger of a² and b²·d wins; they differ since √d is irrational
+    da, db = a.denominator, b.denominator
+    if na * na * db * db > nb * nb * d * da * da:
+        return 1 if na > 0 else -1
+    return 1 if nb > 0 else -1
+
+
 def _coerce(x, d: int):
     if isinstance(x, QuadNum):
         return x
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
-        return QuadNum(Fraction(x), 0, d)
+        return _quad(Fraction(x), _ZERO, d)
     return NotImplemented
 
 

@@ -1,4 +1,6 @@
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 from hypothesis import given
@@ -14,6 +16,21 @@ rationals = st.builds(F, st.integers(-50, 50), st.integers(1, 12))
 
 def quadnums(d=5):
     return st.tuples(rationals, rationals).map(lambda ab: QuadNum(ab[0], ab[1], d))
+
+
+FIELDS = (2, 3, 5, 13)
+
+
+@st.composite
+def field_pairs(draw):
+    """Two numbers of one Q[√d]; either may be a rational carrying another d."""
+    d = draw(st.sampled_from(FIELDS))
+
+    def one():
+        x = draw(quadnums(d))
+        return QuadNum(x.a, 0, draw(st.sampled_from(FIELDS))) if draw(st.booleans()) else x
+
+    return one(), one()
 
 
 class TestArithmetic:
@@ -150,3 +167,143 @@ class TestText:
         for bad in ("", "sqrt()", "1 +", "sqrt(8)", "one"):
             with pytest.raises(ValueError):
                 QuadNum.parse(bad)
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "d, error", [(4, ValueError), (1, ValueError), (0, ValueError), (True, TypeError), (2.0, TypeError)]
+    )
+    def test_public_constructor_checks_d(self, d, error):
+        with pytest.raises(error):
+            QuadNum(1, 0, d)
+
+    def test_mixed_irrational_fields_do_not_compare(self):
+        for op in ("__lt__", "__le__", "__gt__", "__ge__"):
+            with pytest.raises(ValueError, match="incompatible"):
+                getattr(RT2, op)(QuadNum.sqrt(3))
+        assert RT2 != QuadNum.sqrt(3)
+
+
+class TestForeignOperands:
+    def test_float_over_quadnum_is_a_type_error(self):
+        # regression: __rtruediv__ once returned NotImplemented / self and recursed
+        with pytest.raises(TypeError, match="'float' and 'QuadNum'"):
+            1.5 / RT2
+
+    def test_float_minus_quadnum_names_the_float_first(self):
+        with pytest.raises(TypeError, match="'float' and 'QuadNum'"):
+            1.5 - RT2
+
+    def test_quadnum_and_float(self):
+        for op in (lambda: RT2 / 1.5, lambda: RT2 - 1.5, lambda: RT2 + 1.5, lambda: RT2 * 1.5):
+            with pytest.raises(TypeError, match="'QuadNum' and 'float'"):
+                op()
+        with pytest.raises(TypeError):
+            RT2 < 1.5
+
+    def test_reflected_int_and_fraction_operands(self):
+        assert 1 - RT2 == QuadNum(1, -1, 2)
+        assert F(1, 2) / RT2 == QuadNum(0, F(1, 4), 2)
+        assert 3 / QuadNum(3, 0, 7) == 1
+        assert 2 / (1 + RT2) == QuadNum(-2, 2, 2)
+
+
+class TestHash:
+    def test_rational_quadnums_hash_like_their_fraction(self):
+        assert 3 in {QuadNum(3)}
+        assert QuadNum(3) in {3}
+        assert F(1, 2) in {QuadNum(F(1, 2), 0, 5)}
+        assert QuadNum(F(1, 2), 0, 5) in {F(1, 2)}
+        assert QuadNum(F(1, 2), 0, 5) in {QuadNum(F(1, 2), 0, 13)}
+        assert QuadNum(F(1, 2), 0, 13) in {QuadNum(F(1, 2), 0, 5)}
+
+    def test_irrationals_of_different_fields_stay_apart(self):
+        assert len({QuadNum(1, 1, 2), QuadNum(1, 1, 3), QuadNum(1, 0, 2), QuadNum(1, 0, 3), 1}) == 3
+
+    @given(rationals, st.sampled_from(FIELDS), st.sampled_from(FIELDS))
+    def test_rational_hash_is_the_fraction_hash(self, a, d, e):
+        assert hash(QuadNum(a, 0, d)) == hash(a) == hash(QuadNum(a, 0, e))
+        assert {QuadNum(a, 0, d): 1}[a] == 1 and {a: 1}[QuadNum(a, 0, e)] == 1
+
+    @given(field_pairs())
+    def test_equal_numbers_hash_equal(self, xy):
+        x, y = xy
+        if x == y:
+            assert hash(x) == hash(y)
+
+
+def _decimal(x):
+    """a + b·√d to the context's precision, by Decimal alone."""
+    if not isinstance(x, QuadNum):
+        x = QuadNum(x)
+    a = Decimal(x.a.numerator) / Decimal(x.a.denominator)
+    b = Decimal(x.b.numerator) / Decimal(x.b.denominator)
+    return a + b * Decimal(x.d).sqrt()
+
+
+class TestOrderAgainstDecimal:
+    """The order of Q[√d] against 100-digit decimals. The coefficients are
+    small, so two different numbers differ far above the rounding error."""
+
+    @staticmethod
+    def _agree(x, y):
+        with localcontext() as ctx:
+            ctx.prec = 100
+            dx, dy = _decimal(x), _decimal(y)
+        assert (x < y, x <= y, x > y, x >= y, x == y, x != y) == (
+            dx < dy, dx <= dy, dx > dy, dx >= dy, dx == dy, dx != dy
+        )
+
+    @given(field_pairs())
+    def test_pairs_in_one_field(self, xy):
+        self._agree(*xy)
+
+    @given(st.sampled_from(FIELDS).flatmap(quadnums), st.one_of(rationals, st.integers(-9, 9)))
+    def test_against_plain_rationals(self, x, r):
+        self._agree(x, r)
+        self._agree(x, x + r)
+
+    @pytest.mark.parametrize("d", FIELDS)
+    def test_near_ties(self, d):
+        # p - q·√d for the convergents p/q of √d: a² and b²·d differ by one
+        # part in q², and the sign alternates
+        m0 = isqrt(d)
+        m, den, a = 0, 1, m0
+        p_prev, p, q_prev, q = 1, m0, 0, 1
+        near = []
+        for _ in range(30):
+            near.append(QuadNum(p, -q, d))
+            m = den * a - m
+            den = (d - m * m) // den
+            a = (m0 + m) // den
+            p_prev, p = p, a * p + p_prev
+            q_prev, q = q, a * q + q_prev
+        assert {x < 0 for x in near} == {True, False}
+        for x in near:
+            self._agree(x, 0)
+            self._agree(x, -x)
+        for x, y in zip(near, near[1:]):
+            self._agree(x, y)
+            self._agree(x, y + F(1, 10**12))
+
+
+def _same_fields(r):
+    """r equals the public construction QuadNum(r.a, r.b, r.d), field by field."""
+    c = QuadNum(r.a, r.b, r.d)
+    assert type(r) is QuadNum and (type(r.a), type(r.b), type(r.d)) == (F, F, int)
+    assert (r.a, r.b, r.d) == (c.a, c.b, c.d)
+
+
+class TestTrustedResults:
+    @given(field_pairs(), st.one_of(rationals, st.integers(-9, 9)))
+    def test_operation_results_are_normalised(self, xy, r):
+        x, y = xy
+        results = [x + y, x - y, x * y, -x, x.conjugate(), x + r, r + x, x - r, r - x, x * r, r * x, x ** 3]
+        if y:
+            results.append(x / y)
+        if r:
+            results.append(x / r)
+        if x:
+            results.append(r / x)
+        for res in results:
+            _same_fields(res)
