@@ -28,6 +28,7 @@ from functools import cached_property
 
 from .origami import Origami, _canonical_key, genus, is_reduced
 from .perm import Permutation
+from .quadfield import exact_rational
 
 INFINITY = math.inf
 
@@ -364,15 +365,11 @@ def slope_cusp(o: Origami, p: int, q: int, report: OrbitReport | None = None) ->
 # -- hyperbolic helpers for the Teichmüller disk of the torus ----------------------
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def geodesic_endpoints(A):
     """Endpoints at infinity (b/a, d/c) of the hyperbolic geodesic traced by
     the diagonal flow applied to A; a zero denominator gives the point ∞."""
     (a, b), (c, d) = A
-    a, b, c, d = map(_frac, (a, b, c, d))
+    a, b, c, d = map(exact_rational, (a, b, c, d))
     if a * d - b * c <= 0:
         raise ValueError("need det A > 0")
     if a == 0 and c == 0:
@@ -394,7 +391,7 @@ def horocycle_data(A) -> HorocycleData:
     unipotent flow applied to A ∈ SL₂(ℝ); c = 0 means the horocycle is the
     horizontal line based at ∞."""
     (a, b), (c, d) = A
-    a, b, c, d = map(_frac, (a, b, c, d))
+    a, b, c, d = map(exact_rational, (a, b, c, d))
     if a * d - b * c != 1:
         raise ValueError("need det A = 1")
     if c == 0:
@@ -405,8 +402,8 @@ def horocycle_data(A) -> HorocycleData:
 def torus_point(u, v) -> complex:
     """Point of the upper half-plane representing the torus with lattice basis
     (u, v): the ratio z(v)/z(u) for a positively oriented basis."""
-    ux, uy = map(_frac, u)
-    vx, vy = map(_frac, v)
+    ux, uy = map(exact_rational, u)
+    vx, vy = map(exact_rational, v)
     det = ux * vy - uy * vx
     if det == 0:
         raise ValueError("colinear basis vectors")

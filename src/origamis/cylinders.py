@@ -17,7 +17,7 @@ from functools import cached_property
 from .action import SL2ZWord, apply_word, word_for_matrix
 from .origami import Origami
 from .perm import cycles
-from .quadfield import QuadNum, _square_part
+from .quadfield import QuadNum, _square_part, exact_rational, in_one_field
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ class RadicalLength:
 
     def __init__(self, coefficient, radicand: int):
         s = _square_part(radicand)
-        object.__setattr__(self, "coefficient", Fraction(coefficient) * s)
+        object.__setattr__(self, "coefficient", exact_rational(coefficient) * s)
         object.__setattr__(self, "radicand", radicand // (s * s))
 
     def __float__(self) -> float:
@@ -156,8 +156,7 @@ class QuadCylinder:
     height: QuadNum
 
     def __init__(self, width, height):
-        width = width if isinstance(width, QuadNum) else QuadNum(width)
-        height = height if isinstance(height, QuadNum) else QuadNum(height)
+        width, height = in_one_field(width, height, rational_d=2)
         if not width > 0 or not height > 0:
             raise ValueError("cylinder sides must be positive")
         object.__setattr__(self, "width", width)

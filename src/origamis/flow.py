@@ -19,7 +19,7 @@ from typing import Optional, Union
 
 from .cylinders import RadicalLength, decomposition_in_direction
 from .origami import Origami
-from .quadfield import QuadNum
+from .quadfield import QuadNum, in_one_field
 
 Scalar = Union[Fraction, QuadNum]
 
@@ -62,17 +62,6 @@ class TraceResult:
         return RadicalLength(coeff, rad.numerator)
 
 
-def _coerce_scalars(*vals):
-    """Bring positions and directions into one exact field."""
-    ds = {v.d for v in vals if isinstance(v, QuadNum) and not v.is_rational}
-    if len(ds) > 1:
-        raise ValueError(f"mixed quadratic fields {sorted(ds)} in flow data")
-    if ds:
-        d = ds.pop()
-        return tuple(v if isinstance(v, QuadNum) else QuadNum(Fraction(v), 0, d) for v in vals)
-    return tuple(v.a if isinstance(v, QuadNum) else Fraction(v) for v in vals)
-
-
 def _corner_square(o: Origami, sq: int, cx: int, cy: int) -> int:
     """Square whose bottom-left corner is the (cx, cy) corner of sq."""
     if (cx, cy) == (0, 0):
@@ -94,7 +83,7 @@ def trace(
     singularity is hit, or ``max_crossings`` edge crossings have happened."""
     if max_crossings < 1:
         raise ValueError(f"max_crossings must be at least 1, got {max_crossings}")
-    x, y, p, q = _coerce_scalars(*start.pos, *start.direction)
+    x, y, p, q = in_one_field(*start.pos, *start.direction)
     if not p and not q:
         raise ValueError("zero direction")
     if not (0 <= x <= 1 and 0 <= y <= 1):
@@ -285,7 +274,7 @@ class ShearedSt3:
     x: Scalar
 
     def __init__(self, x):
-        (x,) = _coerce_scalars(x)
+        (x,) = in_one_field(x)
         if not (0 <= x < 1):
             raise ValueError(f"shear must lie in [0, 1), got {x}")
         object.__setattr__(self, "x", x)

@@ -7,8 +7,9 @@ this package ever sees.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
+
+from .quadfield import exact_rational
 
 
 def hermite_form(rows) -> list[tuple[int, ...]]:
@@ -56,20 +57,13 @@ def hermite_form(rows) -> list[tuple[int, ...]]:
     return [tuple(r) for r in basis]
 
 
-def is_standard_lattice(rows, ncols: int = 2) -> bool:
-    """Whether the integer row span is all of ℤ^ncols."""
-    h = hermite_form(rows)
-    want = [tuple(1 if j == i else 0 for j in range(ncols)) for i in range(ncols)]
-    return h == want
-
-
 def rational_hermite_form(rows) -> tuple[int, list[tuple[int, ...]]]:
     """HNF of a ℤ-module generated by rational vectors.
 
     Returns (den, basis) with the actual basis vectors being basis/den;
     the pair is canonical, so equality of pairs is equality of modules.
     """
-    rows = [[Fraction(x) for x in r] for r in rows]
+    rows = [[exact_rational(x) for x in r] for r in rows]
     den = 1
     for r in rows:
         for x in r:

@@ -21,11 +21,7 @@ from typing import Optional
 from .cylinders import QuadCylinder
 from .intlattice import rational_hermite_form
 from .origami import Stratum
-from .quadfield import QuadMatrix, QuadNum, _square_part, minimal_poly_degree
-
-
-def _as_quad(x) -> QuadNum:
-    return x if isinstance(x, QuadNum) else QuadNum(Fraction(x), 0, 2)
+from .quadfield import QuadMatrix, QuadNum, _square_part, in_one_field, minimal_poly_degree
 
 
 @dataclass(frozen=True)
@@ -34,8 +30,7 @@ class LSurface:
     shift: QuadNum
 
     def __init__(self, a, shift=0):
-        a = _as_quad(a)
-        shift = _as_quad(shift)
+        a, shift = in_one_field(a, shift, rational_d=2)
         if not a > 1:
             raise ValueError(f"need a > 1, got {a}")
         if not (0 <= shift < 1):
@@ -91,7 +86,7 @@ def twist_powers(L: LSurface, t) -> Optional[tuple[int, int]]:
     t/a and t·(a-1).  The pair is returned exactly when both counts are
     integers, which is when the shear lies in the Veech group.
     """
-    t = _as_quad(t)
+    t = in_one_field(t, L.a, rational_d=2)[0]
     if not t > 0:
         raise ValueError(f"need t > 0, got {t}")
     k_bottom = t / L.a

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .intlattice import hermite_form, is_standard_lattice
+from .intlattice import hermite_form
 from .perm import Permutation, compose, conjugate, cycles, is_transitive
 
 
@@ -300,7 +300,7 @@ def period_lattice(o: Origami) -> list[tuple[int, int]]:
 
 def is_reduced(o: Origami) -> bool:
     """Whether the absolute period lattice is all of ℤ² (primitivity)."""
-    return is_standard_lattice(period_lattice(o), 2)
+    return period_lattice(o) == [(1, 0), (0, 1)]
 
 
 # -- random surfaces (for experiments and property tests) -------------------------

@@ -12,6 +12,11 @@ The public constructor ``QuadNum(a, b, d)`` normalises a and b and checks d.
 Field operations build their results with ``_quad``, which checks nothing:
 their coefficients are already Fractions and their d comes from a checked
 operand.
+
+The package's public constructors and its flow, L-shape and hyperbolic
+entry points take their exact scalars through ``exact_rational`` (one
+rational) or ``in_one_field`` (several values that share a field); anything
+but an int, a Fraction or a QuadNum is a TypeError.
 """
 
 from __future__ import annotations
@@ -58,8 +63,8 @@ class QuadNum:
     d: int
 
     def __init__(self, a, b=0, d=2):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
+        object.__setattr__(self, "a", exact_rational(a))
+        object.__setattr__(self, "b", exact_rational(b))
         object.__setattr__(self, "d", _check_d(d))
 
     @staticmethod
@@ -279,6 +284,34 @@ def _coerce(x, d: int):
     return NotImplemented
 
 
+def exact_rational(x) -> Fraction:
+    """x as a Fraction, when it is an exact rational: an int or a Fraction,
+    never a bool (the rule ``_coerce`` applies to arithmetic operands)."""
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return Fraction(x)
+    raise TypeError(f"expected an exact rational (int or Fraction), got {type(x).__name__} {x!r}")
+
+
+def in_one_field(*values, rational_d: int | None = None) -> tuple:
+    """``values`` (ints, Fractions or QuadNums) placed in one field.
+
+    With one irrational radicand among them, all come back as QuadNums over
+    it; a rational is the same number in every field, so a rational QuadNum
+    of another d is moved. With none, they come back as Fractions, or as
+    QuadNums over ``rational_d`` when it is given. Two radicands are a
+    ValueError naming both fields.
+    """
+    exact = [v if isinstance(v, QuadNum) else exact_rational(v) for v in values]
+    ds = sorted({v.d for v in exact if isinstance(v, QuadNum) and v.b})
+    if len(ds) > 1:
+        raise ValueError(f"values lie in two fields, Q[sqrt({ds[0]})] and Q[sqrt({ds[1]})]")
+    d = ds[0] if ds else rational_d
+    if d is None:
+        return tuple(v.a if isinstance(v, QuadNum) else v for v in exact)
+    d = _check_d(d)
+    return tuple(_quad(v.a, v.b, d) if isinstance(v, QuadNum) else _quad(v, _ZERO, d) for v in exact)
+
+
 class MinimalPoly(NamedTuple):
     degree: int
     coeffs: tuple[Fraction, ...]  # ascending, monic: coeffs[-1] == 1
@@ -306,7 +339,8 @@ def minimal_poly_degree(x: QuadNum) -> MinimalPoly:
 
 @dataclass(frozen=True)
 class QuadMatrix:
-    """2x2 matrix over a single Q[√d]."""
+    """2x2 matrix over a single Q[√d]; d names the field of a matrix whose
+    entries are all rational (2 when not given)."""
 
     m11: QuadNum
     m12: QuadNum
@@ -314,20 +348,10 @@ class QuadMatrix:
     m22: QuadNum
 
     def __init__(self, m11, m12, m21, m22, d: int | None = None):
-        entries = [m11, m12, m21, m22]
-        ds = {e.d for e in entries if isinstance(e, QuadNum) and e.b != 0}
-        if d is not None:
-            ds.add(d)
-        if len(ds) > 1:
-            raise ValueError(f"incompatible fields in matrix entries: {sorted(ds)}")
-        dd = ds.pop() if ds else 2
-        coerced = []
-        for e in entries:
-            c = _coerce(e, dd)
-            if c is NotImplemented:
-                raise TypeError(f"bad matrix entry {e!r}")
-            coerced.append(QuadNum(c.a, c.b, dd) if c.b == 0 else c)
-        for name, val in zip(("m11", "m12", "m21", "m22"), coerced):
+        entries = in_one_field(m11, m12, m21, m22, rational_d=2 if d is None else d)
+        if d is not None and entries[0].d != d:
+            raise ValueError(f"entries lie in Q[sqrt({entries[0].d})], not in the given Q[sqrt({d})]")
+        for name, val in zip(("m11", "m12", "m21", "m22"), entries):
             object.__setattr__(self, name, val)
 
     @staticmethod

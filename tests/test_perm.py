@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from origamis.catalog import _transitive_pair
 from origamis.perm import Permutation, compose, conjugate, cycles, is_transitive
 
 
@@ -102,6 +103,7 @@ class TestTransitive:
                     reach.add(j)
                     frontier.append(j)
         assert is_transitive([p, q]) == (len(reach) == n)
+        assert _transitive_pair(p.images, q.images) == (len(reach) == n)
 
 
 class TestProperties:

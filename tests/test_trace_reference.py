@@ -4,18 +4,32 @@
 the direction at every crossing, moves both coordinates and makes two ordered
 comparisons. The package's `trace` must return the same result, events
 included, on every input, and raise the same error where it raises.
+`_coerce_scalars` is the flow module's scalar coercion of the same version,
+kept verbatim with it so that the reference loop is whole.
 """
 
+from fractions import Fraction
 from fractions import Fraction as F
 from math import floor, isqrt
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from origamis.flow import FlowState, TraceResult, _coerce_scalars, _corner_square, trace
+from origamis.flow import FlowState, TraceResult, _corner_square, trace
 from origamis.origami import Origami
 from origamis.perm import Permutation
 from origamis.quadfield import QuadNum
+
+
+def _coerce_scalars(*vals):
+    """Bring positions and directions into one exact field."""
+    ds = {v.d for v in vals if isinstance(v, QuadNum) and not v.is_rational}
+    if len(ds) > 1:
+        raise ValueError(f"mixed quadratic fields {sorted(ds)} in flow data")
+    if ds:
+        d = ds.pop()
+        return tuple(v if isinstance(v, QuadNum) else QuadNum(Fraction(v), 0, d) for v in vals)
+    return tuple(v.a if isinstance(v, QuadNum) else Fraction(v) for v in vals)
 
 
 def reference_trace(o, start, max_crossings=10_000, record_events=False):
