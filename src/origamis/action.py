@@ -164,7 +164,9 @@ def act_point(gen: str, h: tuple[int, ...], sq: int, x, y):
 
     T shears each square and re-cuts at x = 1; S rotates clockwise. Points on
     a cut line get the representative lying in the square named first below.
+    x and y are exact rationals (int or Fraction).
     """
+    x, y = exact_rational(x), exact_rational(y)
     if gen == "T":
         if x + y < 1:
             return (sq, x + y, y)
@@ -182,7 +184,8 @@ def act_point(gen: str, h: tuple[int, ...], sq: int, x, y):
 
 def act_direction(gen: str, p, q):
     """Direction transform realized by the point maps (S acts as the clockwise
-    rotation, i.e. the matrix [[0,1],[-1,0]])."""
+    rotation, i.e. the matrix [[0,1],[-1,0]]); p and q are exact rationals."""
+    p, q = exact_rational(p), exact_rational(q)
     if gen == "T":
         return (p + q, q)
     if gen == "T^-1":
@@ -196,6 +199,7 @@ def act_direction(gen: str, p, q):
 
 def transport_point(w: SL2ZWord, o: Origami, sq: int, x, y):
     """Push (sq, x, y) through the whole word; returns (surface, sq, x, y)."""
+    x, y = exact_rational(x), exact_rational(y)  # also for the empty word
     h, v = o.h.images, o.v.images
     for g in reversed(w.gens):
         sq, x, y = act_point(g, h, sq, x, y)
@@ -204,6 +208,7 @@ def transport_point(w: SL2ZWord, o: Origami, sq: int, x, y):
 
 
 def transport_direction(w: SL2ZWord, p, q):
+    p, q = exact_rational(p), exact_rational(q)  # also for the empty word
     for g in reversed(w.gens):
         p, q = act_direction(g, p, q)
     return p, q
@@ -259,13 +264,16 @@ class OrbitReport:
 def orbit(o: Origami) -> OrbitReport:
     """The orbit of o under SL₂(ℤ)/±I as a coset table.
 
-    A breadth-first search applies T and S to each projective class and keeps
-    the images as index lists t and s; T⁻¹ is not needed, since T has finite
-    order on a finite orbit. Cusps are the cycles of t (width = cycle length,
-    decoration = horizontal cylinder count of the least member); e2 and e3
-    count the fixed points of S and of S∘T; the curve genus comes from the
-    index formula 1 + index/12 - e2/4 - e3/3 - cusps/2 for subgroups of the
-    modular group.
+    PSL₂(ℤ) is the free product of ⟨S⟩ ≅ ℤ/2 and ⟨S∘T⟩ ≅ ℤ/3 (S² = (S∘T)³ =
+    -I). A breadth-first search on the generators S and S∘T (T first) keeps
+    their images as index lists s and u. One computed S-image closes a
+    2-cycle of s and two computed S∘T-images close a 3-cycle of u, so the
+    search computes 1 + (index + e2)/2 + (2·index + e3)/3 projective keys.
+    Then t = s∘u, since S·(S∘T) = -I·T. Cusps are the cycles of t (width =
+    cycle length, decoration = horizontal cylinder count of the least
+    member); e2 and e3 count the fixed points of s and of u = s∘t; the curve
+    genus comes from the index formula 1 + index/12 - e2/4 - e3/3 - cusps/2
+    for subgroups of the modular group.
     """
     from .cylinders import horizontal_decomposition
 
@@ -273,17 +281,37 @@ def orbit(o: Origami) -> OrbitReport:
     half_turn_trivial = genus(o) <= 2
     keys = [_proj_key(o.h.images, o.v.images, half_turn_trivial)]  # (key, -I key) per element
     position = {keys[0][0]: 0}
-    t: list[int] = []
-    s: list[int] = []
-    for (h, v), _ in keys:  # keys grows while the loop runs: this is the BFS queue
-        for images, g in ((t, "T"), (s, "S")):
-            pair = _proj_key(*_act(g, h, v), half_turn_trivial)
-            j = position.get(pair[0])
-            if j is None:
-                j = position[pair[0]] = len(keys)
-                keys.append(pair)
-            images.append(j)
+    s: list[int | None] = [None]
+    u: list[int | None] = [None]
+
+    def place(h, v):
+        """Index of the projective class of (h, v), added to the table if new."""
+        pair = _proj_key(h, v, half_turn_trivial)
+        j = position.get(pair[0])
+        if j is None:
+            j = position[pair[0]] = len(keys)
+            keys.append(pair)
+            s.append(None)
+            u.append(None)
+        return j
+
+    for i, ((h, v), _) in enumerate(keys):  # keys grows while the loop runs: this is the BFS queue
+        if s[i] is None:
+            j = place(*_act("S", h, v))
+            assert s[j] is None or s[j] == i, "S is an involution on projective classes"
+            s[i], s[j] = j, i
+        if u[i] is None:
+            j = place(*_act("S", *_act("T", h, v)))
+            if j == i:
+                u[i] = i
+            else:
+                k = place(*_act("S", *_act("T", *keys[j][0])))
+                assert u[j] is None and u[k] is None, "S∘T has order 3 on projective classes"
+                u[i], u[j], u[k] = j, k, i
     index = len(keys)
+    t = u  # t = s∘u, written over u, which is not read again
+    for i, j in enumerate(u):
+        t[i] = s[j]
     order = sorted(range(index), key=lambda i: keys[i][0])
 
     # cusps: the cycles of t, each walked from its least key

@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, fields
 from itertools import permutations
 
 from .action import orbit
@@ -38,11 +39,18 @@ class CatalogEntry:
     def to_json(self) -> str:
         return json.dumps(vars(self), sort_keys=True)  # the tuple cusp_widths becomes a list
 
-    @staticmethod
-    def from_json(text: str) -> "CatalogEntry":
-        d = json.loads(text)
-        d["cusp_widths"] = tuple(d["cusp_widths"])
-        return CatalogEntry(**d)
+
+# a decoded catalog line: CatalogEntry's fields, in its order, as a plain
+# tuple, so a read can hold every record and build entries only for some
+_Record = namedtuple("_Record", [f.name for f in fields(CatalogEntry)])
+
+
+def _decode_record(line: str) -> _Record:
+    """One catalog line: a JSON object with exactly CatalogEntry's fields and
+    an iterable cusp_widths, or a JSONDecodeError or TypeError."""
+    rec = _Record(**json.loads(line))  # TypeError for anything but such an object
+    iter(rec.cusp_widths)
+    return rec
 
 
 def _partitions(n: int):
@@ -137,38 +145,39 @@ class CatalogError(ValueError):
         self.line = line
 
 
-def _read_entries(path, repair: bool = False) -> list[CatalogEntry]:
-    """The records of a catalog file, in file order.
+def _read_entries(path, repair: bool = False) -> list[_Record]:
+    """The records of a catalog file, in file order; a caller builds a
+    CatalogEntry only for the records it keeps.
 
     A last line with no newline is what an interrupted append leaves. If it
     does not parse, readers skip it, and with repair it is cut off the file;
     if it does parse, repair completes it with its newline. Either way the
     next append starts on a fresh line.
     """
-    entries = []
+    records = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                entries.append(CatalogEntry.from_json(line))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                records.append(_decode_record(line))
+            except (json.JSONDecodeError, TypeError) as exc:
                 if line.endswith("\n"):
                     raise CatalogError(f"malformed catalog record ({exc})", lineno) from None
                 if repair:
                     os.truncate(path, os.path.getsize(path) - len(line.encode("utf-8")))
-                return entries
-    if repair and entries and not line.endswith("\n"):
+                return records
+    if repair and records and not line.endswith("\n"):
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("\n")
-    return entries
+    return records
 
 
 def catalog_write(path, entries) -> tuple[int, int]:
     """Append new entries (keyed by canonical origami text); duplicates are
     skipped with a warning.  Returns (written, skipped)."""
     try:
-        existing = {e.origami for e in _read_entries(path, repair=True)}
+        existing = {rec.origami for rec in _read_entries(path, repair=True)}
     except FileNotFoundError:
         existing = set()
     written = skipped = 0
@@ -191,12 +200,12 @@ def catalog_query(
     orbit_id: str | None = None,
 ) -> list[CatalogEntry]:
     out = []
-    for e in _read_entries(path):
-        if n is not None and e.n != n:
+    for rec in _read_entries(path):
+        if n is not None and rec.n != n:
             continue
-        if stratum_filter is not None and e.stratum != stratum_filter:
+        if stratum_filter is not None and rec.stratum != stratum_filter:
             continue
-        if orbit_id is not None and e.orbit_id != orbit_id:
+        if orbit_id is not None and rec.orbit_id != orbit_id:
             continue
-        out.append(e)
+        out.append(CatalogEntry(*rec._replace(cusp_widths=tuple(rec.cusp_widths))))
     return out

@@ -17,9 +17,15 @@ def hermite_form(rows) -> list[tuple[int, ...]]:
 
     Pivots are positive, entries above a pivot are reduced into [0, pivot),
     zero rows dropped. Two generating sets span the same lattice iff their
-    Hermite forms are equal.
+    Hermite forms are equal. Entries must be ints (not bools): anything else
+    is a TypeError naming its type, never a truncated value.
     """
-    mat = [list(map(int, r)) for r in rows if any(r)]
+    mat = [list(r) for r in rows]
+    for r in mat:
+        for x in r:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise TypeError(f"expected an int entry, got {type(x).__name__} {x!r}")
+    mat = [r for r in mat if any(r)]
     if not mat:
         return []
     ncols = len(mat[0])

@@ -202,6 +202,30 @@ class TestCatalogFile:
         with pytest.raises(CatalogError, match="line 2"):
             catalog_write(path, enumerate_origamis(2))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda d: [d],  # not an object
+            lambda d: {k: x for k, x in d.items() if k != "index"},  # a field missing
+            lambda d: {**d, "extra": 1},  # a field too many
+            lambda d: {**d, "cusp_widths": 1},  # cusp_widths not iterable
+        ],
+        ids=["list", "missing", "extra", "widths"],
+    )
+    def test_malformed_record_outside_the_filter_still_fails(self, tmp_path, bad):
+        # the filters look at records before entries are built; the check
+        # that rejects a record must not depend on whether it matches
+        path = tmp_path / "cat.jsonl"
+        catalog_write(path, enumerate_origamis(3))
+        one = json.loads(enumerate_origamis(1)[0].to_json())
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(bad(one)) + "\n")
+        lineno = len(enumerate_origamis(3)) + 1
+        with pytest.raises(CatalogError, match=f"line {lineno}"):
+            catalog_query(path, n=3)
+        code, out, err = run_cli("catalog", "query", "--path", str(path), "--n", "3")
+        assert code == 1 and out == "" and f"line {lineno}" in err
+
     def test_torn_final_record_is_skipped_and_repaired(self, tmp_path):
         # an append interrupted mid-record leaves a last line with no newline
         path = str(tmp_path / "c.jsonl")

@@ -11,10 +11,20 @@ from fractions import Fraction as F
 
 import pytest
 
-from origamis.action import geodesic_endpoints, horocycle_data, torus_point
+from origamis.action import (
+    SL2ZWord,
+    T_WORD,
+    act_direction,
+    act_point,
+    geodesic_endpoints,
+    horocycle_data,
+    torus_point,
+    transport_direction,
+    transport_point,
+)
 from origamis.cylinders import QuadCylinder, RadicalLength
 from origamis.flow import FlowState, ShearedSt3, sheared_st3_return, trace
-from origamis.intlattice import rational_hermite_form
+from origamis.intlattice import hermite_form, rational_hermite_form
 from origamis.lshape import LSurface, twist_powers
 from origamis.origami import Origami
 from origamis.perm import Permutation
@@ -45,6 +55,14 @@ ENTRY_POINTS = {
     "torus_point": lambda x: torus_point((1, 0), (x, 1)),
     "RadicalLength": lambda x: RadicalLength(x, 2),
     "rational_hermite_form": lambda x: rational_hermite_form([(x, 0), (0, 1)]),
+    "hermite_form": lambda x: hermite_form([(x, 1), (2, 0)]),
+    "act_point x": lambda x: act_point("T", ST3.h.images, 1, x, F(1, 4)),
+    "act_point y": lambda x: act_point("S", ST3.h.images, 1, F(1, 4), x),
+    "act_direction": lambda x: act_direction("S", 1, x),
+    "transport_point": lambda x: transport_point(T_WORD, ST3, 1, x, F(1, 4)),
+    "transport_point, empty word": lambda x: transport_point(SL2ZWord(), ST3, 1, x, F(1, 4)),
+    "transport_direction": lambda x: transport_direction(T_WORD, x, 1),
+    "transport_direction, empty word": lambda x: transport_direction(SL2ZWord(), x, 1),
 }
 
 BAD = [0.5, True, "1/2", Decimal("0.5")]
@@ -55,6 +73,14 @@ BAD = [0.5, True, "1/2", Decimal("0.5")]
 def test_inexact_input_is_a_type_error(name, bad):
     with pytest.raises(TypeError, match=type(bad).__name__):
         ENTRY_POINTS[name](bad)
+
+
+def test_hermite_form_takes_ints_only():
+    # its callers scale rationals to ints first; a Fraction entry is refused
+    # like a float, not truncated by int()
+    with pytest.raises(TypeError, match="Fraction"):
+        hermite_form([(F(1, 2), 1), (2, 0)])
+    assert hermite_form([(1, 1), (2, 0)]) == [(1, 1), (0, 2)]
 
 
 TWO_FIELDS = {
