@@ -17,8 +17,8 @@ from collections import namedtuple
 from dataclasses import dataclass, fields
 from itertools import permutations
 
-from .action import orbit
-from .origami import Origami, Stratum, is_reduced, stratum
+from .action import _inverse, orbit
+from .origami import Origami, Stratum, _canonical_key, is_reduced, stratum
 from .perm import Permutation, _reaches_all
 
 DEFAULT_BOUND = 8
@@ -45,11 +45,30 @@ class CatalogEntry:
 _Record = namedtuple("_Record", [f.name for f in fields(CatalogEntry)])
 
 
+# the JSON type of each field; type() tells an int from a bool
+_FIELD_TYPES = _Record(origami=str, n=int, genus=int, stratum=str, reduced=bool, orbit_id=str, index=int,
+                       cusp_widths=list, curve_genus=int)
+_INT = frozenset({int})
+
+
+def _wrong_type(rec: _Record) -> str:
+    """What is wrong with a record whose fields do not all have their types."""
+    for name, value, want in zip(rec._fields, rec, _FIELD_TYPES):
+        if type(value) is not want:
+            return f"{name} is {value!r}, not of type {want.__name__}"
+    return f"cusp_widths is {rec.cusp_widths!r}, not a list of int"
+
+
 def _decode_record(line: str) -> _Record:
-    """One catalog line: a JSON object with exactly CatalogEntry's fields and
-    an iterable cusp_widths, or a JSONDecodeError or TypeError."""
+    """One catalog line: a JSON object with exactly CatalogEntry's fields, or a
+    JSONDecodeError or TypeError. The fields that readers filter or key on
+    and the list cusp_widths are checked here, on every record; catalog_query
+    checks the rest on the records it keeps, since checking every field of
+    every record costs a fifth of a full read."""
     rec = _Record(**json.loads(line))  # TypeError for anything but such an object
-    iter(rec.cusp_widths)
+    if not (type(rec.origami) is str and type(rec.n) is int and type(rec.stratum) is str
+            and type(rec.orbit_id) is str and type(rec.cusp_widths) is list):
+        raise TypeError(_wrong_type(rec))
     return rec
 
 
@@ -82,8 +101,6 @@ def _transitive_pair(h_img, v_img) -> bool:
 
 def canonical_origamis(n: int) -> list[Origami]:
     """All connected n-square origamis up to relabeling, lexicographically."""
-    from .origami import _canonical_key
-
     keys = set()
     for par in _partitions(n):
         h_img = _cycle_type_rep(par)
@@ -106,8 +123,8 @@ def enumerate_origamis(
         raise ValueError(f"n must lie in 1..{bound}, got {n}")
     if isinstance(stratum_filter, str):
         stratum_filter = Stratum.parse(stratum_filter)
-    # A canonical origami's images are its canonical key, so the keys in an
-    # orbit report (projective and -I alike) look the enumerated surfaces up.
+    # A canonical origami's images are its canonical key, so the keys of an
+    # orbit's members, and of their images under -I, look the surfaces up.
     surfaces = {(o.h.images, o.v.images): o for o in canonical_origamis(n)}
     fields_of: dict[tuple, dict] = {}
     for images, o in surfaces.items():
@@ -122,7 +139,9 @@ def enumerate_origamis(
         if reduced_only and not is_reduced(o):
             continue
         report = orbit(o)
-        members = {k for key, minus_key, _ in report.members for k in (key, minus_key)}
+        members = {key for key, _ in report.members}
+        if report.minus_id_nontrivial:  # the census alone needs the other orientation
+            members |= {_canonical_key(_inverse(h), _inverse(v)) for h, v in members}
         assert members <= surfaces.keys(), "orbit members missing from the enumeration"
         fields = dict(
             genus=s.genus,
@@ -200,12 +219,23 @@ def catalog_query(
     orbit_id: str | None = None,
 ) -> list[CatalogEntry]:
     out = []
-    for rec in _read_entries(path):
+    for i, rec in enumerate(_read_entries(path)):
         if n is not None and rec.n != n:
             continue
         if stratum_filter is not None and rec.stratum != stratum_filter:
             continue
         if orbit_id is not None and rec.orbit_id != orbit_id:
             continue
+        if not (type(rec.genus) is int and type(rec.reduced) is bool and type(rec.index) is int
+                and type(rec.curve_genus) is int and _INT.issuperset(map(type, rec.cusp_widths))):
+            raise CatalogError(f"malformed catalog record ({_wrong_type(rec)})", _line_of_record(path, i))
         out.append(CatalogEntry(*rec._replace(cusp_widths=tuple(rec.cusp_widths))))
     return out
+
+
+def _line_of_record(path, index: int) -> int:
+    """The number of the line that holds the index-th record of a catalog file
+    (blank lines hold none); a failing query finds its line here, so that
+    reads carry no line numbers."""
+    with open(path, encoding="utf-8") as fh:
+        return [lineno for lineno, line in enumerate(fh, start=1) if line.strip()][index]

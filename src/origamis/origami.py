@@ -193,13 +193,16 @@ def stratum_dim_quadratic(orders, g: int) -> int:
 # -- canonical form --------------------------------------------------------------
 
 
-def _canonical_key(h_img: tuple[int, ...], v_img: tuple[int, ...]) -> tuple:
+def _canonical_key(h_img: tuple[int, ...], v_img: tuple[int, ...], minus_id: bool = False) -> tuple:
     """Lexicographically least relabeled (h, v) over all BFS roots.
 
     BFS from each square over the moves (h, h⁻¹, v, v⁻¹), relabeling squares
     in discovery order, makes the relabeling canonical given the root; taking
     the minimum over roots kills the root choice. Equality of keys is exactly
     simultaneous-conjugation equivalence.
+
+    With minus_id the roots of -I·(h, v) = (h⁻¹, v⁻¹) join the loop, and the
+    key is the lesser of the keys of (h, v) and (h⁻¹, v⁻¹).
 
     The h-key entry of a square is known as soon as it leaves the queue, so a
     root is dropped at the first entry where its h-key exceeds the best one,
@@ -214,35 +217,37 @@ def _canonical_key(h_img: tuple[int, ...], v_img: tuple[int, ...]) -> tuple:
     for i in range(1, n + 1):
         hinv[h[i]] = i
         vinv[v[i]] = i
+    orientations = [(h, hinv, v, vinv), (hinv, h, vinv, v)] if minus_id else [(h, hinv, v, vinv)]
     best_h = best_v = None
-    for root in range(1, n + 1):
-        label = [0] * (n + 1)
-        label[root] = 1
-        order = [root]
-        push = order.append
-        h_key = []
-        tied = best_h is not None  # the h-prefix so far equals best_h's
-        for s in order:  # order grows while the loop runs: this is the BFS queue
-            nb = h[s]
-            e = label[nb]
-            if not e:
-                e = label[nb] = len(order) + 1
-                push(nb)
-            if tied:
-                b = best_h[len(h_key)]
-                if e != b:
-                    if e > b:
-                        break
-                    tied = False
-            h_key.append(e)
-            for nb in (hinv[s], v[s], vinv[s]):
-                if not label[nb]:
-                    label[nb] = len(order) + 1
+    for h, hinv, v, vinv in orientations:
+        for root in range(1, n + 1):
+            label = [0] * (n + 1)
+            label[root] = 1
+            order = [root]
+            push = order.append
+            h_key = []
+            tied = best_h is not None  # the h-prefix so far equals best_h's
+            for s in order:  # order grows while the loop runs: this is the BFS queue
+                nb = h[s]
+                e = label[nb]
+                if not e:
+                    e = label[nb] = len(order) + 1
                     push(nb)
-        else:
-            v_key = [label[v[s]] for s in order]
-            if not tied or v_key < best_v:
-                best_h, best_v = h_key, v_key
+                if tied:
+                    b = best_h[len(h_key)]
+                    if e != b:
+                        if e > b:
+                            break
+                        tied = False
+                h_key.append(e)
+                for nb in (hinv[s], v[s], vinv[s]):
+                    if not label[nb]:
+                        label[nb] = len(order) + 1
+                        push(nb)
+            else:
+                v_key = [label[v[s]] for s in order]
+                if not tied or v_key < best_v:
+                    best_h, best_v = h_key, v_key
     return tuple(best_h), tuple(best_v)
 
 

@@ -242,11 +242,14 @@ class TestCosetTable:
         rep = orbit(random_origami(n, random.Random(seed)))
         assert [m[0] for m in rep.members] == sorted(m[0] for m in rep.members)
         assert len(rep.representatives) == len(rep.members) == rep.index
-        for r, (key, minus_key, c) in zip(rep.representatives, rep.members):
+        for r, (key, c) in zip(rep.representatives, rep.members):
             flipped = Origami(r.h.inverse(), r.v.inverse())
             assert r == Origami(Permutation(key[0]), Permutation(key[1]))
             assert key == (r.h.images, r.v.images)
-            assert canonical_form(flipped) == Origami(Permutation(minus_key[0]), Permutation(minus_key[1]))
+            minus = canonical_form(flipped)
+            assert key <= (minus.h.images, minus.v.images)
+            # -I is central, so it moves every member or none
+            assert rep.minus_id_nontrivial == (minus != r)
             # the cusp's width is the T-period of the member, up to -I
             img, width = apply_word(T_WORD, r), 1
             while not (same_surface(img, r) or same_surface(img, flipped)):
@@ -276,6 +279,10 @@ class TestSlopeCusp:
             slope_cusp(st3(), 0, 0)
         with pytest.raises(ValueError):
             slope_cusp(st3(), 2, 4)
+
+    def test_report_of_another_orbit_is_a_value_error(self):
+        with pytest.raises(ValueError, match="not the orbit of o"):
+            slope_cusp(st3(), 1, 1, report=orbit(st4()))
 
     @given(st.integers(2, 5), st.integers(0, 10**6))
     def test_cusp_count_matches_decomposition(self, n, seed):

@@ -226,6 +226,56 @@ class TestCatalogFile:
         code, out, err = run_cli("catalog", "query", "--path", str(path), "--n", "3")
         assert code == 1 and out == "" and f"line {lineno}" in err
 
+    # the exact line that an untyped reader printed, and that a --n 1 query dropped
+    UNTYPED = (
+        '{"cusp_widths": [1], "curve_genus": 0, "genus": "one", "index": 1, "n": "1", "orbit_id": 5, '
+        '"origami": "1; h=(); v=()", "reduced": "yes", "stratum": "H(0)"}'
+    )
+
+    @pytest.mark.parametrize("filters", [[], ["--n", "1"]], ids=["all", "n=1"])
+    def test_record_with_wrong_value_types_fails_with_its_line(self, tmp_path, filters):
+        path = tmp_path / "cat.jsonl"
+        catalog_write(path, enumerate_origamis(2))
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(self.UNTYPED + "\n")
+        lineno = len(enumerate_origamis(2)) + 1
+        code, out, err = run_cli("catalog", "query", "--path", str(path), *filters)
+        assert code == 1 and out == "" and f"line {lineno}" in err and "n is '1'" in err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", True), ("n", 1.0), ("orbit_id", 5), ("origami", ["1; h=(); v=()"]), ("stratum", 0),
+         ("cusp_widths", "1"), ("cusp_widths", {"1": 1})],
+    )
+    def test_filtered_fields_have_their_types_on_every_record(self, tmp_path, field, value):
+        path = tmp_path / "cat.jsonl"
+        catalog_write(path, enumerate_origamis(3))
+        one = json.loads(enumerate_origamis(1)[0].to_json())
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({**one, field: value}) + "\n")
+        lineno = len(enumerate_origamis(3)) + 1
+        with pytest.raises(CatalogError, match=f"line {lineno}: .*{field}"):
+            catalog_query(path, n=3)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("genus", "one"), ("reduced", 1), ("index", None), ("curve_genus", False),
+         ("cusp_widths", [True]), ("cusp_widths", ["1"]), ("cusp_widths", [1, 1.0])],
+    )
+    def test_other_fields_have_their_types_on_every_record_a_query_keeps(self, tmp_path, field, value):
+        path = tmp_path / "cat.jsonl"
+        catalog_write(path, enumerate_origamis(2))
+        one = json.loads(enumerate_origamis(1)[0].to_json())
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("\n" + json.dumps({**one, field: value}) + "\n")  # blank lines hold no record
+        lineno = len(enumerate_origamis(2)) + 2
+        with pytest.raises(CatalogError, match=f"line {lineno}: .*{field}"):
+            catalog_query(path, n=1)
+        code, out, err = run_cli("catalog", "query", "--path", str(path))
+        assert code == 1 and out == "" and f"line {lineno}" in err
+        # a record outside the filters is read for them only
+        assert catalog_query(path, n=2) == enumerate_origamis(2)
+
     def test_torn_final_record_is_skipped_and_repaired(self, tmp_path):
         # an append interrupted mid-record leaves a last line with no newline
         path = str(tmp_path / "c.jsonl")

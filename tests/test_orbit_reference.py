@@ -1,10 +1,13 @@
 """`orbit` against the T/S coset-table search it replaced.
 
 The reference below is the breadth-first search that applied T and S to
-every projective class, 1 + 2·index canonical keys per orbit. The search
-under test runs on S and S∘T, whose relations S² = (S∘T)³ = -I close a whole
-2-cycle of s from one computed image and a whole 3-cycle of S∘T from two.
-Every OrbitReport field must agree, and the number of keys is exact:
+every projective class, 1 + 2·index canonical keys per orbit, with the
+pair-returning `reference_proj_key` that computed the -I key of every member.
+The search under test runs on S and S∘T, whose relations S² = (S∘T)³ = -I
+close a whole 2-cycle of s from one computed image and a whole 3-cycle of S∘T
+from two, and decides -I once per orbit. Every OrbitReport field must agree
+(members without the reference's -I column), the census must label exactly
+the reference's -I keys, and the number of keys is exact:
 1 + (index + e2)/2 + (2·index + e3)/3.
 """
 
@@ -12,27 +15,47 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from origamis import action
-from origamis.action import Cusp, OrbitReport, _act, _proj_key, orbit
-from origamis.catalog import canonical_origamis
-from origamis.origami import Origami, genus, is_reduced, random_origami, st3, st4
+from origamis.action import Cusp, OrbitReport, _act, _inverse, _proj_key, orbit
+from origamis.catalog import canonical_origamis, enumerate_origamis
+from origamis.origami import Origami, _canonical_key, genus, is_reduced, random_origami, st3, st4
 from origamis.perm import Permutation
 
 
+def reference_proj_key(h: tuple[int, ...], v: tuple[int, ...], half_turn_trivial: bool):
+    """Canonical keys of (h, v) and of -I·(h, v) = (h⁻¹, v⁻¹), least first.
+
+    The first key names the projective class {o, -I·o}. When -I fixes o the
+    two keys are one object, so an orbit table stores no second copy. With
+    half_turn_trivial (genus ≤ 2, where -I is the hyperelliptic involution)
+    the second key is not computed.
+    """
+    k1 = _canonical_key(h, v)
+    if half_turn_trivial:
+        return k1, k1
+    k2 = _canonical_key(_inverse(h), _inverse(v))
+    if k1 == k2:
+        return k1, k1
+    return (k1, k2) if k1 < k2 else (k2, k1)
+
+
 def reference_orbit(o: Origami) -> OrbitReport:
-    """The T/S coset-table search, with its report code."""
+    """The T/S coset-table search, with its report code; members are
+    (projective key, -I key, cusp index) triples."""
     from origamis.cylinders import horizontal_decomposition
 
     # genus is SL2(Z)-invariant, so one test covers every member
     half_turn_trivial = genus(o) <= 2
-    keys = [_proj_key(o.h.images, o.v.images, half_turn_trivial)]  # (key, -I key) per element
+    keys = [reference_proj_key(o.h.images, o.v.images, half_turn_trivial)]  # (key, -I key) per element
     position = {keys[0][0]: 0}
     t: list[int] = []
     s: list[int] = []
     for (h, v), _ in keys:  # keys grows while the loop runs: this is the BFS queue
         for images, g in ((t, "T"), (s, "S")):
-            pair = _proj_key(*_act(g, h, v), half_turn_trivial)
+            pair = reference_proj_key(*_act(g, h, v), half_turn_trivial)
             j = position.get(pair[0])
             if j is None:
                 j = position[pair[0]] = len(keys)
@@ -100,17 +123,45 @@ SURFACES = ORBIT_FIRSTS + RANDOM
 
 
 def _fields(report: OrbitReport) -> dict:
-    return {f: getattr(report, f) for f in OrbitReport.__dataclass_fields__}
+    """Every field but members, whose columns are compared separately."""
+    return {f: getattr(report, f) for f in OrbitReport.__dataclass_fields__ if f != "members"}
 
 
 @pytest.mark.parametrize("o", SURFACES, ids=lambda o: o.to_text())
 def test_every_report_field_matches_the_reference(o):
-    assert _fields(orbit(o)) == _fields(reference_orbit(o))
+    got, want = orbit(o), reference_orbit(o)
+    assert _fields(got) == _fields(want)  # minus_id_nontrivial among them
+    assert got.members == tuple((key, c) for key, _, c in want.members)
+
+
+@pytest.fixture(scope="module")
+def census_orbits():
+    """For each n ≤ 6, the canonical texts the census labels with each orbit id."""
+    labelled = {}
+    for n in range(1, 7):
+        for e in enumerate_origamis(n):
+            labelled.setdefault(e.orbit_id, set()).add(e.origami)
+    return labelled
+
+
+@pytest.mark.parametrize("o", ORBIT_FIRSTS, ids=lambda o: o.to_text())
+def test_the_census_labels_the_reference_minus_id_keys(o, census_orbits):
+    texts = {Origami(*map(Permutation, k)).to_text() for m in reference_orbit(o).members for k in m[:2]}
+    assert census_orbits[min(texts)] == texts
 
 
 def test_the_surfaces_cover_both_half_turn_cases():
     assert any(genus(o) > 2 for o in SURFACES)
-    assert any(reference_orbit(o).minus_id_nontrivial for o in SURFACES)
+    assert any(reference_orbit(o).minus_id_nontrivial for o in ORBIT_FIRSTS)
+    assert any(reference_orbit(o).minus_id_nontrivial for o in RANDOM)
+
+
+@given(st.integers(1, 12), st.integers(0, 10**6))
+def test_one_pass_key_is_the_least_key_of_both_orientations(n, seed):
+    o = random_origami(n, random.Random(seed))
+    h, v = o.h.images, o.v.images
+    both = min(_canonical_key(h, v), _canonical_key(_inverse(h), _inverse(v)))
+    assert _canonical_key(h, v, True) == both
 
 
 @pytest.mark.parametrize("o", [st3(), st4(), *RANDOM], ids=lambda o: o.to_text())
