@@ -1,11 +1,12 @@
 """Enumeration of origamis up to a square count, and the JSONL catalog.
 
-Enumeration walks (h, v) with h fixed to one representative per cycle type
-(every pair is simultaneously conjugate to such a pair), keeps the transitive
-ones, and deduplicates by canonical form; the result is grouped into
-SL₂(ℤ)-orbits, and the genus, stratum and reducedness of each orbit are
-computed once, on its first surface.  Output order is lexicographic on
-canonical forms so repeated runs produce byte-identical catalogs.
+Enumeration builds every transitive pair (h, v) labelled by a breadth-first
+search from square 1 once, and keeps those whose labelling is their canonical
+key (the generation half of orderly generation: Read, 1978; McKay, 1998); the
+result is grouped into SL₂(ℤ)-orbits, and the genus, stratum and reducedness
+of each orbit are computed once, on its first surface.  Output order is
+lexicographic on canonical forms so repeated runs produce byte-identical
+catalogs.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ import os
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass, fields
-from itertools import permutations
 
 from .action import _inverse, orbit
 from .origami import Origami, Stratum, _canonical_key, is_reduced, stratum
-from .perm import Permutation, _reaches_all
+from .perm import Permutation
 
 DEFAULT_BOUND = 8
 
@@ -67,48 +67,41 @@ def _decode_record(line: str) -> _Record:
     every record costs a fifth of a full read."""
     rec = _Record(**json.loads(line))  # TypeError for anything but such an object
     if not (type(rec.origami) is str and type(rec.n) is int and type(rec.stratum) is str
-            and type(rec.orbit_id) is str and type(rec.cusp_widths) is list):
+            and type(rec.reduced) is bool and type(rec.orbit_id) is str and type(rec.cusp_widths) is list):
         raise TypeError(_wrong_type(rec))
     return rec
 
 
-def _partitions(n: int):
-    """Partitions of n, parts decreasing."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(n, 0, -1):
-        for rest in _partitions(n - first):
-            if not rest or rest[0] <= first:
-                yield (first,) + rest
-
-
-def _cycle_type_rep(par) -> tuple[int, ...]:
-    """One-line images of the permutation (1..λ₁)(λ₁+1..λ₁+λ₂)…"""
-    images = []
-    start = 1
-    for part in par:
-        images.extend(list(range(start + 1, start + part)) + [start])
-        start += part
-    return tuple(images)
-
-
-def _transitive_pair(h_img, v_img) -> bool:
-    # a named step only because the benchmark's census rows count its calls
-    # and results under this name; it goes when that benchmark changes
-    return _reaches_all((h_img, v_img))
-
-
 def canonical_origamis(n: int) -> list[Origami]:
-    """All connected n-square origamis up to relabeling, lexicographically."""
-    keys = set()
-    for par in _partitions(n):
-        h_img = _cycle_type_rep(par)
-        for v_perm in permutations(range(1, n + 1)):
-            if not _transitive_pair(h_img, v_perm):
-                continue
-            keys.add(_canonical_key(h_img, v_perm))
-    return [Origami(Permutation(k[0]), Permutation(k[1])) for k in sorted(keys)]
+    """All connected n-square origamis up to relabeling, lexicographically.
+
+    Every pair is built once, labelled by _canonical_key's BFS from square 1:
+    squares s = 1, 2, ... in queue order fill their slots h(s), h⁻¹(s), v(s),
+    v⁻¹(s) in move order, each with a labelled square whose inverse slot is
+    free or with the next new label. A pair is kept when that labelling is
+    its canonical key, i.e. when no other root gives a lesser one.
+    """
+    maps = [[0] * (n + 1) for _ in range(4)]  # h, h⁻¹, v, v⁻¹: maps[k ^ 1] inverts maps[k]
+    last = 4 * n  # slot 4(s-1) + k holds maps[k][s]
+
+    def pairs(slot: int, used: int):
+        while slot < last and maps[slot & 3][(slot >> 2) + 1]:
+            slot += 1  # filled by an earlier choice, through its inverse slot
+        if slot == last:
+            yield tuple(maps[0][1:]), tuple(maps[2][1:])
+            return
+        s, k = (slot >> 2) + 1, slot & 3
+        if s > used:  # the queue ran dry before n squares: not transitive
+            return
+        fwd, back = maps[k], maps[k ^ 1]
+        for t in range(1, min(used + 1, n) + 1):
+            if not back[t]:
+                fwd[s], back[t] = t, s
+                yield from pairs(slot + 1, max(used, t))
+                fwd[s] = back[t] = 0
+
+    keys = sorted(key for key in pairs(0, 1) if _canonical_key(*key) == key)
+    return [Origami(Permutation(h), Permutation(v)) for h, v in keys]
 
 
 def enumerate_origamis(
@@ -217,17 +210,22 @@ def catalog_query(
     n: int | None = None,
     stratum_filter: str | None = None,
     orbit_id: str | None = None,
+    reduced_only: bool = False,
 ) -> list[CatalogEntry]:
+    # read as enumerate_origamis reads it: "H( 0 )" is H(0), "H(1,1" a ValueError
+    stratum_text = None if stratum_filter is None else str(Stratum.parse(stratum_filter))
     out = []
     for i, rec in enumerate(_read_entries(path)):
         if n is not None and rec.n != n:
             continue
-        if stratum_filter is not None and rec.stratum != stratum_filter:
+        if stratum_text is not None and rec.stratum != stratum_text:
             continue
         if orbit_id is not None and rec.orbit_id != orbit_id:
             continue
-        if not (type(rec.genus) is int and type(rec.reduced) is bool and type(rec.index) is int
-                and type(rec.curve_genus) is int and _INT.issuperset(map(type, rec.cusp_widths))):
+        if reduced_only and not rec.reduced:
+            continue
+        if not (type(rec.genus) is int and type(rec.index) is int and type(rec.curve_genus) is int
+                and _INT.issuperset(map(type, rec.cusp_widths))):
             raise CatalogError(f"malformed catalog record ({_wrong_type(rec)})", _line_of_record(path, i))
         out.append(CatalogEntry(*rec._replace(cusp_widths=tuple(rec.cusp_widths))))
     return out

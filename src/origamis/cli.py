@@ -153,7 +153,8 @@ def _cmd_catalog(args) -> None:
         written, skipped = cat.catalog_write(args.path, entries)
         _emit({"written": written, "skipped": skipped})
     else:
-        entries = cat.catalog_query(args.path, n=args.n, stratum_filter=args.stratum, orbit_id=args.orbit_id)
+        entries = cat.catalog_query(args.path, n=args.n, stratum_filter=args.stratum, orbit_id=args.orbit_id,
+                                    reduced_only=args.reduced)
         _emit([vars(e) for e in entries])
 
 

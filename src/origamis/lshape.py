@@ -271,19 +271,15 @@ def _lshape_complex(a: QuadNum, s: QuadNum):
 def lshape_stratum(L: LSurface) -> Stratum:
     """Exact cone-angle census of the (possibly shifted) L polygon.
 
-    Unshifted surfaces land in H(2); a generic shift splits the 6π point into
-    two 4π points (H(1,1)); the finitely many shifts where they recombine are
-    refused rather than misreported.
+    Unshifted surfaces land in H(2); every shift 0 < s < 1 splits the 6π point
+    into two 4π points (H(1,1)). For a > 1 the corners 0 < 1-s < a-s < a and
+    -s < 0 < 1-s, 1 < a of the two rectangles keep their order, so no edge of
+    the complex shrinks to zero and the walk meets the same gluing for every
+    such shift.
     """
     polygons, gluings = _lshape_complex(L.a, L.shift)
     angles = _walk_cone_angles(polygons, gluings)
     orders = [q // 4 - 1 for q in angles]
     strat = Stratum([k for k in orders if k > 0])
-    if L.shift == 0:
-        assert strat == Stratum([2])
-    elif strat != Stratum([1, 1]):
-        raise ValueError(
-            f"shift {L.shift} makes the singularities collide (stratum {strat}); "
-            "use a generic shift"
-        )
+    assert strat == (Stratum([2]) if L.shift == 0 else Stratum([1, 1]))
     return strat

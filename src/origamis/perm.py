@@ -142,23 +142,19 @@ def conjugate(p: Permutation, g: Permutation) -> Permutation:
 
 
 def is_transitive(ps: list[Permutation]) -> bool:
-    """Whether the group generated by ps acts transitively on 1..n."""
+    """Whether the group generated by ps acts transitively on 1..n.
+
+    Breadth-first search from 1 over the forward images only: each p has
+    finite order, so p⁻¹ = p^(k-1) reaches nothing that p does not.
+    """
     if not ps:
         raise ValueError("need at least one permutation")
     n = ps[0].degree
     if any(p.degree != n for p in ps):
         raise ValueError("degree mismatch among generators")
-    return n > 0 and _reaches_all([p.images for p in ps])
-
-
-def _reaches_all(images) -> bool:
-    """Whether the permutations with these image tuples, of one degree
-    n ≥ 1, act transitively on 1..n.
-
-    Breadth-first search from 1 over the forward images only: each p has
-    finite order, so p⁻¹ = p^(k-1) reaches nothing that p does not.
-    """
-    n = len(images[0])
+    if n == 0:
+        return False
+    images = [p.images for p in ps]
     seen = [False] * (n + 1)
     seen[1] = True
     order = [1]

@@ -133,14 +133,14 @@ class TestEnumerate:
         # independent route: enumerate every (h, v) pair directly
         from itertools import permutations
 
-        from origamis.catalog import _transitive_pair
         from origamis.origami import _canonical_key
+        from origamis.perm import Permutation, is_transitive
 
         n = 4
         keys = set()
         for h in permutations(range(1, n + 1)):
             for v in permutations(range(1, n + 1)):
-                if _transitive_pair(h, v):
+                if is_transitive([Permutation(h), Permutation(v)]):
                     keys.add(_canonical_key(h, v))
         assert len(keys) == len(canonical_origamis(n))
 
@@ -245,7 +245,7 @@ class TestCatalogFile:
     @pytest.mark.parametrize(
         "field, value",
         [("n", True), ("n", 1.0), ("orbit_id", 5), ("origami", ["1; h=(); v=()"]), ("stratum", 0),
-         ("cusp_widths", "1"), ("cusp_widths", {"1": 1})],
+         ("reduced", 1), ("reduced", "yes"), ("cusp_widths", "1"), ("cusp_widths", {"1": 1})],
     )
     def test_filtered_fields_have_their_types_on_every_record(self, tmp_path, field, value):
         path = tmp_path / "cat.jsonl"
@@ -259,7 +259,7 @@ class TestCatalogFile:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("genus", "one"), ("reduced", 1), ("index", None), ("curve_genus", False),
+        [("genus", "one"), ("index", None), ("curve_genus", False),
          ("cusp_widths", [True]), ("cusp_widths", ["1"]), ("cusp_widths", [1, 1.0])],
     )
     def test_other_fields_have_their_types_on_every_record_a_query_keeps(self, tmp_path, field, value):
@@ -457,6 +457,27 @@ class TestCLI:
         assert code == 0 and json.loads(out)["written"] == 3
         code, out, _ = run_cli("catalog", "query", "--path", path, "--stratum", "H(2)")
         assert code == 0 and len(json.loads(out)) == 3
+
+    def test_catalog_query_reduced(self, tmp_path):
+        path = str(tmp_path / "c.jsonl")
+        assert run_cli("catalog", "write", "--path", path, "--n", "3")[0] == 0
+        everything = json.loads(run_cli("catalog", "query", "--path", path)[1])
+        code, out, err = run_cli("catalog", "query", "--path", path, "--reduced")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == [e for e in everything if e["reduced"]] != everything
+        path = str(tmp_path / "two.jsonl")
+        assert run_cli("catalog", "write", "--path", path, "--n", "2")[0] == 0
+        assert run_cli("catalog", "query", "--path", path, "--reduced") == (0, "[]\n", "")
+
+    def test_catalog_query_stratum_is_parsed(self, tmp_path):
+        path = str(tmp_path / "c.jsonl")
+        assert run_cli("catalog", "write", "--path", path, "--n", "2")[0] == 0
+        code, out, _ = run_cli("catalog", "query", "--path", path, "--stratum", "H( 0 )")
+        assert code == 0 and json.loads(out) == json.loads(run_cli("catalog", "query", "--path", path)[1])
+        assert len(json.loads(out)) == 3
+        code, out, err = run_cli("catalog", "query", "--path", path, "--stratum", "H(1,1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_outputs_reparse(self):
         for argv in (

@@ -7,6 +7,11 @@ is a_n/n!, where a_n counts the transitive pairs: every pair splits into the
 orbit of 1 (k squares, C(n−1, k−1) ways to pick them) and a free rest,
 a_n = n!² − Σ_{k<n} C(n−1, k−1)·a_k·((n−k)!)².
 
+The census builds each transitive pair labelled by a breadth-first search
+from square 1 once: the labellings of a pair that fix square 1 act freely, so
+there are a_n/(n−1)! such pairs, and it canonicalises each of them. The
+number of classes is OEIS A057005.
+
 H(2) count: every surface in H(2) covers a reduced one through one of the
 σ(k) sublattices of index k in ℤ², so their number is Σ_{k|n} σ(k)·P(n/k),
 with P(m) = (3/8)(m−2)m²∏_{p|m}(1−p⁻²) reduced surfaces for m ≥ 3
@@ -18,9 +23,12 @@ from math import comb, factorial
 
 import pytest
 
+from origamis import catalog
 from origamis.catalog import canonical_origamis, enumerate_origamis
+from origamis.origami import _canonical_key
 
 SLOW_N = pytest.param(8, marks=pytest.mark.slow)
+A057005 = [1, 3, 7, 26, 97, 624, 4163, 34470]
 
 
 def transitive_pairs(n: int) -> int:
@@ -87,3 +95,35 @@ def test_mass_formula(n):
 @pytest.mark.parametrize("n", [*range(1, 8), SLOW_N])
 def test_h2_count(n):
     assert len(enumerate_origamis(n, "H(2)")) == h2_count(n)
+
+
+@pytest.mark.parametrize("n", [*range(1, 8), SLOW_N])
+def test_class_count(n):
+    assert len(canonical_origamis(n)) == A057005[n - 1]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_each_labelled_pair_is_built_once(n, monkeypatch):
+    built = []
+
+    def key(h, v):
+        built.append((h, v))
+        return _canonical_key(h, v)
+
+    monkeypatch.setattr(catalog, "_canonical_key", key)
+    canonical_origamis(n)
+    assert len(set(built)) == len(built) == transitive_pairs(n) // factorial(n - 1)
+    assert all(searched_in_label_order(h, v) for h, v in built)
+
+
+def searched_in_label_order(h: tuple[int, ...], v: tuple[int, ...]) -> bool:
+    """Whether a breadth-first search from square 1 over the moves h, h⁻¹, v,
+    v⁻¹, in that order, meets the squares as 1, 2, ..., n."""
+    h_inv = {t: s for s, t in enumerate(h, start=1)}
+    v_inv = {t: s for s, t in enumerate(v, start=1)}
+    met = [1]
+    for s in met:
+        for t in (h[s - 1], h_inv[s], v[s - 1], v_inv[s]):
+            if t not in met:
+                met.append(t)
+    return met == list(range(1, len(h) + 1))

@@ -228,6 +228,21 @@ class TestStratum:
                 L = LSurface.from_discriminant(d, F(k, 11))
                 assert lshape_stratum(L) == Stratum([1, 1])
 
+    def test_every_shift_on_a_grid_is_h11(self):
+        # the corners of the complex keep their order for all 0 < s < 1, so
+        # the singularities never collide
+        for a in (F(3, 2), 2, F(7, 3), 9):
+            for den in range(2, 13):
+                for k in range(1, den):
+                    assert lshape_stratum(LSurface(a, F(k, den))) == Stratum([1, 1]), (a, k, den)
+        for d in (2, 3, 5, 7, 9, 13, 17):
+            a = LSurface.from_discriminant(d).a
+            shifts = {F(k, 7) for k in range(1, 7)} | {a - 1 - F(k, 4) for k in range(-4, 8)}
+            shifts |= {QuadNum(F(k, 5), F(j, 9), a.d) for k in range(-5, 6) for j in range(-3, 4)}
+            for s in shifts:
+                if 0 < s < 1:
+                    assert lshape_stratum(LSurface(a, s)) == Stratum([1, 1]), (d, s)
+
     def test_quadratic_shift(self):
         L = LSurface.from_discriminant(5, QuadNum(-2, 1, 5))  # √5 - 2
         assert lshape_stratum(L) == Stratum([1, 1])
