@@ -79,7 +79,8 @@ def canonical_origamis(n: int) -> list[Origami]:
     squares s = 1, 2, ... in queue order fill their slots h(s), h⁻¹(s), v(s),
     v⁻¹(s) in move order, each with a labelled square whose inverse slot is
     free or with the next new label. A pair is kept when that labelling is
-    its canonical key, i.e. when no other root gives a lesser one.
+    its canonical key, i.e. when no other root gives a lesser one; the test
+    stops at the first root that does.
     """
     maps = [[0] * (n + 1) for _ in range(4)]  # h, h⁻¹, v, v⁻¹: maps[k ^ 1] inverts maps[k]
     last = 4 * n  # slot 4(s-1) + k holds maps[k][s]
@@ -100,7 +101,7 @@ def canonical_origamis(n: int) -> list[Origami]:
                 yield from pairs(slot + 1, max(used, t))
                 fwd[s] = back[t] = 0
 
-    keys = sorted(key for key in pairs(0, 1) if _canonical_key(*key) == key)
+    keys = sorted(key for key in pairs(0, 1) if _canonical_key(*key, bfs_labelled=True) == key)
     return [Origami(Permutation(h), Permutation(v)) for h, v in keys]
 
 
@@ -119,9 +120,9 @@ def enumerate_origamis(
     # A canonical origami's images are its canonical key, so the keys of an
     # orbit's members, and of their images under -I, look the surfaces up.
     surfaces = {(o.h.images, o.v.images): o for o in canonical_origamis(n)}
-    fields_of: dict[tuple, dict] = {}
+    entry_of: dict[tuple, CatalogEntry] = {}
     for images, o in surfaces.items():
-        if images in fields_of:
+        if images in entry_of:
             continue
         # stratum and reducedness are SL2(Z)-invariant (Per(g·o) = g·Per(o) and
         # g·Z² = Z²), so one test decides the whole orbit and orbits never
@@ -136,19 +137,20 @@ def enumerate_origamis(
         if report.minus_id_nontrivial:  # the census alone needs the other orientation
             members |= {_canonical_key(_inverse(h), _inverse(v)) for h, v in members}
         assert members <= surfaces.keys(), "orbit members missing from the enumeration"
+        texts = {k: surfaces[k].to_text() for k in members}
         fields = dict(
+            n=n,
             genus=s.genus,
             stratum=str(s),
             reduced=report.input_reduced,
-            orbit_id=min(surfaces[k].to_text() for k in members),
+            orbit_id=min(texts.values()),
             index=report.index,
             cusp_widths=report.cusp_widths(),
             curve_genus=report.curve_genus,
         )
-        for k in members:
-            fields_of[k] = fields
-    entries = [CatalogEntry(origami=surfaces[k].to_text(), n=n, **f) for k, f in fields_of.items()]
-    return sorted(entries, key=lambda e: e.origami)
+        for k, text in texts.items():
+            entry_of[k] = CatalogEntry(origami=text, **fields)
+    return sorted(entry_of.values(), key=lambda e: e.origami)
 
 
 class CatalogError(ValueError):

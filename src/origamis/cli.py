@@ -232,10 +232,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+_parser = None  # built on the first main() call: building costs more than a small query
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         args.func(args)
     except SystemExit as exc:
         return exc.code or 0

@@ -24,7 +24,8 @@ from .perm import Permutation, compose, conjugate, cycles, is_transitive
 class Stratum:
     """Multiset of positive cone-point orders, sorted decreasingly.
 
-    The empty tuple denotes H(0), the flat tori.
+    The empty tuple denotes H(0), the flat tori. The orders sum to 2g - 2, so
+    an odd sum is no abelian stratum.
     """
 
     orders: tuple[int, ...]
@@ -33,14 +34,13 @@ class Stratum:
         orders = tuple(sorted((k for k in orders if k != 0), reverse=True))
         if any(k < 0 for k in orders):
             raise ValueError(f"negative cone order in {orders}")
+        if sum(orders) % 2:
+            raise ValueError(f"cone orders {orders} have an odd sum, not 2g-2")
         object.__setattr__(self, "orders", orders)
 
     @property
     def genus(self) -> int:
-        total = sum(self.orders)
-        if total % 2:
-            raise ValueError(f"order sum {total} is odd")
-        return 1 + total // 2
+        return 1 + sum(self.orders) // 2
 
     def __str__(self) -> str:
         if not self.orders:
@@ -109,6 +109,8 @@ def parse_origami(text: str) -> Origami:
         n = int(parts[0])
     except ValueError:
         raise ValueError(f"bad square count {parts[0]!r}") from None
+    if n < 1:
+        raise ValueError(f"square count must be at least 1, got {n}")
     perms = {}
     for part in parts[1:]:
         if "=" not in part:
@@ -193,7 +195,9 @@ def stratum_dim_quadratic(orders, g: int) -> int:
 # -- canonical form --------------------------------------------------------------
 
 
-def _canonical_key(h_img: tuple[int, ...], v_img: tuple[int, ...], minus_id: bool = False) -> tuple:
+def _canonical_key(
+    h_img: tuple[int, ...], v_img: tuple[int, ...], minus_id: bool = False, bfs_labelled: bool = False
+) -> tuple:
     """Lexicographically least relabeled (h, v) over all BFS roots.
 
     BFS from each square over the moves (h, h⁻¹, v, v⁻¹), relabeling squares
@@ -208,6 +212,14 @@ def _canonical_key(h_img: tuple[int, ...], v_img: tuple[int, ...], minus_id: boo
     root is dropped at the first entry where its h-key exceeds the best one,
     and stops comparing once it falls below; v-keys are compared only when
     the h-keys tie.
+
+    bfs_labelled promises that (h, v) is labelled by this BFS from square 1,
+    so that root's key is the input itself: the search starts from it, skips
+    root 1 and returns as soon as another root beats it, with that root's key
+    cut at the entry where it does (an h-key prefix and an empty v-key, or a
+    whole key when the h-keys tie). The result then equals (h_img, v_img)
+    exactly when the input is its canonical key, and is less otherwise: the
+    census's test of orderly generation.
     """
     n = len(h_img)
     h = (0, *h_img)
@@ -218,9 +230,10 @@ def _canonical_key(h_img: tuple[int, ...], v_img: tuple[int, ...], minus_id: boo
         hinv[h[i]] = i
         vinv[v[i]] = i
     orientations = [(h, hinv, v, vinv), (hinv, h, vinv, v)] if minus_id else [(h, hinv, v, vinv)]
-    best_h = best_v = None
+    best_h, best_v = (list(h_img), list(v_img)) if bfs_labelled else (None, None)
+    first_root = 2 if bfs_labelled else 1
     for h, hinv, v, vinv in orientations:
-        for root in range(1, n + 1):
+        for root in range(first_root, n + 1):
             label = [0] * (n + 1)
             label[root] = 1
             order = [root]
@@ -238,6 +251,8 @@ def _canonical_key(h_img: tuple[int, ...], v_img: tuple[int, ...], minus_id: boo
                     if e != b:
                         if e > b:
                             break
+                        if bfs_labelled:  # this root beats the input: cut its key here
+                            return (*h_key, e), ()
                         tied = False
                 h_key.append(e)
                 for nb in (hinv[s], v[s], vinv[s]):
@@ -247,7 +262,10 @@ def _canonical_key(h_img: tuple[int, ...], v_img: tuple[int, ...], minus_id: boo
             else:
                 v_key = [label[v[s]] for s in order]
                 if not tied or v_key < best_v:
+                    if bfs_labelled:
+                        return tuple(h_key), tuple(v_key)
                     best_h, best_v = h_key, v_key
+        first_root = 1
     return tuple(best_h), tuple(best_v)
 
 

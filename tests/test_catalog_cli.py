@@ -498,7 +498,40 @@ class TestCLI:
     def test_zero_squares_is_an_input_error(self):
         code, out, err = run_cli("info", "0; h=[]; v=[]")
         assert (code, out) == (1, "")
-        assert err == "error: (h, v) does not act transitively: the surface is disconnected\n"
+        assert err == "error: square count must be at least 1, got 0\n"
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_square_count_below_one_is_named(self, count):
+        code, out, err = run_cli("info", f"{count}; h=(); v=()")
+        assert (code, out) == (1, "")
+        assert err == f"error: square count must be at least 1, got {count}\n"
+
+    def test_odd_abelian_stratum_is_an_input_error(self, tmp_path):
+        path = str(tmp_path / "c.jsonl")
+        assert run_cli("catalog", "write", "--path", path, "--n", "3")[0] == 0
+        for argv in (("enumerate", "--n", "3", "--stratum", "H(1)"),
+                     ("catalog", "query", "--path", path, "--stratum", "H(1)"),
+                     ("strata-dim", "--abelian", "1")):
+            code, out, err = run_cli(*argv)
+            assert (code, out) == (1, ""), argv
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+    def test_consecutive_calls_share_no_state(self, tmp_path):
+        path = str(tmp_path / "c.jsonl")
+        assert run_cli("catalog", "write", "--path", path, "--n", "3")[0] == 0
+        code, reduced, _ = run_cli("catalog", "query", "--path", path, "--reduced")
+        assert code == 0
+        code, everything, _ = run_cli("catalog", "query", "--path", path)
+        assert code == 0 and len(json.loads(everything)) == 7 > len(json.loads(reduced))
+        code, out, err = run_cli("enumerate", "--bound", "2", "--n", "3")
+        assert (code, out) == (1, "") and err.count("\n") == 1
+        code, out, err = run_cli("enumerate", "--n", "3")
+        assert (code, err) == (0, "") and len(json.loads(out)) == 7
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        from origamis.cli import build_parser
+
+        assert build_parser() is not build_parser()
 
     def test_unknown_subcommand(self):
         code, _, _ = run_cli("frobnicate")

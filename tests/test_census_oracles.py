@@ -106,9 +106,10 @@ def test_class_count(n):
 def test_each_labelled_pair_is_built_once(n, monkeypatch):
     built = []
 
-    def key(h, v):
+    def key(h, v, **options):
+        assert options == {"bfs_labelled": True}
         built.append((h, v))
-        return _canonical_key(h, v)
+        return _canonical_key(h, v, **options)
 
     monkeypatch.setattr(catalog, "_canonical_key", key)
     canonical_origamis(n)

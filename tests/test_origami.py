@@ -112,6 +112,16 @@ class TestGenusAndStratum:
         assert Stratum.parse("H(1,1)") == Stratum([1, 1])
         assert Stratum.parse("H(0)") == Stratum([])
 
+    @pytest.mark.parametrize("orders", [[1], [3], [2, 1], [1, 1, 1]])
+    def test_odd_order_sum_is_no_stratum(self, orders):
+        with pytest.raises(ValueError, match="odd sum"):
+            Stratum(orders)
+        with pytest.raises(ValueError, match="odd sum"):
+            Stratum.parse("H(" + ",".join(map(str, orders)) + ")")
+
+    def test_stratum_genus(self):
+        assert [Stratum(o).genus for o in ([], [2], [1, 1], [4], [3, 1], [1] * 6)] == [1, 2, 2, 3, 3, 4]
+
     @given(small_origamis())
     def test_order_sum_and_euler_agreement(self, o):
         s = stratum(o)
