@@ -11,11 +11,11 @@ catalogs.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import warnings
-from collections import namedtuple
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .action import _inverse, orbit
 from .origami import Origami, Stratum, _canonical_key, is_reduced, stratum
@@ -40,34 +40,46 @@ class CatalogEntry:
         return json.dumps(vars(self), sort_keys=True)  # the tuple cusp_widths becomes a list
 
 
-# a decoded catalog line: CatalogEntry's fields, in its order, as a plain
-# tuple, so a read can hold every record and build entries only for some
-_Record = namedtuple("_Record", [f.name for f in fields(CatalogEntry)])
-
-
-# the JSON type of each field; type() tells an int from a bool
-_FIELD_TYPES = _Record(origami=str, n=int, genus=int, stratum=str, reduced=bool, orbit_id=str, index=int,
-                       cusp_widths=list, curve_genus=int)
+# the JSON type of each field of a catalog record; type() tells an int from a bool
+_FIELD_TYPES = {"origami": str, "n": int, "genus": int, "stratum": str, "reduced": bool, "orbit_id": str,
+                "index": int, "cusp_widths": list, "curve_genus": int}
+_KEYS = _FIELD_TYPES.keys()
 _INT = frozenset({int})
+_JSON_SPACE = " \t\n\r"  # the whitespace json.loads allows around a value
+_scan = json.JSONDecoder().raw_decode
 
 
-def _wrong_type(rec: _Record) -> str:
-    """What is wrong with a record whose fields do not all have their types."""
-    for name, value, want in zip(rec._fields, rec, _FIELD_TYPES):
-        if type(value) is not want:
-            return f"{name} is {value!r}, not of type {want.__name__}"
-    return f"cusp_widths is {rec.cusp_widths!r}, not a list of int"
+def _wrong_type(rec) -> str:
+    """What is wrong with a record that is not an object with CatalogEntry's
+    fields, each of its JSON type."""
+    if type(rec) is not dict:
+        return f"the record is {type(rec).__name__}, not an object"
+    for name, want in _FIELD_TYPES.items():
+        if name not in rec:
+            return f"field {name!r} is missing"
+        if type(rec[name]) is not want:
+            return f"{name} is {rec[name]!r}, not of type {want.__name__}"
+    for name in rec:
+        if name not in _FIELD_TYPES:
+            return f"field {name!r} is not a catalog field"
+    return f"cusp_widths is {rec['cusp_widths']!r}, not a list of int"
 
 
-def _decode_record(line: str) -> _Record:
+def _decode_record(line: str) -> dict:
     """One catalog line: a JSON object with exactly CatalogEntry's fields, or a
-    JSONDecodeError or TypeError. The fields that readers filter or key on
-    and the list cusp_widths are checked here, on every record; catalog_query
-    checks the rest on the records it keeps, since checking every field of
-    every record costs a fifth of a full read."""
-    rec = _Record(**json.loads(line))  # TypeError for anything but such an object
-    if not (type(rec.origami) is str and type(rec.n) is int and type(rec.stratum) is str
-            and type(rec.reduced) is bool and type(rec.orbit_id) is str and type(rec.cusp_widths) is list):
+    JSONDecodeError, TypeError or (nested too deeply) RecursionError. One
+    C-level scan decodes the line and accepts exactly what json.loads does.
+    The fields that readers filter or key on and the list cusp_widths are
+    checked here, on every record; catalog_query checks the rest on the
+    records it keeps, since checking every field of every record costs a
+    fifth of a full read."""
+    text = line.strip(_JSON_SPACE)
+    rec, end = _scan(text)
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    if not (type(rec) is dict and rec.keys() == _KEYS and type(rec["origami"]) is str and type(rec["n"]) is int
+            and type(rec["stratum"]) is str and type(rec["reduced"]) is bool and type(rec["orbit_id"]) is str
+            and type(rec["cusp_widths"]) is list):
         raise TypeError(_wrong_type(rec))
     return rec
 
@@ -159,23 +171,24 @@ class CatalogError(ValueError):
         self.line = line
 
 
-def _read_entries(path, repair: bool = False) -> list[_Record]:
-    """The records of a catalog file, in file order; a caller builds a
-    CatalogEntry only for the records it keeps.
+def _read_entries(path, repair: bool = False) -> list[dict]:
+    """The records of a catalog file, in file order, as decoded dicts; a
+    caller builds a CatalogEntry only for the records it keeps.
 
-    A last line with no newline is what an interrupted append leaves. If it
-    does not parse, readers skip it, and with repair it is cut off the file;
-    if it does parse, repair completes it with its newline. Either way the
-    next append starts on a fresh line.
+    A line nested too deeply for the decoder is a malformed record like any
+    other. A last line with no newline is what an interrupted append leaves.
+    If it does not parse, readers skip it, and with repair it is cut off the
+    file; if it does parse, repair completes it with its newline. Either way
+    the next append starts on a fresh line.
     """
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
             try:
                 records.append(_decode_record(line))
-            except (json.JSONDecodeError, TypeError) as exc:
+            except (json.JSONDecodeError, TypeError, RecursionError) as exc:
+                if line.isspace():  # a blank line holds no record
+                    continue
                 if line.endswith("\n"):
                     raise CatalogError(f"malformed catalog record ({exc})", lineno) from None
                 if repair:
@@ -189,13 +202,14 @@ def _read_entries(path, repair: bool = False) -> list[_Record]:
 
 def catalog_write(path, entries) -> tuple[int, int]:
     """Append new entries (keyed by canonical origami text); duplicates are
-    skipped with a warning.  Returns (written, skipped)."""
-    try:
-        existing = {rec.origami for rec in _read_entries(path, repair=True)}
-    except FileNotFoundError:
-        existing = set()
+    skipped with a warning.  Returns (written, skipped).
+
+    The file is locked from the read of its keys to the end of the append, so
+    concurrent writers take turns and each key is written once."""
     written = skipped = 0
     with open(path, "a", encoding="utf-8") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)  # released when fh closes, after its last write is flushed
+        existing = {rec["origami"] for rec in _read_entries(path, repair=True)}
         for e in entries:
             if e.origami in existing:
                 warnings.warn(f"duplicate canonical key skipped: {e.origami}")
@@ -218,18 +232,20 @@ def catalog_query(
     stratum_text = None if stratum_filter is None else str(Stratum.parse(stratum_filter))
     out = []
     for i, rec in enumerate(_read_entries(path)):
-        if n is not None and rec.n != n:
+        if n is not None and rec["n"] != n:
             continue
-        if stratum_text is not None and rec.stratum != stratum_text:
+        if stratum_text is not None and rec["stratum"] != stratum_text:
             continue
-        if orbit_id is not None and rec.orbit_id != orbit_id:
+        if orbit_id is not None and rec["orbit_id"] != orbit_id:
             continue
-        if reduced_only and not rec.reduced:
+        if reduced_only and not rec["reduced"]:
             continue
-        if not (type(rec.genus) is int and type(rec.index) is int and type(rec.curve_genus) is int
-                and _INT.issuperset(map(type, rec.cusp_widths))):
+        widths = rec["cusp_widths"]
+        if not (type(rec["genus"]) is int and type(rec["index"]) is int and type(rec["curve_genus"]) is int
+                and _INT.issuperset(map(type, widths))):
             raise CatalogError(f"malformed catalog record ({_wrong_type(rec)})", _line_of_record(path, i))
-        out.append(CatalogEntry(*rec._replace(cusp_widths=tuple(rec.cusp_widths))))
+        rec["cusp_widths"] = tuple(widths)
+        out.append(CatalogEntry(**rec))
     return out
 
 

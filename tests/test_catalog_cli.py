@@ -1,7 +1,9 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -226,6 +228,20 @@ class TestCatalogFile:
         code, out, err = run_cli("catalog", "query", "--path", str(path), "--n", "3")
         assert code == 1 and out == "" and f"line {lineno}" in err
 
+    @pytest.mark.parametrize(
+        "bad, named",
+        [(lambda d: {k: x for k, x in d.items() if k != "index"}, "field 'index' is missing"),
+         (lambda d: {**d, "indx": 1}, "field 'indx' is not a catalog field"),
+         (lambda d: [d], "the record is list, not an object")],
+        ids=["missing", "extra", "list"],
+    )
+    def test_malformed_record_names_what_is_wrong(self, tmp_path, bad, named):
+        path = tmp_path / "cat.jsonl"
+        one = json.loads(enumerate_origamis(1)[0].to_json())
+        path.write_text(json.dumps(bad(one)) + "\n")
+        code, out, err = run_cli("catalog", "query", "--path", str(path))
+        assert (code, out) == (1, "") and err == f"error: line 1: malformed catalog record ({named})\n"
+
     # the exact line that an untyped reader printed, and that a --n 1 query dropped
     UNTYPED = (
         '{"cusp_widths": [1], "curve_genus": 0, "genus": "one", "index": 1, "n": "1", "orbit_id": 5, '
@@ -302,6 +318,76 @@ class TestCatalogFile:
         assert catalog_query(path) == one
         assert catalog_write(path, two) == (len(two), 0)
         assert catalog_query(path) == one + two
+
+    DEEP = "[" * 100_000 + "]" * 100_000  # deeper than the JSON decoder recurses
+
+    def test_deeply_nested_line_is_a_malformed_record(self, tmp_path):
+        path = str(tmp_path / "c.jsonl")
+        assert run_cli("catalog", "write", "--path", path, "--n", "2")[0] == 0
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(self.DEEP + "\n")
+        lineno = len(enumerate_origamis(2)) + 1
+        for argv in (("query", "--path", path), ("write", "--path", path, "--n", "2")):
+            code, out, err = run_cli("catalog", *argv)
+            assert (code, out) == (1, ""), argv
+            assert err.startswith(f"error: line {lineno}: malformed catalog record") and err.count("\n") == 1, argv
+
+    def test_deeply_nested_last_line_is_a_torn_append(self, tmp_path):
+        path = str(tmp_path / "c.jsonl")
+        assert run_cli("catalog", "write", "--path", path, "--n", "2")[0] == 0
+        two = run_cli("catalog", "query", "--path", path)[1]
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(self.DEEP)
+        assert run_cli("catalog", "query", "--path", path) == (0, two, "")
+        code, out, err = run_cli("catalog", "write", "--path", path, "--n", "3")
+        three = enumerate_origamis(3)
+        assert (code, err) == (0, "") and json.loads(out) == {"written": len(three), "skipped": 0}
+        with open(path, encoding="utf-8") as fh:
+            assert "[" * 10 not in fh.read()
+        assert catalog_query(path) == enumerate_origamis(2) + three
+
+    def test_concurrent_writers_append_each_key_once(self, tmp_path):
+        # two writers released together on each of five fresh files; without
+        # the lock most rounds append some keys twice
+        paths = [str(tmp_path / f"c{i}.jsonl") for i in range(5)]
+        ctx = multiprocessing.get_context("spawn")
+        ready, results = ctx.Queue(), ctx.Queue()
+        starts = [ctx.Event() for _ in paths]
+        writers = [ctx.Process(target=_write_census_to, args=(paths, 6, ready, starts, results)) for _ in range(2)]
+        for w in writers:
+            w.start()
+        for start in starts:
+            for _ in writers:
+                ready.get(timeout=120)
+            start.set()
+        counts = [results.get(timeout=120) for _ in range(len(writers) * len(paths))]
+        for w in writers:
+            w.join(timeout=120)
+            assert w.exitcode == 0
+        six = enumerate_origamis(6)
+        assert sorted(counts) == [(0, len(six))] * len(paths) + [(len(six), 0)] * len(paths)
+        for path in paths:
+            with open(path, encoding="utf-8") as fh:
+                keys = sorted(json.loads(line)["origami"] for line in fh)
+            assert keys == [e.origami for e in six]  # each key exactly once
+            assert catalog_query(path) == six
+
+    def test_write_into_a_missing_directory_is_an_input_error(self, tmp_path):
+        path = str(tmp_path / "missing" / "c.jsonl")
+        code, out, err = run_cli("catalog", "write", "--path", path, "--n", "2")
+        assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
+
+
+def _write_census_to(paths, n, ready, starts, results):
+    """A writer process: enumerate once, then for each file in turn report
+    ready and append as soon as that file's start is set."""
+    entries = enumerate_origamis(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the later writer to a file skips every key
+        for path, start in zip(paths, starts):
+            ready.put(path)
+            assert start.wait(timeout=120)
+            results.put(catalog_write(path, entries))
 
 
 def run_cli(*argv):
