@@ -67,12 +67,12 @@ def _wrong_type(rec) -> str:
 
 def _decode_record(line: str) -> dict:
     """One catalog line: a JSON object with exactly CatalogEntry's fields, or a
-    JSONDecodeError, TypeError or (nested too deeply) RecursionError. One
-    C-level scan decodes the line and accepts exactly what json.loads does.
-    The fields that readers filter or key on and the list cusp_widths are
-    checked here, on every record; catalog_query checks the rest on the
-    records it keeps, since checking every field of every record costs a
-    fifth of a full read."""
+    ValueError (a JSONDecodeError, or an int too long for int()), TypeError or
+    (nested too deeply) RecursionError. One C-level scan decodes the line and
+    accepts exactly what json.loads does. The fields that readers filter or
+    key on and the list cusp_widths are checked here, on every record;
+    catalog_query checks the rest on the records it keeps, since checking
+    every field of every record costs a fifth of a full read."""
     text = line.strip(_JSON_SPACE)
     rec, end = _scan(text)
     if end != len(text):
@@ -175,18 +175,19 @@ def _read_entries(path, repair: bool = False) -> list[dict]:
     """The records of a catalog file, in file order, as decoded dicts; a
     caller builds a CatalogEntry only for the records it keeps.
 
-    A line nested too deeply for the decoder is a malformed record like any
-    other. A last line with no newline is what an interrupted append leaves.
-    If it does not parse, readers skip it, and with repair it is cut off the
-    file; if it does parse, repair completes it with its newline. Either way
-    the next append starts on a fresh line.
+    A line nested too deeply for the decoder, or holding an int too long for
+    int(), is a malformed record like any other. A last line with no newline
+    is what an interrupted append leaves. If it does not parse, readers skip
+    it, and with repair it is cut off the file; if it does parse, repair
+    completes it with its newline. Either way the next append starts on a
+    fresh line.
     """
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
                 records.append(_decode_record(line))
-            except (json.JSONDecodeError, TypeError, RecursionError) as exc:
+            except (ValueError, TypeError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
                 if line.isspace():  # a blank line holds no record
                     continue
                 if line.endswith("\n"):

@@ -1,7 +1,12 @@
 """Command-line front end: every subcommand prints JSON on stdout.
 
-Exit codes: 0 success, 1 input error, 2 internal error (a failed assertion
-or any other unexpected exception); either failure prints one line on stderr.
+Each subcommand does one computation and takes only the values it reads:
+`flow` traces exactly, `discrepancy` measures equidistribution, and `catalog
+write` and `catalog query` are subcommands of their own. Exit codes: 0
+success, 1 input error (a malformed command line too: a missing argument, or
+a flag or argument the subcommand does not take), 2 internal error (a failed
+assertion or any other unexpected exception); either failure prints one line
+on stderr.
 """
 
 from __future__ import annotations
@@ -9,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from fractions import Fraction
 
 from . import catalog as cat
@@ -29,10 +35,8 @@ from .quadfield import QuadNum
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+    def error(self, message):  # a malformed command line is an input error like any other
+        raise ValueError(message)
 
 
 def _parse_dir(text: str) -> tuple[int, int]:
@@ -95,12 +99,6 @@ def _cmd_cylinders(args) -> None:
 
 
 def _cmd_flow(args) -> None:
-    if args.origami == "discrepancy":
-        if args.discrepancy_origami is None:
-            raise ValueError("usage: flow discrepancy <origami> --slope S --crossings N --grid G")
-        o = parse_origami(args.discrepancy_origami)
-        _emit(discrepancy(o, args.slope, args.crossings, args.grid))
-        return
     o = parse_origami(args.origami)
     p, q = _parse_dir(args.dir)
     sq, x, y = _parse_start(args.start)
@@ -109,6 +107,10 @@ def _cmd_flow(args) -> None:
     if res.periodic:
         out["length"] = str(res.length())
     _emit(out)
+
+
+def _cmd_discrepancy(args) -> None:
+    _emit(discrepancy(parse_origami(args.origami), args.slope, args.crossings, args.grid))
 
 
 def _cmd_lshape(args) -> None:
@@ -145,17 +147,18 @@ def _cmd_enumerate(args) -> None:
     _emit([vars(e) for e in entries])  # the fields; json writes the tuple cusp_widths as a list
 
 
-def _cmd_catalog(args) -> None:
-    if args.mode == "write":
-        if args.n is None:
-            raise ValueError("catalog write needs --n")
-        entries = cat.enumerate_origamis(args.n, stratum_filter=args.stratum, reduced_only=args.reduced)
+def _cmd_catalog_write(args) -> None:
+    entries = cat.enumerate_origamis(args.n, stratum_filter=args.stratum, reduced_only=args.reduced)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # "skipped" counts the duplicate keys; stderr is for the one-line error
         written, skipped = cat.catalog_write(args.path, entries)
-        _emit({"written": written, "skipped": skipped})
-    else:
-        entries = cat.catalog_query(args.path, n=args.n, stratum_filter=args.stratum, orbit_id=args.orbit_id,
-                                    reduced_only=args.reduced)
-        _emit([vars(e) for e in entries])
+    _emit({"written": written, "skipped": skipped})
+
+
+def _cmd_catalog_query(args) -> None:
+    entries = cat.catalog_query(args.path, n=args.n, stratum_filter=args.stratum, orbit_id=args.orbit_id,
+                                reduced_only=args.reduced)
+    _emit([vars(e) for e in entries])
 
 
 def _cmd_strata_dim(args) -> None:
@@ -190,16 +193,19 @@ def build_parser() -> _Parser:
     p.add_argument("--dir", default="1,0", help="direction p,q (default horizontal)")
     p.set_defaults(func=_cmd_cylinders)
 
-    p = sub.add_parser("flow", help="exact straight-line flow; or 'flow discrepancy <origami>'")
-    p.add_argument("origami", help="origami text, or the literal 'discrepancy'")
-    p.add_argument("discrepancy_origami", nargs="?", default=None)
+    p = sub.add_parser("flow", help="exact straight-line flow: periodic, singular, or neither within --max")
+    p.add_argument("origami")
     p.add_argument("--dir", default="0,1")
     p.add_argument("--start", default="1:0:1/2", help="sq:x:y with exact fractions")
     p.add_argument("--max", type=int, default=10_000)
+    p.set_defaults(func=_cmd_flow)
+
+    p = sub.add_parser("discrepancy", help="equidistribution statistic of the flow in direction (1, slope)")
+    p.add_argument("origami")
     p.add_argument("--slope", type=float, default=1.6180339887498949)
     p.add_argument("--crossings", type=int, default=100_000)
     p.add_argument("--grid", type=int, default=10)
-    p.set_defaults(func=_cmd_flow)
+    p.set_defaults(func=_cmd_discrepancy)
 
     p = sub.add_parser("lshape", help="L(a,1) with a=(1+sqrt(d))/2: cylinders, Veech data, trace field")
     p.add_argument("--d", type=int, required=True)
@@ -214,13 +220,17 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("catalog", help="write/query the JSONL catalog")
-    p.add_argument("mode", choices=("write", "query"))
-    p.add_argument("--path", required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--stratum", default=None)
-    p.add_argument("--reduced", action="store_true")
-    p.add_argument("--orbit-id", default=None)
-    p.set_defaults(func=_cmd_catalog)
+    modes = p.add_subparsers(dest="mode", required=True)
+    write = modes.add_parser("write", help="enumerate --n and append the records not yet in the file")
+    query = modes.add_parser("query", help="the records that pass every filter given")
+    for p in (write, query):
+        p.add_argument("--path", required=True)
+        p.add_argument("--n", type=int, required=p is write, default=None)
+        p.add_argument("--stratum", default=None)
+        p.add_argument("--reduced", action="store_true")
+    query.add_argument("--orbit-id", default=None)
+    write.set_defaults(func=_cmd_catalog_write)
+    query.set_defaults(func=_cmd_catalog_query)
 
     p = sub.add_parser("strata-dim", help="dimension of a stratum from its cone orders")
     group = p.add_mutually_exclusive_group(required=True)
@@ -242,18 +252,17 @@ def main(argv=None) -> int:
     try:
         args = _parser.parse_args(argv)
         args.func(args)
-    except SystemExit as exc:
+        return 0
+    except SystemExit as exc:  # -h
         return exc.code or 0
     except (ValueError, ZeroDivisionError, OSError) as exc:  # a zero denominator in the input
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code, line = 1, f"error: {exc}"
     except AssertionError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 2
+        code, line = 2, f"internal error: {exc}"
     except Exception as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    return 0
+        code, line = 2, f"internal error: {type(exc).__name__}: {exc}"
+    print(line.replace("\n", "\\n"), file=sys.stderr)  # one line, whatever the message holds
+    return code
 
 
 if __name__ == "__main__":

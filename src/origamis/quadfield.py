@@ -220,30 +220,19 @@ class QuadNum:
     _ROOT = r"(?:(?P<coef>\d+(?:/\d+)?)\*)?sqrt\((?P<d>\d+)\)"
 
     @staticmethod
-    def parse(text: str, d: int | None = None) -> "QuadNum":
+    def parse(text: str) -> "QuadNum":
         """Inverse of str(): accepts ``p/q``, ``r/s*sqrt(d)``, ``p/q ± r/s*sqrt(d)``."""
         if re.search(r"\d\s+[\d/]", text):
             raise ValueError(f"cannot parse QuadNum: {text!r}")
         t = re.sub(r"\s", "", text)
-
-        def root_part(m, sign: str) -> "QuadNum":
-            dd = int(m.group("d"))
-            if d is not None and d != dd:
-                raise ValueError(f"expected sqrt({d}), found sqrt({dd})")
-            b = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
-            a = Fraction(m.group("rat")) if "rat" in m.groupdict() and m.group("rat") else Fraction(0)
-            return QuadNum(a, -b if sign == "-" else b, dd)
-
-        m = re.fullmatch(QuadNum._RAT, t)
-        if m:
-            return QuadNum(Fraction(t), 0, d if d is not None else 2)
-        m = re.fullmatch(r"(?P<sign>[+-])?" + QuadNum._ROOT, t)
-        if m:
-            return root_part(m, m.group("sign") or "+")
-        m = re.fullmatch(f"(?P<rat>{QuadNum._RAT})(?P<sign>[+-])" + QuadNum._ROOT, t)
-        if m:
-            return root_part(m, m.group("sign"))
-        raise ValueError(f"cannot parse QuadNum: {text!r}")
+        if re.fullmatch(QuadNum._RAT, t):
+            return QuadNum(Fraction(t), 0, 2)
+        # a rational part is followed by the sign of the root part
+        m = re.fullmatch(f"(?:(?P<rat>{QuadNum._RAT})(?=[+-]))?(?P<sign>[+-])?" + QuadNum._ROOT, t)
+        if not m:
+            raise ValueError(f"cannot parse QuadNum: {text!r}")
+        b = Fraction(m.group("coef") or 1)
+        return QuadNum(Fraction(m.group("rat") or 0), -b if m.group("sign") == "-" else b, int(m.group("d")))
 
 
 _new = object.__new__

@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -16,6 +17,7 @@ from origamis.catalog import (
     enumerate_origamis,
 )
 from origamis.cli import main
+from origamis.flow import discrepancy
 from origamis.origami import genus, is_reduced, parse_origami, stratum
 
 
@@ -320,30 +322,33 @@ class TestCatalogFile:
         assert catalog_query(path) == one + two
 
     DEEP = "[" * 100_000 + "]" * 100_000  # deeper than the JSON decoder recurses
+    LONG_INT = '{"n": ' + "1" * 5_000 + "}"  # more digits than int() converts from text (4 300)
 
-    def test_deeply_nested_line_is_a_malformed_record(self, tmp_path):
+    @pytest.mark.parametrize("line", [DEEP, LONG_INT], ids=["deep", "long-int"])
+    def test_undecodable_line_is_a_malformed_record(self, tmp_path, line):
         path = str(tmp_path / "c.jsonl")
         assert run_cli("catalog", "write", "--path", path, "--n", "2")[0] == 0
         with open(path, "a", encoding="utf-8") as fh:
-            fh.write(self.DEEP + "\n")
+            fh.write(line + "\n")
         lineno = len(enumerate_origamis(2)) + 1
         for argv in (("query", "--path", path), ("write", "--path", path, "--n", "2")):
             code, out, err = run_cli("catalog", *argv)
             assert (code, out) == (1, ""), argv
             assert err.startswith(f"error: line {lineno}: malformed catalog record") and err.count("\n") == 1, argv
 
-    def test_deeply_nested_last_line_is_a_torn_append(self, tmp_path):
+    @pytest.mark.parametrize("line", [DEEP, LONG_INT], ids=["deep", "long-int"])
+    def test_undecodable_last_line_is_a_torn_append(self, tmp_path, line):
         path = str(tmp_path / "c.jsonl")
         assert run_cli("catalog", "write", "--path", path, "--n", "2")[0] == 0
         two = run_cli("catalog", "query", "--path", path)[1]
         with open(path, "a", encoding="utf-8") as fh:
-            fh.write(self.DEEP)
+            fh.write(line)
         assert run_cli("catalog", "query", "--path", path) == (0, two, "")
         code, out, err = run_cli("catalog", "write", "--path", path, "--n", "3")
         three = enumerate_origamis(3)
         assert (code, err) == (0, "") and json.loads(out) == {"written": len(three), "skipped": 0}
         with open(path, encoding="utf-8") as fh:
-            assert "[" * 10 not in fh.read()
+            assert line[:10] not in fh.read()
         assert catalog_query(path) == enumerate_origamis(2) + three
 
     def test_concurrent_writers_append_each_key_once(self, tmp_path):
@@ -443,20 +448,25 @@ class TestCLI:
         assert (code, out) == (1, "")
         assert err == f"error: max_crossings must be at least 1, got {bound}\n"
 
-    def test_flow_discrepancy(self):
-        code, out, _ = run_cli(
-            "flow", "discrepancy", "1; h=(); v=()", "--slope", "1.618", "--crossings", "2000"
-        )
+    def test_discrepancy(self):
+        code, out, _ = run_cli("discrepancy", "1; h=(); v=()", "--slope", "1.618", "--crossings", "2000")
         assert code == 0
         assert 0 <= json.loads(out) <= 1
 
+    @pytest.mark.parametrize("origami", ["1; h=(); v=()", ST3, "5; h=(1,2,3,4,5); v=(1,3)(2,5)"])
+    @pytest.mark.parametrize("slope", ["1.618", "0.4142135623730951", "2.5"])
+    def test_discrepancy_prints_the_statistic(self, origami, slope):
+        code, out, err = run_cli("discrepancy", origami, "--slope", slope, "--crossings", "5000", "--grid", "7")
+        assert (code, err) == (0, "")
+        assert out == json.dumps(discrepancy(parse_origami(origami), float(slope), 5000, 7)) + "\n"
+
     @pytest.mark.parametrize("slope", ["inf", "nan", "-inf"])
-    def test_flow_discrepancy_rejects_non_finite_slope(self, slope):
+    def test_discrepancy_rejects_non_finite_slope(self, slope):
         import origamis
 
         src = os.path.dirname(os.path.dirname(origamis.__file__))
         proc = subprocess.run(
-            [sys.executable, "-m", "origamis", "flow", "discrepancy", "1; h=(); v=()", f"--slope={slope}"],
+            [sys.executable, "-m", "origamis", "discrepancy", "1; h=(); v=()", f"--slope={slope}"],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": src},
@@ -620,8 +630,67 @@ class TestCLI:
         assert build_parser() is not build_parser()
 
     def test_unknown_subcommand(self):
-        code, _, _ = run_cli("frobnicate")
-        assert code == 1
+        code, out, err = run_cli("frobnicate")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: argument command: invalid choice: 'frobnicate'") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(("flow",), "the following arguments are required: origami"),
+         (("info", ST3, "--bogus"), "unrecognized arguments: --bogus"),
+         (("strata-dim", "--quadratic", "-1,-1"), "argument --quadratic: expected one argument"),
+         (("catalog", "write", "--path", "c.jsonl"), "the following arguments are required: --n"),
+         (("catalog",), "the following arguments are required: mode")],
+    )
+    def test_argparse_failure_is_one_line(self, argv, message):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("flow", ST3, "junk"), ("flow", ST3, "--slope", "2"), ("flow", ST3, "--grid", "3"),
+         ("discrepancy", ST3, "--max", "5"), ("discrepancy", ST3, "--dir", "1,1"),
+         ("flow", "discrepancy", ST3)],
+    )
+    def test_a_value_the_subcommand_does_not_read_is_an_input_error(self, argv):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_catalog_write_takes_no_orbit_id(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        code, out, err = run_cli("catalog", "write", "--path", str(path), "--n", "2", "--orbit-id", "x")
+        assert (code, out, err) == (1, "", "error: unrecognized arguments: --orbit-id x\n")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("argv", [("-h",), ("discrepancy", "-h"), ("catalog", "query", "--help")])
+    def test_help_prints_usage(self, argv):
+        code, out, err = run_cli(*argv)
+        assert (code, err) == (0, "") and out.startswith("usage: origamis")
+
+    def test_repeated_write_prints_only_its_json(self, tmp_path):
+        # the library warns for each duplicate key; the CLI counts them in "skipped"
+        path = str(tmp_path / "c.jsonl")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("catalog", "write", "--path", path, "--n", "2") == (0, '{"skipped": 0, "written": 3}\n', "")
+            assert run_cli("catalog", "write", "--path", path, "--n", "2") == (0, '{"skipped": 3, "written": 0}\n', "")
+        assert caught == []
+
+    def test_readme_cli_examples_run(self, tmp_path, monkeypatch):
+        # every `origamis ...` line of README's CLI block, in order, from an
+        # empty directory: the catalog query reads what the write before it wrote
+        readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            block = fh.read().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines() if line.startswith("origamis ")]
+        assert len(lines) >= 12
+        monkeypatch.chdir(tmp_path)
+        for line in lines:
+            code, out, err = run_cli(*shlex.split(line, comments=True)[1:])
+            assert (code, err) == (0, ""), line
+            json.loads(out)
 
     def test_console_script_entry(self):
         proc = subprocess.run(

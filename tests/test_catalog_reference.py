@@ -11,7 +11,11 @@ messages may differ and are not compared.
 
 Lines nested deeper than the decoder recurses are left out: the old reader let
 the RecursionError through as an internal error, and
-`tests/test_catalog_cli.py` pins the new behaviour (a malformed record).
+`tests/test_catalog_cli.py` pins the new behaviour (a malformed record). So are
+lines with an int of more than 4 300 digits, for the same reason (the old
+reader let int()'s ValueError through with no line number); the strategies
+below cannot draw one, since hypothesis draws unbounded integers of at most a
+few dozen digits and free text of at most 12 characters.
 """
 
 import json
