@@ -38,6 +38,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # a malformed command line is an input error like any other
         raise ValueError(message)
 
+    def _get_values(self, action, arg_strings):
+        values = super()._get_values(action, arg_strings)
+        # some Pythons drop the value "--" (as in --n=--) and leave an empty list
+        if action.nargs is None and values == []:
+            self.error(f"argument {'/'.join(action.option_strings) or action.dest}: expected one argument")
+        return values
+
 
 def _parse_dir(text: str) -> tuple[int, int]:
     try:

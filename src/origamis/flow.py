@@ -1,10 +1,12 @@
 """Straight-line flow on origamis.
 
-The tracer advances square to square with exact arithmetic (Fractions, or
-QuadNums for quadratic-irrational data): an orbit is declared periodic when
-an exact state recurs, and a singularity hit is an exact corner coincidence,
-so verdicts are proofs, not approximations.  Floating point appears only in
-the empirical discrepancy statistic.
+The tracer advances square to square on the chord the flow runs along in
+each square. A chord is one exact number of the working field (Q, or Q[√d]
+for quadratic-irrational data), scaled once per trace to a pair of integers,
+so each crossing is a sign test and two integer additions. An orbit is
+declared periodic when a square and chord recur, and a singularity hit is a
+chord through an exact corner, so verdicts are proofs, not approximations.
+Floating point appears only in the empirical discrepancy statistic.
 
 Time along an orbit is parametrized so the velocity is exactly the direction
 vector (p, q); geometric length is then (elapsed time)·√(p²+q²).
@@ -19,7 +21,7 @@ from typing import Optional, Union
 
 from .cylinders import RadicalLength, decomposition_in_direction
 from .origami import Origami
-from .quadfield import QuadNum, in_one_field
+from .quadfield import QuadNum, _sign, in_one_field
 
 Scalar = Union[Fraction, QuadNum]
 
@@ -80,7 +82,19 @@ def trace(
     record_events: bool = False,
 ) -> TraceResult:
     """Follow the straight-line flow from ``start`` until a state recurs, a
-    singularity is hit, or ``max_crossings`` edge crossings have happened."""
+    singularity is hit, or ``max_crossings`` edge crossings have happened.
+
+    With x (y) mirrored when p (q) < 0, the flow runs right and up at speeds
+    P = |p|, Q = |q|, and u = (1−x)·Q − (1−y)·P is constant along a chord of
+    a square and different on every other parallel chord. Its sign says which
+    wall the chord reaches first: the vertical one when u < 0, the horizontal
+    one when u > 0, the corner when u = 0. Crossing a vertical wall adds Q to
+    u, crossing a horizontal one subtracts P, so after one common denominator
+    D the loop runs on the integers U + V·√d = D·u. A state is a square and a
+    chord, which pins the point where the chord entered the square. Times
+    come from the wall counts m and j when they are needed: the m-th vertical
+    wall is reached at (m − x₀)/P and the j-th horizontal one at (j − y₀)/Q.
+    """
     if max_crossings < 1:
         raise ValueError(f"max_crossings must be at least 1, got {max_crossings}")
     x, y, p, q = in_one_field(*start.pos, *start.direction)
@@ -97,66 +111,73 @@ def trace(
             raise ValueError("flow started at a singular vertex")
 
     # the square entered across a vertical or a horizontal edge
-    step_x = (o.h if p > 0 else o.h.inverse()).images
-    step_y = (o.v if q > 0 else o.v.inverse()).images
+    right, up = p > 0, q > 0
+    step_x = (o.h if right else o.h.inverse()).images
+    step_y = (o.v if up else o.v.inverse()).images
     zero = x - x  # additive zero of the working field
     one = zero + 1
-    walls = (zero, one)
-    # moving right (up), the wall ahead is at 1 and the next square is entered
-    # at 0; moving left (down), the reverse. The time to a wall is its distance
-    # times 1/|speed|, and each speed is inverted once, here.
-    right, up = p > 0, q > 0
-    enter_x = zero if right else one
-    enter_y = zero if up else one
-    inv_p = (one / p if right else -one / p) if p else None
-    inv_q = (one / q if up else -one / q) if q else None
-    time = zero
+    X, P = (x, p) if p >= 0 else (one - x, -p)
+    Y, Q = (y, q) if q >= 0 else (one - y, -q)
     radicand = p * p + q * q
-    seen = {(sq, x, y): time}
+    # the a and b of u, P and Q as a + b·√d (b = 0 for a Fraction)
+    coeffs = [(v.a, v.b) if isinstance(v, QuadNum) else (v, 0) for v in ((one - X) * Q - (one - Y) * P, P, Q)]
+    D = math.lcm(*(c.denominator for pair in coeffs for c in pair))
+    (U, V), (Pa, Pb), (Qa, Qb) = [(int(a * D), int(b * D)) for a, b in coeffs]
+    d = x.d if isinstance(x, QuadNum) else 2  # V stays 0 on Fraction data, so d is never read
+    grid_corner = None
+    if not P or not Q:
+        # an axis direction crosses one kind of wall only; along a grid line
+        # it meets a vertex, the corner of the square entered, at every crossing
+        U, V = (1 if Q else -1), 0
+        if not P and x in (0, 1):
+            grid_corner = (int(x == 1), int(not up))
+        elif not Q and y in (0, 1):
+            grid_corner = (int(not right), int(y == 1))
+    # every state after a crossing lies on an entry wall; the start is one
+    # of them only when it lies on the entry wall of a coordinate that moves
+    seen = {(sq, U, V): (0, 0)} if (P and not X) or (Q and not Y) else {}
+    m = j = 0  # vertical and horizontal walls crossed; a corner is both
+
+    def time(s):  # of the crossing just made, whose sign test gave s
+        return (m - X) / P if s <= 0 else (j - Y) / Q
+
     events = []
     for crossing in range(1, max_crossings + 1):
-        if inv_q is None:
-            t, hit_x, hit_y = ((one - x) if right else x) * inv_p, True, False
-        elif inv_p is None:
-            t, hit_x, hit_y = ((one - y) if up else y) * inv_q, False, True
+        s = _sign(U, V, d)
+        if s < 0:
+            sq = step_x[sq - 1]
+            U += Qa
+            V += Qb
+            m += 1
+        elif s > 0:
+            sq = step_y[sq - 1]
+            U -= Pa
+            V -= Pb
+            j += 1
         else:
-            tx = ((one - x) if right else x) * inv_p
-            ty = ((one - y) if up else y) * inv_q
-            if tx == ty:
-                t, hit_x, hit_y = tx, True, True
-            elif tx < ty:
-                t, hit_x, hit_y = tx, True, False
-            else:
-                t, hit_x, hit_y = ty, False, True
-        time = time + t
-        # the coordinate that hit a wall is exactly 0 or 1 in the square entered
-        if hit_x and hit_y:
+            m += 1
+            j += 1
             if singular[_corner_square(o, sq, int(right), int(up)) - 1]:
-                return TraceResult(False, True, crossing, time, None, radicand, tuple(events))
+                return TraceResult(False, True, crossing, time(s), None, radicand, tuple(events))
             # regular corner: the commutator fixes it, so the horizontal and
             # vertical steps commute there and either order reaches the diagonal
             # square, entered at that same regular corner
             sq = step_y[step_x[sq - 1] - 1]
-            x, y = enter_x, enter_y
-        else:
-            if hit_x:
-                sq = step_x[sq - 1]
-                x, y = enter_x, y + t * q
-            else:
-                sq = step_y[sq - 1]
-                x, y = x + t * p, enter_y
-            # a trajectory running along a grid line passes through lattice corners;
-            # those are surface vertices and must stop the orbit when singular
-            if x in walls and y in walls:
-                if singular[_corner_square(o, sq, int(x == one), int(y == one)) - 1]:
-                    return TraceResult(False, True, crossing, time, None, radicand, tuple(events))
-        state = (sq, x, y)
+            U, V = Qa - Pa, Qb - Pb
+        if grid_corner and singular[_corner_square(o, sq, *grid_corner) - 1]:
+            return TraceResult(False, True, crossing, time(s), None, radicand, tuple(events))
         if record_events:
-            events.append((time, sq, x, y))
+            t = time(s)
+            ex = zero if s <= 0 else X + P * t - m
+            ey = zero if s >= 0 else Y + Q * t - j
+            events.append((t, sq, ex if p >= 0 else one - ex, ey if q >= 0 else one - ey))
+        state = (sq, U, V)
         if state in seen:
-            return TraceResult(True, False, crossing, time, time - seen[state], radicand, tuple(events))
-        seen[state] = time
-    return TraceResult(False, False, max_crossings, time, None, radicand, tuple(events))
+            m0, j0 = seen[state]
+            period = (m - m0) / P if s <= 0 else (j - j0) / Q
+            return TraceResult(True, False, crossing, time(s), period, radicand, tuple(events))
+        seen[state] = (m, j)
+    return TraceResult(False, False, max_crossings, time(s), None, radicand, tuple(events))
 
 
 @dataclass(frozen=True)

@@ -29,15 +29,24 @@ from typing import NamedTuple
 
 
 def _square_part(d: int) -> int:
-    """Largest s with s² dividing d."""
+    """Largest s with s² dividing d (1 when d < 2), in O(d^(1/3)) steps.
+
+    Trial division takes out every factor k while k³ ≤ the cofactor r left.
+    Then each prime factor of r is at least k > r^(1/3), so r has at most two,
+    and it has a square part exactly when it is a prime squared.
+    """
     s = 1
     k = 2
-    while k * k <= d:
-        while d % (k * k) == 0:
-            d //= k * k
-            s *= k
+    while k * k * k <= d:
+        if d % k == 0:
+            e = 0
+            while d % k == 0:
+                d //= k
+                e += 1
+            s *= k ** (e // 2)
         k += 1
-    return s
+    r = math.isqrt(d) if d > 1 else 1
+    return s * r if r * r == d else s
 
 
 def _check_d(d: int) -> int:

@@ -513,6 +513,12 @@ class TestCLI:
         assert data["field"] == "Q[sqrt(5)]" and data["twist_powers"] == [4, 4]
         assert data["stratum"] == "H(2)"
 
+    def test_lshape_with_a_fifteen_digit_prime_discriminant(self):
+        # squarefreeness by trial division to the cube root, not the square root
+        code, out, err = run_cli("lshape", "--d", "100000000000031")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["field"] == "Q[sqrt(100000000000031)]"
+
     def test_lshape_shifted(self):
         code, out, _ = run_cli("lshape", "--d", "5", "--shift", "1/3")
         data = json.loads(out)
@@ -654,6 +660,20 @@ class TestCLI:
          ("flow", "discrepancy", ST3)],
     )
     def test_a_value_the_subcommand_does_not_read_is_an_input_error(self, argv):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("enumerate", "--n=--"), ("flow", ST3, "--dir=--"), ("flow", ST3, "--start=--"),
+         ("flow", ST3, "--max=--"), ("catalog", "query", "--path=--"), ("lshape", "--d=--"),
+         ("strata-dim", "--abelian=--")],
+    )
+    def test_the_value_double_dash_is_an_input_error(self, argv, tmp_path, monkeypatch):
+        # Pythons that drop the "--" leave no value; the others pass "--" on
+        # to the subcommand, which rejects it (no file "--" exists here)
+        monkeypatch.chdir(tmp_path)
         code, out, err = run_cli(*argv)
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -191,6 +191,6 @@ def in_one_scratch_directory(tmp_path_factory):
 @example(["info", "a\nb"])
 @example(["flow", "1; h=(); v=()", "a\nb"])
 @example(["-h"])
-@example(["enumerate", "--n=--"])  # argparse reads the value "--" as an empty list: exit 2
+@example(["enumerate", "--n=--"])  # the value "--", which argparse may drop: an input error, exit 1
 def test_cli_gives_json_or_one_error_line(argv):
     check(argv)

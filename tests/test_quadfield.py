@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from origamis.quadfield import QuadMatrix, QuadNum, minimal_poly_degree
+from origamis.quadfield import QuadMatrix, QuadNum, _square_part, minimal_poly_degree
 
 PHI = QuadNum(F(1, 2), F(1, 2), 5)
 RT2 = QuadNum.sqrt(2)
@@ -307,3 +307,35 @@ class TestTrustedResults:
             results.append(r / x)
         for res in results:
             _same_fields(res)
+
+
+def _square_part_by_trial_to_sqrt(d):
+    """The square part by trial division of k² up to √d, the previous loop."""
+    s = 1
+    k = 2
+    while k * k <= d:
+        while d % (k * k) == 0:
+            d //= k * k
+            s *= k
+        k += 1
+    return s
+
+
+class TestSquarePart:
+    def test_matches_trial_division_to_the_square_root(self):
+        assert all(_square_part(d) == _square_part_by_trial_to_sqrt(d) for d in range(-3, 100_000))
+
+    @pytest.mark.parametrize("p", [10_007, 65_521, 99_991])
+    @pytest.mark.parametrize("c", [1, 2, 3, 6, 7, 10_009, 4 * 3])
+    def test_large_prime_squares(self, p, c):
+        # the cofactor left after trial division is p², p²·c or p·c with p above its cube root
+        assert _square_part(p * p * c) == _square_part_by_trial_to_sqrt(p * p * c)
+        assert _square_part(p * c) == _square_part_by_trial_to_sqrt(p * c)
+
+    def test_fifteen_digit_radicands(self):
+        p, q = 1_000_003, 999_983  # primes
+        assert _square_part(100_000_000_000_031) == 1  # prime
+        assert _square_part(p * q) == 1
+        assert _square_part(p * p) == p
+        assert _square_part(7 * p * p) == p
+        assert _square_part(4 * 9 * p * q) == 6

@@ -1,11 +1,17 @@
-"""The division-free trace loop against the loop it replaced.
+"""The chord-invariant trace loop against an older loop that moves the point.
 
-`reference_trace` is the previous `flow.trace`, kept verbatim: it divides by
-the direction at every crossing, moves both coordinates and makes two ordered
-comparisons. The package's `trace` must return the same result, events
-included, on every input, and raise the same error where it raises.
-`_coerce_scalars` is the flow module's scalar coercion of the same version,
-kept verbatim with it so that the reference loop is whole.
+The package's `trace` keeps, per crossing, only the chord of the square the
+flow runs on, as an integer pair, and rebuilds times and points from wall
+counts. `reference_trace` is an earlier `flow.trace`, kept verbatim: it
+divides by the direction at every crossing, moves both coordinates and makes
+two ordered comparisons. The package's `trace` must return the same result,
+events, time types and field included, on every input, and raise the same
+error where it raises. The strategies cover generic starts, axis directions,
+directions through lattice corners, and starts on a wall (the one the flow
+enters by or the one it leaves by), with axis directions along a grid line;
+one test follows a quadratic direction for 2 000 recorded crossings.
+`_coerce_scalars` is the flow module's scalar coercion of the reference's
+version, kept verbatim with it so that the reference loop is whole.
 """
 
 from fractions import Fraction
@@ -181,6 +187,25 @@ def corner_starts(draw, o):
     return FlowState(draw(st.integers(1, o.n)), pos, (c * u, c * v))
 
 
+@st.composite
+def wall_starts(draw, o):
+    """One coordinate exactly 0 or 1, so the start lies on the wall the flow
+    enters by or on the one it leaves by; an axis direction runs along that
+    grid line."""
+    d = draw(st.sampled_from(FIELDS))
+    wall = draw(st.sampled_from((F(0), F(1))))
+    other = draw(unit_quads(d))
+    speed = st.one_of(small_rationals.filter(bool), st.sampled_from((QuadNum(0, 1, d), QuadNum(1, -1, d))))
+    kind = draw(st.sampled_from(("oblique", "vertical", "horizontal")))
+    if kind == "vertical":
+        return FlowState(draw(st.integers(1, o.n)), (wall, other), (0, draw(speed)))
+    if kind == "horizontal":
+        return FlowState(draw(st.integers(1, o.n)), (other, wall), (draw(speed), 0))
+    direction = (draw(speed), draw(speed))
+    pos = (wall, other) if draw(st.booleans()) else (other, wall)
+    return FlowState(draw(st.integers(1, o.n)), pos, direction)
+
+
 def _check(data, starts):
     o = data.draw(origamis())
     start = data.draw(starts(o))
@@ -208,6 +233,11 @@ def test_corner_directions_match_the_reference(data):
     _check(data, corner_starts)
 
 
+@given(st.data())
+def test_wall_starts_match_the_reference(data):
+    _check(data, wall_starts)
+
+
 def test_bad_bound_matches_the_reference():
     o = Origami(Permutation((2, 1)), Permutation((1, 2)))
     start = FlowState(1, (F(1, 3), F(1, 5)), (F(1), F(2)))
@@ -229,3 +259,16 @@ def test_quadratic_singular_end_matches_the_reference():
             assert got.radicand == 4 and got.total_time.b != 0
             ends.add(got.singular)
     assert ends == {True}
+
+
+def test_long_quadratic_orbit_matches_the_reference_event_by_event():
+    # 2 000 crossings of two quadratic slopes, where the chord pair (U, V)
+    # grows with every crossing and no state recurs
+    o = Origami(Permutation((2, 3, 4, 5, 1)), Permutation((1, 3, 2, 5, 4)))
+    for start in (
+        FlowState(2, (F(1, 3), F(2, 7)), (F(1), QuadNum(0, 1, 5))),
+        FlowState(4, (F(0), F(5, 9)), (QuadNum(-1, 1, 2), F(-2, 3))),
+    ):
+        got = trace(o, start, 2000, record_events=True)
+        assert repr(got) == repr(reference_trace(o, start, 2000, record_events=True))
+        assert (got.periodic, got.singular, got.crossings, len(got.events)) == (False, False, 2000, 2000)
