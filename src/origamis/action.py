@@ -98,7 +98,9 @@ def word_for_matrix(M) -> SL2ZWord:
     """A word in T, S whose matrix equals M exactly (M in SL₂(ℤ)).
 
     Euclid on the first column: T-powers shrink the top entry mod the bottom
-    one, S swaps rows; what remains is ±T^k, and -I = S².
+    one, S swaps rows; what remains is ±T^k, and -I = S². Quotients round
+    toward zero, the classical Euclid on |a|, |c| in O(log) steps; floored,
+    they would shrink |c| by one per step after S⁻¹ flips a sign.
     """
     a, b = M[0]
     c, d = M[1]
@@ -106,7 +108,9 @@ def word_for_matrix(M) -> SL2ZWord:
         raise ValueError(f"matrix {M} is not in SL2(Z)")
     gens: list[str] = []  # left factors applied to M, in application order
     while c != 0:
-        q = a // c
+        q = abs(a) // abs(c)
+        if (a < 0) != (c < 0):
+            q = -q
         if q:
             # T^-q * M
             a, b = a - q * c, b - q * d

@@ -215,6 +215,14 @@ def discrepancy(o: Origami, slope: float, crossings: int, grid: int) -> float:
     of the orbit of slope ``slope`` (direction (1, slope)) and the uniform
     one, over a grid×grid subdivision of every square.
 
+    Scaled by ``grid``, the subdivision is itself an origami of n·grid² unit
+    cells, and the orbit walks it cell to cell (Amanatides–Woo): ``tx`` and
+    ``ty`` are the times left to the next column and row wall. Each step
+    crosses the nearer wall (the column wall on a tie), gives that time to the
+    cell it leaves and resets the crossed wall's time, to 1 for a column and
+    1/|slope| for a row. Leaving a square is one crossing; at its corner the
+    row wall follows the column wall after zero time, a second crossing.
+
     Floating point on purpose: this is a statistic, not a certificate.
     """
     if crossings < 1 or grid < 1:
@@ -222,61 +230,36 @@ def discrepancy(o: Origami, slope: float, crossings: int, grid: int) -> float:
     if not math.isfinite(slope):
         raise ValueError("slope must be finite")
     g = grid
-    inv_g = 1.0 / g
-    dy = float(slope)  # direction (1, slope), so time to the x-walls is just distance
-    inf = float("inf")
-    step_y = inv_g / dy if dy > 0 else (-inv_g / dy if dy < 0 else inf)
-    sq, x, y = 1, 0.0, 0.31830988618367195  # fixed generic start height
+    up = slope > 0
+    row_time = 1.0 / abs(slope) if slope else math.inf
+    y = 0.31830988618367195 * g  # fixed generic start height, in rows
+    i, j, sq = 0, int(y), 1
+    tx, ty = 1.0, (j + 1 - y if up else y - j) * row_time
+    j_entry, j_exit, dj = (0, g - 1, 1) if up else (g - 1, 0, -1)
+    step_h = o.h.images
+    step_v = (o.v if up else o.v.inverse()).images
     cells = [0.0] * (o.n * g * g)
-    h_img = o.h.images
-    v_img = o.v.images
-    vinv = o.v.inverse().images
-    total = 0.0
-    for _ in range(crossings):
-        tx = 1.0 - x
-        ty = ((1.0 - y) / dy) if dy > 0 else ((-y) / dy if dy < 0 else inf)
-        t_exit = tx if tx <= ty else ty
-        # walk the sub-grid walls, merging the two arithmetic progressions
-        base = (sq - 1) * g * g
-        ix = min(g - 1, int(x * g))
-        iy = min(g - 1, int(y * g))
-        t_wall_x = (ix + 1) * inv_g - x
-        if dy > 0:
-            t_wall_y = ((iy + 1) * inv_g - y) / dy
-        elif dy < 0:
-            t_wall_y = (iy * inv_g - y) / dy
-        else:
-            t_wall_y = inf
-        t0 = 0.0
-        while True:
-            if t_wall_x < t_wall_y:
-                t1 = t_wall_x
-            else:
-                t1 = t_wall_y
-            if t1 >= t_exit:
-                cells[base + iy * g + ix] += t_exit - t0
-                break
-            cells[base + iy * g + ix] += t1 - t0
-            t0 = t1
-            if t_wall_x <= t_wall_y:
-                ix += 1
-                t_wall_x += inv_g
-                if ix >= g:
-                    ix = g - 1
-            if t_wall_y <= t0:
-                iy += 1 if dy > 0 else -1
-                t_wall_y += step_y
-                iy = min(g - 1, max(0, iy))
-        total += t_exit
+    while crossings:
+        cell = ((sq - 1) * g + j) * g + i
         if tx <= ty:
-            sq, x = h_img[sq - 1], 0.0
-            y = min(max(y + t_exit * dy, 0.0), 1.0)
-        else:
-            x = min(x + t_exit, 1.0)
-            if dy > 0:
-                sq, y = v_img[sq - 1], 0.0
+            cells[cell] += tx
+            ty -= tx
+            tx = 1.0
+            if i == g - 1:
+                sq, i = step_h[sq - 1], 0
+                crossings -= 1
             else:
-                sq, y = vinv[sq - 1], 1.0
+                i += 1
+        else:
+            cells[cell] += ty
+            tx -= ty
+            ty = row_time
+            if j == j_exit:
+                sq, j = step_v[sq - 1], j_entry
+                crossings -= 1
+            else:
+                j += dj
+    total = sum(cells)
     u = 1.0 / len(cells)
     return 0.5 * sum(abs(c / total - u) for c in cells)
 

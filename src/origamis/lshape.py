@@ -21,7 +21,7 @@ from typing import Optional
 from .cylinders import QuadCylinder
 from .intlattice import rational_hermite_form
 from .origami import Stratum
-from .quadfield import QuadMatrix, QuadNum, _square_part, in_one_field, minimal_poly_degree
+from .quadfield import MAX_D, QuadMatrix, QuadNum, _square_part, in_one_field, minimal_poly_degree
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,8 @@ class LSurface:
     def from_discriminant(d: int, shift=0) -> "LSurface":
         """The surface L(a,1) with a = (1+√d)/2; square d gives the rational,
         parallelogram-tiled members of the family."""
-        if d < 2:
-            raise ValueError(f"need d >= 2, got {d}")
+        if not 2 <= d <= MAX_D:
+            raise ValueError(f"need 2 <= d <= {MAX_D}, got {d}")
         s = _square_part(d)
         core = d // (s * s)
         if core == 1:

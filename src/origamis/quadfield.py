@@ -49,11 +49,16 @@ def _square_part(d: int) -> int:
     return s * r if r * r == d else s
 
 
+# the largest radicand d accepted: _square_part's trial division then takes
+# at most 10⁶ steps
+MAX_D = 10**18
+
+
 def _check_d(d: int) -> int:
     if not isinstance(d, int) or isinstance(d, bool):
         raise TypeError(f"d must be an int, got {d!r}")
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+    if not 2 <= d <= MAX_D:
+        raise ValueError(f"d must satisfy 2 <= d <= {MAX_D}, got {d}")
     s = _square_part(d)
     if s != 1:
         raise ValueError(

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from math import gcd, inf
+from math import gcd, inf, log2
 
 import pytest
 from hypothesis import given
@@ -131,6 +131,20 @@ class TestActionFormulas:
         assert apply_word(w, o) == expected
 
 
+def _assert_short_word(p, q):
+    """word_for_matrix of an SL₂(ℤ) matrix with first column (p, q) gives
+    that matrix, with O(log max(|p|, |q|)) S letters."""
+    if q:
+        a = pow(p, -1, abs(q))  # a·p + b·q = 1
+        M = ((p, -((1 - a * p) // q)), (q, a))
+    else:
+        M = ((p, 0), (0, p))
+    word = word_for_matrix(M)
+    assert word.matrix == M
+    s_letters = sum(g in ("S", "S^-1") for g in word.gens)
+    assert s_letters <= 1.5 * log2(max(abs(p), abs(q)) + 1) + 4
+
+
 class TestWords:
     def test_generator_matrices(self):
         assert T_WORD.matrix == ((1, 1), (0, 1))
@@ -149,6 +163,21 @@ class TestWords:
     def test_non_unimodular_rejected(self):
         with pytest.raises(ValueError):
             word_for_matrix(((2, 0), (0, 1)))
+
+    # first columns whose words have short T-runs: with floored quotients the
+    # first three took |p| Euclid steps (as many S letters); the last two are
+    # consecutive Fibonacci and Pell numbers, whose quotients are all 1 and 2
+    LARGE_COLUMNS = [(10**4, -9999), (-10**4, 9999), (1000, -999), (37889062373143906, 23416728348467685),
+                     (299713796309065, 124145519261542)]
+
+    @pytest.mark.parametrize("p, q", LARGE_COLUMNS)
+    def test_euclid_takes_logarithmically_many_steps(self, p, q):
+        _assert_short_word(p, q)
+
+    @given(st.integers(-10**4, 10**4), st.integers(-10**4, 10**4))
+    def test_euclid_steps_on_random_columns(self, p, q):
+        if gcd(p, q) == 1:
+            _assert_short_word(p, q)
 
     def test_free_reduction(self):
         w = SL2ZWord(("T", "T^-1", "S", "S^-1", "S", "T"))

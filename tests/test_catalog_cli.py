@@ -519,6 +519,17 @@ class TestCLI:
         assert (code, err) == (0, "")
         assert json.loads(out)["field"] == "Q[sqrt(100000000000031)]"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--d", "1000000000000000000000007"), "need 2 <= d"),
+            (("--d", "5", "--shift", "sqrt(1000000000000000000000007)"), "d must satisfy 2 <= d"),
+        ],
+    )
+    def test_lshape_rejects_a_radicand_above_the_bound(self, argv, message):
+        code, out, err = run_cli("lshape", *argv)
+        assert (code, out, err) == (1, "", f"error: {message} <= 1000000000000000000, got 1000000000000000000000007\n")
+
     def test_lshape_shifted(self):
         code, out, _ = run_cli("lshape", "--d", "5", "--shift", "1/3")
         data = json.loads(out)

@@ -256,6 +256,11 @@ class TestDiscrepancy:
     def test_rational_slope_does_not_decay(self):
         assert discrepancy(torus(), 1.0, 80_000, 10) > 0.1
 
+    def test_benchmarked_value(self):
+        # the value the benchmark's flow workload checks (perfbench/pinned.json)
+        got = discrepancy(st3(), GOLDEN, 10**5, 10)
+        assert math.isclose(got, 0.0013552236109744503, rel_tol=1e-9)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             discrepancy(torus(), 1.0, 0, 10)

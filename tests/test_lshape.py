@@ -15,7 +15,7 @@ from origamis.lshape import (
 )
 from origamis.intlattice import rational_hermite_form
 from origamis.origami import Stratum
-from origamis.quadfield import QuadNum, minimal_poly_degree
+from origamis.quadfield import MAX_D, QuadNum, minimal_poly_degree
 
 DS = (2, 3, 5, 7, 13)
 
@@ -41,6 +41,13 @@ class TestConstruction:
             LSurface(2, shift=1)
         with pytest.raises(ValueError):
             LSurface.from_discriminant(1)
+
+    def test_discriminant_bound(self):
+        assert LSurface.from_discriminant(MAX_D).a == (1 + 10**9) / F(2)  # 10¹⁸ is a square
+        assert LSurface.from_discriminant(999_999_999_999_999_989).a.d == 999_999_999_999_999_989
+        for bad in (MAX_D + 1, 10**24 + 7):
+            with pytest.raises(ValueError, match=f"need 2 <= d <= {MAX_D}, got {bad}"):
+                LSurface.from_discriminant(bad)
 
     def test_generic_a_has_no_discriminant(self):
         assert LSurface(1 + QuadNum.sqrt(2)).discriminant is None

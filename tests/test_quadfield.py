@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from origamis.quadfield import QuadMatrix, QuadNum, _square_part, minimal_poly_degree
+from origamis.quadfield import MAX_D, QuadMatrix, QuadNum, _square_part, minimal_poly_degree
 
 PHI = QuadNum(F(1, 2), F(1, 2), 5)
 RT2 = QuadNum.sqrt(2)
@@ -67,6 +67,15 @@ class TestArithmetic:
             QuadNum(0, 1, 8)
         with pytest.raises(ValueError):
             QuadNum(0, 1, 9)
+
+    def test_radicand_bound(self):
+        # trial division to d^(1/3) stays under 10⁶ steps
+        assert QuadNum.sqrt(999_999_999_999_999_989).d == 999_999_999_999_999_989  # an 18-digit prime
+        for bad in (MAX_D + 1, 10**24 + 7):
+            with pytest.raises(ValueError, match=f"d must satisfy 2 <= d <= {MAX_D}, got {bad}"):
+                QuadNum.sqrt(bad)
+        with pytest.raises(ValueError, match="d must satisfy 2 <= d <="):
+            QuadNum.parse("1 + sqrt(1000000000000000000000007)")
 
     def test_ordering_mixed_signs(self):
         assert QuadNum(-1, 1, 2) > 0  # √2 > 1
