@@ -15,6 +15,7 @@ vector (p, q); geometric length is then (elapsed time)·√(p²+q²).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -209,19 +210,41 @@ def direction_is_periodic(o: Origami, p: int, q: int) -> PeriodicityWitness:
 
 # -- empirical equidistribution ------------------------------------------------------
 
+# the largest number n·grid² of grid cells `discrepancy` accepts
+MAX_CELLS = 10**7
+
 
 def discrepancy(o: Origami, slope: float, crossings: int, grid: int) -> float:
     """Total-variation distance between the empirical visit-time distribution
     of the orbit of slope ``slope`` (direction (1, slope)) and the uniform
     one, over a grid×grid subdivision of every square.
 
-    Scaled by ``grid``, the subdivision is itself an origami of n·grid² unit
-    cells, and the orbit walks it cell to cell (Amanatides–Woo): ``tx`` and
-    ``ty`` are the times left to the next column and row wall. Each step
-    crosses the nearer wall (the column wall on a tie), gives that time to the
-    cell it leaves and resets the crossed wall's time, to 1 for a column and
-    1/|slope| for a row. Leaving a square is one crossing; at its corner the
-    row wall follows the column wall after zero time, a second crossing.
+    The orbit starts in square 1 on the left wall at height
+    0.31830988618367195. Mirrored when slope < 0 (v⁻¹ in place of v), it runs
+    right and up, so each square crossing is one straight segment entering
+    through the left wall at height t or the bottom wall at x = t. A left
+    entry exits right at height t + |slope| when that is at most 1 (the column
+    wall goes first on a tie), else through the top at x = (1 − t)/|slope|; a
+    bottom entry exits through the top at x = t + 1/|slope| when that is below
+    1, else right at height (1 − t)·|slope|. Leaving a square is one crossing;
+    at a corner the second crossing follows after zero time.
+
+    Transits are tallied by entry interval. The offsets where the segment
+    passes a grid vertex, (m − |slope|·k)/grid on the left wall and
+    (m − k/|slope|)/grid on the bottom one for 0 ≤ k, m ≤ grid, cut each wall
+    into intervals; on one interval the segment crosses the same cells for
+    times affine in t. So a crossing is one bisection into its (square, wall,
+    interval) bucket, a count and an offset sum, and the exit map; afterwards
+    the N transits of each used bucket give every cell N times the time of
+    one segment from their mean offset, found by a cell-to-cell walk of that
+    segment (Amanatides–Woo) on the grid scaled to unit cells. Rows are
+    counted in the mirrored frame, which the statistic does not see.
+
+    Cost: about crossings·log(grid) steps, plus at most
+    min(crossings, 2n(grid+1)²) segment walks of about
+    grid·(1 + min(|slope|, 1/|slope|)) cells each. Memory: n·grid² cell times
+    and a count and an offset sum for each of at most 2n(grid+1)² buckets.
+    n·grid² above MAX_CELLS is a ValueError.
 
     Floating point on purpose: this is a statistic, not a certificate.
     """
@@ -229,36 +252,77 @@ def discrepancy(o: Origami, slope: float, crossings: int, grid: int) -> float:
         raise ValueError("need crossings >= 1 and grid >= 1")
     if not math.isfinite(slope):
         raise ValueError("slope must be finite")
-    g = grid
-    up = slope > 0
-    row_time = 1.0 / abs(slope) if slope else math.inf
-    y = 0.31830988618367195 * g  # fixed generic start height, in rows
-    i, j, sq = 0, int(y), 1
-    tx, ty = 1.0, (j + 1 - y if up else y - j) * row_time
-    j_entry, j_exit, dj = (0, g - 1, 1) if up else (g - 1, 0, -1)
-    step_h = o.h.images
-    step_v = (o.v if up else o.v.inverse()).images
-    cells = [0.0] * (o.n * g * g)
-    while crossings:
-        cell = ((sq - 1) * g + j) * g + i
-        if tx <= ty:
-            cells[cell] += tx
-            ty -= tx
-            tx = 1.0
-            if i == g - 1:
-                sq, i = step_h[sq - 1], 0
-                crossings -= 1
+    n, g = o.n, grid
+    if n * g * g > MAX_CELLS:
+        raise ValueError(f"need n*grid**2 <= {MAX_CELLS} cells, got {n * g * g}")
+    s = abs(slope)
+    r = 1.0 / s if s else math.inf  # time to rise one square (a row in cell units); across takes 1
+
+    def breakpoints(a):  # a = |slope| on the left wall, 1/|slope| on the bottom wall
+        # the wall's own grid points (k = 0), then the offsets that reach a
+        # grid vertex k columns or rows on, of which an infinite a has none
+        offsets = [m / g for m in range(g + 1)]
+        if a < math.inf:
+            offsets += [(m - a * k) / g for k in range(1, g + 1) for m in range(g + 1)]
+        return sorted(b for b in offsets if 0.0 <= b <= 1.0)
+
+    left_walls, bottom_walls = breakpoints(s), breakpoints(r)
+    nl, nb = len(left_walls) + 1, len(bottom_walls) + 1
+    left_count, left_sum = [0] * (n * nl), [0.0] * (n * nl)
+    bottom_count, bottom_sum = [0] * (n * nb), [0.0] * (n * nb)
+    step_h = [x - 1 for x in o.h.images]
+    step_v = [x - 1 for x in (o.v.inverse() if slope < 0 else o.v).images]
+    y0 = 0.31830988618367195  # fixed generic start height
+    t = 1.0 - y0 if slope < 0 else y0
+    sq, left = 0, True
+    for _ in range(crossings):
+        if left:
+            k = sq * nl + bisect_right(left_walls, t)
+            left_count[k] += 1
+            left_sum[k] += t
+            e = t + s
+            if e <= 1.0:
+                sq, t = step_h[sq], e
             else:
-                i += 1
+                sq, t, left = step_v[sq], (1.0 - t) * r, False
         else:
-            cells[cell] += ty
-            tx -= ty
-            ty = row_time
-            if j == j_exit:
-                sq, j = step_v[sq - 1], j_entry
-                crossings -= 1
+            k = sq * nb + bisect_right(bottom_walls, t)
+            bottom_count[k] += 1
+            bottom_sum[k] += t
+            e = t + r
+            if e < 1.0:
+                sq, t = step_v[sq], e
             else:
-                j += dj
+                sq, t, left = step_h[sq], (1.0 - t) * s, True
+
+    cells = [0.0] * (n * g * g)
+
+    def walk(sq, x, y, w):
+        # one segment from (x, y), in cells, to where it leaves square sq; tx
+        # and ty are the times left to the next column and row wall, and the
+        # nearer one is crossed (the column wall on a tie); an offset of 1 is a
+        # corner, a segment of zero time, kept in the last column or row
+        i, j = min(int(x), g - 1), min(int(y), g - 1)
+        tx, ty = i + 1 - x, (j + 1 - y) * r
+        base = sq * g * g
+        while True:
+            if tx <= ty:
+                cells[base + j * g + i] += w * tx
+                if i == g - 1:
+                    return
+                i, ty, tx = i + 1, ty - tx, 1.0
+            else:
+                cells[base + j * g + i] += w * ty
+                if j == g - 1:
+                    return
+                j, tx, ty = j + 1, tx - ty, r
+
+    for k, w in enumerate(left_count):
+        if w:
+            walk(k // nl, 0.0, left_sum[k] / w * g, w)
+    for k, w in enumerate(bottom_count):
+        if w:
+            walk(k // nb, bottom_sum[k] / w * g, 0.0, w)
     total = sum(cells)
     u = 1.0 / len(cells)
     return 0.5 * sum(abs(c / total - u) for c in cells)

@@ -21,7 +21,7 @@ from typing import Optional
 from .cylinders import QuadCylinder
 from .intlattice import rational_hermite_form
 from .origami import Stratum
-from .quadfield import MAX_D, QuadMatrix, QuadNum, _square_part, in_one_field, minimal_poly_degree
+from .quadfield import MAX_D, QuadMatrix, QuadNum, _quad, _square_part, in_one_field, minimal_poly_degree
 
 
 @dataclass(frozen=True)
@@ -45,11 +45,11 @@ class LSurface:
         if not 2 <= d <= MAX_D:
             raise ValueError(f"need 2 <= d <= {MAX_D}, got {d}")
         s = _square_part(d)
-        core = d // (s * s)
+        core = d // (s * s)  # squarefree, since s² is the largest square dividing d
         if core == 1:
-            a = QuadNum(Fraction(1 + s, 2), 0, 2)
+            a = _quad(Fraction(1 + s, 2), Fraction(0), 2)
         else:
-            a = QuadNum(Fraction(1, 2), Fraction(s, 2), core)
+            a = _quad(Fraction(1, 2), Fraction(s, 2), core)
         return LSurface(a, shift)
 
     @cached_property
@@ -65,7 +65,7 @@ class LSurface:
 def horizontal_cylinders(L: LSurface) -> list[QuadCylinder]:
     """Bottom cylinder a wide and 1 tall, top cylinder 1 wide and a-1 tall;
     the shift slides the top cylinder without changing either."""
-    one = QuadNum(1, 0, L.a.d)
+    one = L.a - L.a + 1  # in a's field, whose d is checked already
     return [QuadCylinder(L.a, one), QuadCylinder(one, L.a - 1)]
 
 
@@ -74,7 +74,7 @@ def vertical_cylinders(L: LSurface) -> list[QuadCylinder]:
     lines over [0,1] close up after 1 + (a-1) = a, those over [1,a] after 1."""
     if L.shift != 0:
         raise ValueError("vertical cylinders are only computed for the unshifted surface")
-    one = QuadNum(1, 0, L.a.d)
+    one = L.a - L.a + 1
     return [QuadCylinder(one + (L.a - 1), one), QuadCylinder(one, L.a - 1)]
 
 
@@ -103,8 +103,8 @@ def veech_generators(L: LSurface) -> tuple[QuadMatrix, QuadMatrix]:
         raise ValueError(f"a = {L.a} is not of the form (1+sqrt(d))/2")
     t = 4 * L.a
     assert twist_powers(L, t) == (4, L.discriminant - 1)
-    one = QuadNum(1, 0, L.a.d)
-    zero = QuadNum(0, 0, L.a.d)
+    zero = L.a - L.a
+    one = zero + 1
     return (
         QuadMatrix(one, t, zero, one),
         QuadMatrix(one, zero, t, one),
@@ -238,8 +238,8 @@ def _walk_cone_angles(polygons, gluings) -> list[int]:
 
 
 def _lshape_complex(a: QuadNum, s: QuadNum):
-    zero = QuadNum(0, 0, a.d)
-    one = QuadNum(1, 0, a.d)
+    zero = a - a
+    one = zero + 1
     # the column sits over [-s, 1-s]; every gluing is in place up to a shift
     # by the full width a, so vertical lines over [0, 1-s] and [a-s, a] run
     # through both rectangles while those over [1-s, a-s] close after height 1;

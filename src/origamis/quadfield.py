@@ -207,7 +207,7 @@ class QuadNum:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("only non-negative integer powers")
-        out = QuadNum(1, 0, self.d)
+        out = _quad(Fraction(1), _ZERO, self.d)
         base = self
         while k:
             if k & 1:
@@ -301,17 +301,20 @@ def in_one_field(*values, rational_d: int | None = None) -> tuple:
     With one irrational radicand among them, all come back as QuadNums over
     it; a rational is the same number in every field, so a rational QuadNum
     of another d is moved. With none, they come back as Fractions, or as
-    QuadNums over ``rational_d`` when it is given. Two radicands are a
-    ValueError naming both fields.
+    QuadNums over ``rational_d`` when it is given, which is checked; the d of
+    a QuadNum was checked when it was built. Two radicands are a ValueError
+    naming both fields.
     """
     exact = [v if isinstance(v, QuadNum) else exact_rational(v) for v in values]
     ds = sorted({v.d for v in exact if isinstance(v, QuadNum) and v.b})
     if len(ds) > 1:
         raise ValueError(f"values lie in two fields, Q[sqrt({ds[0]})] and Q[sqrt({ds[1]})]")
-    d = ds[0] if ds else rational_d
-    if d is None:
+    if ds:
+        d = ds[0]
+    elif rational_d is None:
         return tuple(v.a if isinstance(v, QuadNum) else v for v in exact)
-    d = _check_d(d)
+    else:
+        d = _check_d(rational_d)
     return tuple(_quad(v.a, v.b, d) if isinstance(v, QuadNum) else _quad(v, _ZERO, d) for v in exact)
 
 
@@ -320,7 +323,7 @@ class MinimalPoly(NamedTuple):
     coeffs: tuple[Fraction, ...]  # ascending, monic: coeffs[-1] == 1
 
     def __call__(self, x):
-        out = QuadNum(0, 0, x.d) if isinstance(x, QuadNum) else Fraction(0)
+        out = _quad(_ZERO, _ZERO, x.d) if isinstance(x, QuadNum) else Fraction(0)
         for c in reversed(self.coeffs):
             out = out * x + c
         return out

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 import os
@@ -460,6 +461,10 @@ class TestCLI:
         assert (code, err) == (0, "")
         assert out == json.dumps(discrepancy(parse_origami(origami), float(slope), 5000, 7)) + "\n"
 
+    def test_discrepancy_rejects_a_grid_beyond_the_cell_bound(self):
+        code, out, err = run_cli("discrepancy", ST3, "--grid", "1000000")
+        assert (code, out, err) == (1, "", "error: need n*grid**2 <= 10000000 cells, got 3000000000000\n")
+
     @pytest.mark.parametrize("slope", ["inf", "nan", "-inf"])
     def test_discrepancy_rejects_non_finite_slope(self, slope):
         import origamis
@@ -529,6 +534,40 @@ class TestCLI:
     def test_lshape_rejects_a_radicand_above_the_bound(self, argv, message):
         code, out, err = run_cli("lshape", *argv)
         assert (code, out, err) == (1, "", f"error: {message} <= 1000000000000000000, got 1000000000000000000000007\n")
+
+    @pytest.mark.parametrize(
+        "d, sha256",
+        [
+            ("2", "b180bf9f0be84900ee52bfb7ebe5699770d383de9001496cac1e0fbaa639720b"),
+            ("5", "b7f1fff0bf748511fa5034caa58c6a173b98694fa8fc7a1f664b60f7aa5d967f"),
+            ("8", "34f239d77300b5d91420db96f5da57222bab51551821ecd6bc9bf65a36b8e31e"),
+            ("13", "9a8b36bd136987ae8c83cc0e2ebca8c823d35011bf52390f33486fa85d73c707"),
+            ("999999999999999989", "bf3dbcfd0289581c9c8263e248e71ae3a4efaaca86850fcf29964cce200afb55"),
+        ],
+    )
+    def test_lshape_output_bytes_are_pinned(self, d, sha256):
+        code, out, _ = run_cli("lshape", "--d", d)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == sha256
+
+    def test_lshape_checks_its_radicand_once(self, monkeypatch):
+        # the field's d is checked squarefree when a is built; every QuadNum
+        # made from a afterwards is trusted
+        from origamis import lshape, quadfield
+
+        checked = []
+        square_part = quadfield._square_part
+
+        def counted(d):
+            checked.append(d)
+            return square_part(d)
+
+        monkeypatch.setattr(quadfield, "_square_part", counted)
+        monkeypatch.setattr(lshape, "_square_part", counted)
+        assert run_cli("lshape", "--d", "5")[0] == 0
+        assert checked == [5]
+        checked.clear()
+        assert run_cli("lshape", "--d", "5", "--shift", "1/3")[0] == 0
+        assert checked == [2, 5]  # the shift is parsed as a QuadNum over d = 2
 
     def test_lshape_shifted(self):
         code, out, _ = run_cli("lshape", "--d", "5", "--shift", "1/3")

@@ -3,10 +3,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from origamis.action import apply_word, transport_direction, transport_point
 from origamis.cylinders import decomposition_in_direction, direction_to_horizontal
 from origamis.flow import (
+    MAX_CELLS,
     FlowState,
     ShearedSt3,
     direction_is_periodic,
@@ -261,6 +264,28 @@ class TestDiscrepancy:
         got = discrepancy(st3(), GOLDEN, 10**5, 10)
         assert math.isclose(got, 0.0013552236109744503, rel_tol=1e-9)
 
+    @given(
+        st.builds(random_origami, st.integers(1, 8), st.randoms(use_true_random=False)),
+        st.integers(1, 12),
+        st.sampled_from([0.0, -0.0]),
+        st.integers(1, 40),
+    )
+    def test_horizontal_orbit_in_closed_form(self, o, grid, slope, laps):
+        # the orbit is one horizontal line through the h-cycle of square 1, of
+        # length l; after whole laps its l·grid cells hold equal time and the
+        # other cells none, so the distance from uniform is 1 - l/(n·grid)
+        length, sq = 1, o.h(1)
+        while sq != 1:
+            length, sq = length + 1, o.h(sq)
+        got = discrepancy(o, slope, laps * length, grid)
+        assert abs(got - (1 - length / (o.n * grid))) <= 1e-12
+
     def test_validation(self):
         with pytest.raises(ValueError):
             discrepancy(torus(), 1.0, 0, 10)
+
+    def test_a_grid_beyond_the_cell_bound_is_refused(self):
+        # refused before the cell list of n·grid² floats is allocated
+        assert MAX_CELLS == 10**7
+        with pytest.raises(ValueError, match="cells, got 1000000000000"):
+            discrepancy(torus(), GOLDEN, 10, 10**6)
