@@ -260,10 +260,16 @@ def discrepancy(o: Origami, slope: float, crossings: int, grid: int) -> float:
 
     def breakpoints(a):  # a = |slope| on the left wall, 1/|slope| on the bottom wall
         # the wall's own grid points (k = 0), then the offsets that reach a
-        # grid vertex k columns or rows on, of which an infinite a has none
+        # grid vertex k columns or rows on, of which an infinite a has none;
+        # only a·k ≤ m ≤ grid lands on the wall, and the m just below a·k is
+        # kept so that the filter, not the range, decides the borderline one
         offsets = [m / g for m in range(g + 1)]
         if a < math.inf:
-            offsets += [(m - a * k) / g for k in range(1, g + 1) for m in range(g + 1)]
+            for k in range(1, g + 1):
+                ak = a * k
+                if ak > g:
+                    break
+                offsets += [(m - ak) / g for m in range(max(math.ceil(ak) - 1, 0), g + 1)]
         return sorted(b for b in offsets if 0.0 <= b <= 1.0)
 
     left_walls, bottom_walls = breakpoints(s), breakpoints(r)

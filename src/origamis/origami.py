@@ -90,9 +90,15 @@ class Origami:
     @cached_property
     def singular(self) -> tuple[bool, ...]:
         """singular[s-1] says whether the bottom-left corner of s is a cone
-        point, i.e. whether its commutator cycle is longer than one."""
-        c = self.commutator.images
-        return tuple(c[s - 1] != s for s in range(1, self.n + 1))
+        point, i.e. whether its commutator cycle is longer than one. Read off
+        the image tuples: h(v(h⁻¹(v⁻¹(s)))) != s."""
+        h, v = self.h.images, self.v.images
+        hinv = [0] * (self.n + 1)
+        vinv = [0] * (self.n + 1)
+        for s, (a, b) in enumerate(zip(h, v), 1):
+            hinv[a] = s
+            vinv[b] = s
+        return tuple(h[v[hinv[vinv[s]] - 1] - 1] != s for s in range(1, self.n + 1))
 
     def to_text(self) -> str:
         return f"{self.n}; h={self.h}; v={self.v}"
@@ -195,6 +201,9 @@ def stratum_dim_quadratic(orders, g: int) -> int:
 # -- canonical form --------------------------------------------------------------
 
 
+_LIVE_ROOTS = 64  # roots refined side by side: a key search holds O(64·n) labels
+
+
 def _canonical_key(
     h_img: tuple[int, ...], v_img: tuple[int, ...], minus_id: bool = False, bfs_labelled: bool = False
 ) -> tuple:
@@ -203,23 +212,30 @@ def _canonical_key(
     BFS from each square over the moves (h, h⁻¹, v, v⁻¹), relabeling squares
     in discovery order, makes the relabeling canonical given the root; taking
     the minimum over roots kills the root choice. Equality of keys is exactly
-    simultaneous-conjugation equivalence.
+    simultaneous-conjugation equivalence. (h, v) must act transitively.
 
-    With minus_id the roots of -I·(h, v) = (h⁻¹, v⁻¹) join the loop, and the
+    With minus_id the roots of -I·(h, v) = (h⁻¹, v⁻¹) join the search, and the
     key is the lesser of the keys of (h, v) and (h⁻¹, v⁻¹).
 
-    The h-key entry of a square is known as soon as it leaves the queue, so a
-    root is dropped at the first entry where its h-key exceeds the best one,
-    and stops comparing once it falls below; v-keys are compared only when
-    the h-keys tie.
+    The roots are refined in lockstep, one h-key entry per step (the entry of
+    a square is known as soon as it leaves its root's BFS queue), and only
+    the roots at the least entry go on. A root's first entry is 1 exactly
+    when h fixes it, so only h's fixed points start when h has any. A lone
+    root runs on by itself, comparing entries only while it ties the known
+    key, and v-keys are read only for the roots tied on the whole h-key. At
+    most _LIVE_ROOTS roots are live at once: the roots of each orientation
+    run in batches, and the least key so far competes in each batch as a
+    known key, which ends the batch at the first entry where all its roots
+    fall behind it.
 
     bfs_labelled promises that (h, v) is labelled by this BFS from square 1,
-    so that root's key is the input itself: the search starts from it, skips
-    root 1 and returns as soon as another root beats it, with that root's key
-    cut at the entry where it does (an h-key prefix and an empty v-key, or a
-    whole key when the h-keys tie). The result then equals (h_img, v_img)
-    exactly when the input is its canonical key, and is less otherwise: the
-    census's test of orderly generation.
+    so that root's key is the input itself: it is the known key from the
+    start and root 1 is skipped. The other roots race the input alone, so
+    they run one at a time, in root order, and the search returns the key of
+    the first one that beats it, cut at the entry where it does (an h-key
+    prefix and an empty v-key, or a whole key when the h-keys tie). The
+    result equals (h_img, v_img) exactly when the input is its canonical key,
+    and is less otherwise: the census's test of orderly generation.
     """
     n = len(h_img)
     h = (0, *h_img)
@@ -229,43 +245,102 @@ def _canonical_key(
     for i in range(1, n + 1):
         hinv[h[i]] = i
         vinv[v[i]] = i
+    names = tuple(range(1, n + 1))  # labels, one int object each, shared by all roots
     orientations = [(h, hinv, v, vinv), (hinv, h, vinv, v)] if minus_id else [(h, hinv, v, vinv)]
-    best_h, best_v = (list(h_img), list(v_img)) if bfs_labelled else (None, None)
-    first_root = 2 if bfs_labelled else 1
-    for h, hinv, v, vinv in orientations:
-        for root in range(first_root, n + 1):
-            label = [0] * (n + 1)
-            label[root] = 1
-            order = [root]
-            push = order.append
-            h_key = []
-            tied = best_h is not None  # the h-prefix so far equals best_h's
-            for s in order:  # order grows while the loop runs: this is the BFS queue
-                nb = h[s]
-                e = label[nb]
-                if not e:
-                    e = label[nb] = len(order) + 1
-                    push(nb)
-                if tied:
-                    b = best_h[len(h_key)]
-                    if e != b:
-                        if e > b:
+    # a root's first h-key entry is 1 where h (and so h⁻¹) fixes it, else 2:
+    # only h's fixed points start if h has any, unless a BFS-labelled input
+    # starts with 2, which every root ties or beats
+    start = range(1, n + 1)
+    if not (bfs_labelled and h_img[0] == 2):
+        start = [r for r in start if h[r] == r] or start
+    if bfs_labelled:  # the roots race the input alone: one at a time, in root order
+        best_h, best_v = list(h_img), list(v_img)
+        size = 1
+        roots = start[1:], start  # root 1 of (h, v) gives the input
+    else:
+        best_h = best_v = None
+        size = _LIVE_ROOTS
+        roots = start, start
+    for (H, Hinv, V, Vinv), rs in zip(orientations, roots):
+        for k in range(0, len(rs), size):
+            live = []
+            for r in rs[k : k + size]:
+                label = [0] * (n + 1)
+                label[r] = 1
+                live.append((label, [r]))
+            known = best_h  # the key to beat while the batch ties it, else None
+            i = 0
+            while len(live) > 1 and i < n:  # refine side by side, one h-key entry per step
+                # the known key competes as one more root, at entry b
+                b = m = known[i] if known is not None else n + 1
+                tied = []
+                for root in live:
+                    label, order = root
+                    s = order[i]
+                    nb = H[s]
+                    e = label[nb]
+                    if not e:
+                        e = label[nb] = names[len(order)]
+                        order.append(nb)
+                    nb = Hinv[s]
+                    if not label[nb]:
+                        label[nb] = names[len(order)]
+                        order.append(nb)
+                    nb = V[s]
+                    if not label[nb]:
+                        label[nb] = names[len(order)]
+                        order.append(nb)
+                    nb = Vinv[s]
+                    if not label[nb]:
+                        label[nb] = names[len(order)]
+                        order.append(nb)
+                    if e < m:
+                        m = e
+                        tied = [root]
+                    elif e == m:
+                        tied.append(root)
+                if m < b:
+                    known = None
+                live = tied
+                i += 1
+            if len(live) == 1:  # a lone root runs on, comparing only while tied with the known key
+                label, order = live[0]
+                for i in range(i, n):
+                    s = order[i]
+                    nb = H[s]
+                    e = label[nb]
+                    if not e:
+                        e = label[nb] = names[len(order)]
+                        order.append(nb)
+                    if known is not None and e != known[i]:
+                        if e > known[i]:
+                            live = []
                             break
                         if bfs_labelled:  # this root beats the input: cut its key here
-                            return (*h_key, e), ()
-                        tied = False
-                h_key.append(e)
-                for nb in (hinv[s], v[s], vinv[s]):
+                            return (*known[:i], e), ()
+                        known = None
+                    nb = Hinv[s]
                     if not label[nb]:
-                        label[nb] = len(order) + 1
-                        push(nb)
-            else:
-                v_key = [label[v[s]] for s in order]
-                if not tied or v_key < best_v:
-                    if bfs_labelled:
-                        return tuple(h_key), tuple(v_key)
-                    best_h, best_v = h_key, v_key
-        first_root = 1
+                        label[nb] = names[len(order)]
+                        order.append(nb)
+                    nb = V[s]
+                    if not label[nb]:
+                        label[nb] = names[len(order)]
+                        order.append(nb)
+                    nb = Vinv[s]
+                    if not label[nb]:
+                        label[nb] = names[len(order)]
+                        order.append(nb)
+            if live:  # the roots left tie on the whole h-key, and with the known key if any
+                label, order = live[0]
+                h_key = [label[H[s]] for s in order]
+                for label, order in live:
+                    v_key = [label[V[s]] for s in order]
+                    if known is None or v_key < best_v:
+                        if bfs_labelled:
+                            return tuple(h_key), tuple(v_key)
+                        best_h = known = h_key
+                        best_v = v_key
     return tuple(best_h), tuple(best_v)
 
 

@@ -1,16 +1,23 @@
-"""The early-abort canonical key against the all-roots reference it replaced.
+"""The lockstep canonical key against the all-roots reference it replaced.
 
-`reference_key` is the previous `origami._canonical_key`, kept verbatim: it
+`reference_key` is an earlier `origami._canonical_key`, kept verbatim: it
 finishes a BFS from every root and compares whole keys. The package's key must
-equal it on every input, not just induce the same equivalence.
+equal it on every input, not just induce the same equivalence; with minus_id
+it must equal the lesser reference key of (h, v) and (h⁻¹, v⁻¹).
 
 With bfs_labelled, on a pair labelled by the BFS from square 1, the key
-stops at the first root that beats the input; it must equal the input exactly
-when the reference key does.
+stops at the first root, in root order, that beats the input, cut at the entry
+where it does; it must equal the input exactly when the reference key does.
+
+The symmetric inputs (torus grids, cyclic covers) tie on every root, so the
+larger ones run more than one batch of live roots to the end.
 """
 
+import random
+import tracemalloc
 from itertools import permutations, product
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -125,10 +132,8 @@ def test_random_pairs_up_to_twelve_squares(pair):
     assert _canonical_key(h, v) == reference_key(h, v)
 
 
-@given(transitive_pairs(), st.randoms(use_true_random=False))
-def test_relabelled_pairs_get_the_same_key(pair, rnd):
-    # symmetric inputs (many roots reaching the least key) exercise the tie path
-    h, v = pair
+def relabelled(h, v, rnd):
+    """(h, v) conjugated by a random relabelling of the squares."""
     n = len(h)
     g = list(range(1, n + 1))
     rnd.shuffle(g)
@@ -137,7 +142,76 @@ def test_relabelled_pairs_get_the_same_key(pair, rnd):
     for i in range(1, n + 1):
         h2[g[i - 1] - 1] = g[h[i - 1] - 1]
         v2[g[i - 1] - 1] = g[v[i - 1] - 1]
-    assert _canonical_key(tuple(h2), tuple(v2)) == reference_key(h, v)
+    return tuple(h2), tuple(v2)
+
+
+@given(transitive_pairs(), st.randoms(use_true_random=False))
+def test_relabelled_pairs_get_the_same_key(pair, rnd):
+    # symmetric inputs (many roots reaching the least key) exercise the tie path
+    h, v = pair
+    assert _canonical_key(*relabelled(h, v, rnd)) == reference_key(h, v)
+
+
+def inverse(p):
+    inv = [0] * len(p)
+    for i, j in enumerate(p, start=1):
+        inv[j - 1] = i
+    return tuple(inv)
+
+
+def reference_projective_key(h, v):
+    """The lesser reference key of (h, v) and -I·(h, v) = (h⁻¹, v⁻¹)."""
+    return min(reference_key(h, v), reference_key(inverse(h), inverse(v)))
+
+
+def test_minus_id_exhaustive_small_degrees():
+    checked = 0
+    for n in range(1, 6):
+        perms = list(permutations(range(1, n + 1)))
+        for h, v in product(perms, perms):
+            if _transitive(h, v):
+                assert _canonical_key(h, v, minus_id=True) == reference_projective_key(h, v), (h, v)
+                checked += 1
+    assert checked == 1 + 3 + 26 + 426 + 11064
+
+
+@given(transitive_pairs(), st.randoms(use_true_random=False))
+def test_minus_id_on_random_and_relabelled_pairs(pair, rnd):
+    h, v = pair
+    want = reference_projective_key(h, v)
+    assert _canonical_key(h, v, minus_id=True) == want
+    assert _canonical_key(*relabelled(h, v, rnd), minus_id=True) == want
+
+
+def reference_bfs_labelled(h, v, minus_id=False):
+    """The key the search returns on a BFS-labelled (h, v): that of the first
+    root, in root order, whose key is less than (h, v), cut after the first
+    h-key entry where it is less, or whole when the h-keys tie; (h, v) itself
+    when no root beats it. The roots are 2..n of (h, v), then, with minus_id,
+    1..n of (h⁻¹, v⁻¹). The key of a root is the pair relabelled by the BFS
+    from it."""
+    rivals = [bfs_relabelled(h, v, root) for root in range(2, len(h) + 1)]
+    if minus_id:
+        rivals += [bfs_relabelled(inverse(h), inverse(v), root) for root in range(1, len(h) + 1)]
+    for h_key, v_key in rivals:
+        if (h_key, v_key) < (h, v):
+            for j, (e, b) in enumerate(zip(h_key, h)):
+                if e != b:
+                    return h_key[: j + 1], ()
+            return h_key, v_key
+    return h, v
+
+
+def test_early_exit_returns_the_first_beating_root_up_to_five_squares():
+    labelled = set()
+    for n in range(1, 6):
+        perms = list(permutations(range(1, n + 1)))
+        for h, v in product(perms, perms):
+            if _transitive(h, v):
+                labelled.update(bfs_relabelled(h, v, root) for root in range(1, n + 1))
+    for pair in labelled:
+        assert _canonical_key(*pair, bfs_labelled=True) == reference_bfs_labelled(*pair), pair
+        assert _canonical_key(*pair, True, True) == reference_bfs_labelled(*pair, minus_id=True), pair
 
 
 @given(transitive_pairs(max_n=10), st.data())
@@ -149,4 +223,96 @@ def test_early_exit_verdict_on_bfs_labelled_pairs(pair, data):
     h, v = _canonical_key(h, v) if root == 0 else bfs_relabelled(h, v, root)
     early = _canonical_key(h, v, bfs_labelled=True)
     assert (early == (h, v)) == (_canonical_key(h, v) == (h, v)) == (reference_key(h, v) == (h, v))
-    assert early <= (h, v)
+    assert early == reference_bfs_labelled(h, v)
+    assert _canonical_key(h, v, True, True) == reference_bfs_labelled(h, v, minus_id=True)
+
+
+@st.composite
+def pairs_with_a_fixed_point_of_h_off_square_one(draw, max_n=10):
+    """A BFS-labelled pair whose h fixes some square but not square 1."""
+    n = draw(st.integers(2, max_n))
+    while True:
+        h, v = draw(transitive_pairs(max_n=n).filter(lambda p: len(p[0]) == n))
+        fixed = [s for s in range(1, n + 1) if h[s - 1] == s]
+        moved = [s for s in range(1, n + 1) if h[s - 1] != s]
+        if fixed and moved:
+            return bfs_relabelled(h, v, draw(st.sampled_from(moved)))
+
+
+@given(pairs_with_a_fixed_point_of_h_off_square_one())
+def test_bfs_labelled_pairs_beaten_by_a_fixed_point(pair):
+    # a fixed point of h starts its h-key with 1, and square 1 starts it with
+    # 2: the input is never canonical, and only the roots before the first
+    # fixed point can beat it sooner in root order
+    h, v = pair
+    early = _canonical_key(h, v, bfs_labelled=True)
+    assert early < (h, v)
+    assert early == reference_bfs_labelled(h, v)
+    assert _canonical_key(h, v) == reference_key(h, v) < (h, v)
+
+
+def torus_grid(a, b):
+    """The a×b torus cut into unit squares, numbered row by row: every
+    translation is an automorphism, so every root gives the least key."""
+    h = tuple(r * a + (c + 1) % a + 1 for r in range(b) for c in range(a))
+    v = tuple((r + 1) % b * a + c + 1 for r in range(b) for c in range(a))
+    return h, v
+
+
+def cyclic_cover(n, k):
+    """h = (1 2 … n) and v = h^k: a cyclic cover of the torus, again with a
+    transitive group of automorphisms."""
+    h = tuple(s % n + 1 for s in range(1, n + 1))
+    v = tuple((s - 1 + k) % n + 1 for s in range(1, n + 1))
+    return h, v
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [torus_grid(a, b) for a, b in [(1, 1), (2, 1), (1, 3), (3, 4), (8, 8), (5, 13), (9, 8), (10, 13)]]
+    + [cyclic_cover(n, k) for n, k in [(2, 1), (7, 0), (7, 3), (65, 1), (70, 9), (130, 0), (130, 129)]]
+    # h = id: every square is a fixed point of h, so all 130 roots start
+    + [cyclic_cover(130, 0)[::-1], cyclic_cover(65, 2)[::-1]],
+)
+def test_symmetric_pairs_where_every_root_ties(pair):
+    h, v = pair
+    assert _canonical_key(h, v) == reference_key(h, v)
+    assert _canonical_key(h, v, minus_id=True) == reference_projective_key(h, v)
+    # a BFS labelling of a pair with a transitive automorphism group is canonical
+    key = bfs_relabelled(h, v, 1)
+    assert _canonical_key(*key, bfs_labelled=True) == key == _canonical_key(h, v)
+
+
+@pytest.mark.parametrize("n, moved, seed", [(70, 70, 1), (100, 10, 2), (130, 4, 3)])
+def test_pairs_whose_roots_span_several_batches(n, moved, seed):
+    # v is a random n-cycle, so the pair is transitive, and h one random cycle
+    # of `moved` squares: all 70 roots, or the n - moved fixed points of h,
+    # start, more than one batch, and the later batches race the earlier
+    # ones' least key
+    rng = random.Random(seed)
+
+    def one_cycle(squares):
+        p = list(range(1, n + 1))
+        for a, b in zip(squares, squares[1:] + squares[:1]):
+            p[a - 1] = b
+        return tuple(p)
+
+    v = one_cycle(rng.sample(range(1, n + 1), n))
+    h = one_cycle(rng.sample(range(1, n + 1), moved))
+    assert _canonical_key(h, v) == reference_key(h, v)
+    assert _canonical_key(h, v, minus_id=True) == reference_projective_key(h, v)
+    pair = bfs_relabelled(h, v, rng.randint(1, n))
+    assert _canonical_key(*pair, bfs_labelled=True) == reference_bfs_labelled(*pair)
+
+
+def test_a_search_holds_one_batch_of_label_arrays():
+    # all 900 roots of the 30×30 grid tie to the end; live at once, their
+    # label arrays and queues would take about 13 MB
+    h, v = torus_grid(30, 30)
+    tracemalloc.start()
+    try:
+        _canonical_key(h, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

@@ -26,13 +26,13 @@ from origamis.origami import (
 from origamis.perm import Permutation, cycles
 
 
-def small_origamis():
+def small_origamis(max_n=6):
     def build(nhv):
         n, h, v = nhv
         return (Permutation(tuple(h)), Permutation(tuple(v)))
 
     return (
-        st.integers(2, 6)
+        st.integers(2, max_n)
         .flatmap(
             lambda n: st.tuples(
                 st.just(n),
@@ -135,6 +135,13 @@ class TestGenusAndStratum:
         assert genus(o2) == genus(o)
         assert stratum(o2) == stratum(o)
         assert is_reduced(o2) == is_reduced(o)
+
+    @given(small_origamis(max_n=12))
+    def test_singular_corners_are_the_commutator_cycles_longer_than_one(self, o):
+        # Origami.singular reads the corner table off the image tuples; the
+        # commutator permutation is the oracle
+        c = o.commutator.images
+        assert o.singular == tuple(c[s - 1] != s for s in range(1, o.n + 1))
 
     def test_one_commutator_cycle_list_per_call(self, monkeypatch):
         from origamis import origami
