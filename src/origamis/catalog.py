@@ -1,12 +1,15 @@
 """Enumeration of origamis up to a square count, and the JSONL catalog.
 
-Enumeration builds every transitive pair (h, v) labelled by a breadth-first
-search from square 1 once, and keeps those whose labelling is their canonical
-key (the generation half of orderly generation: Read, 1978; McKay, 1998); the
-result is grouped into SL₂(ℤ)-orbits, and the genus, stratum and reducedness
-of each orbit are computed once, on its first surface.  Output order is
-lexicographic on canonical forms so repeated runs produce byte-identical
-catalogs.
+Enumeration builds, once each, the transitive pairs (h, v) labelled by a
+breadth-first search from square 1 whose square 1 lies in an h-cycle of least
+class, and keeps those whose labelling is their canonical key (the generation
+half of orderly generation: Read, 1978; McKay, 1998). The class of a square
+is the length of its h-cycle, or 4 for four and more; the h-key from a root
+of class 1, 2, 3 or 4 starts (1, …), (2, 1, …), (2, 3, …) or (2, e, …) with
+e ≥ 4, so no other pair can be its own key. The result is grouped into
+SL₂(ℤ)-orbits, and the genus, stratum and reducedness of each orbit are
+computed once, on its first surface.  Output order is lexicographic on
+canonical forms so repeated runs produce byte-identical catalogs.
 """
 
 from __future__ import annotations
@@ -87,17 +90,27 @@ def _decode_record(line: str) -> dict:
 def canonical_origamis(n: int) -> list[Origami]:
     """All connected n-square origamis up to relabeling, lexicographically.
 
-    Every pair is built once, labelled by _canonical_key's BFS from square 1:
-    squares s = 1, 2, ... in queue order fill their slots h(s), h⁻¹(s), v(s),
-    v⁻¹(s) in move order, each with a labelled square whose inverse slot is
-    free or with the next new label. A pair is kept when that labelling is
-    its canonical key, i.e. when no other root gives a lesser one; the test
-    stops at the first root that does.
+    Pairs are built once each, labelled by _canonical_key's BFS from square
+    1: squares s = 1, 2, ... in queue order fill their slots h(s), h⁻¹(s),
+    v(s), v⁻¹(s) in move order, each with a labelled square whose inverse
+    slot is free or with the next new label.
+
+    That BFS from a root r labels h(r), h⁻¹(r), v(r), v⁻¹(r) first, so the
+    h-key from r starts (1, …) if r's h-cycle has length 1, (2, 1, …) if 2,
+    (2, 3, …) if 3 and (2, e, …) with e ≥ 4 if longer: only the roots of the
+    least of these four classes can give the canonical key. h(1), h⁻¹(1) and
+    h(2) settle square 1's class, and an h or h⁻¹ choice that would close a
+    cycle of a lesser class is skipped, in O(1). A pair that is built is kept
+    when its labelling is its canonical key, i.e. when no other root gives a
+    lesser one; the test stops at the first root that does.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     maps = [[0] * (n + 1) for _ in range(4)]  # h, h⁻¹, v, v⁻¹: maps[k ^ 1] inverts maps[k]
     last = 4 * n  # slot 4(s-1) + k holds maps[k][s]
 
-    def pairs(slot: int, used: int):
+    def pairs(slot: int, used: int, least: int):
+        # least: square 1's class, a lower bound on it until h(2) is chosen, 0 before h(1)
         while slot < last and maps[slot & 3][(slot >> 2) + 1]:
             slot += 1  # filled by an earlier choice, through its inverse slot
         if slot == last:
@@ -107,13 +120,21 @@ def canonical_origamis(n: int) -> list[Origami]:
         if s > used:  # the queue ran dry before n squares: not transitive
             return
         fwd, back = maps[k], maps[k ^ 1]
+        # h(1), then h⁻¹(1) if h(1) = 2, then h(2) if h⁻¹(1) = 3: the choice t
+        # makes square 1's class min(t, 4)
+        settles = slot < 2 or slot == 4 and least == 3
+        # an h or h⁻¹ choice t closes a cycle of length 1, 2 or 3 when t = s,
+        # fwd[t] = s or fwd[fwd[t]] = s; one of a lesser class than square 1's
+        # makes another root's h-key the lesser
+        prune = k < 2 and s > 1 and least > 1
         for t in range(1, min(used + 1, n) + 1):
-            if not back[t]:
-                fwd[s], back[t] = t, s
-                yield from pairs(slot + 1, max(used, t))
-                fwd[s] = back[t] = 0
+            if back[t] or prune and (t == s or least > 2 and (fwd[t] == s or least > 3 and fwd[fwd[t]] == s)):
+                continue
+            fwd[s], back[t] = t, s
+            yield from pairs(slot + 1, max(used, t), min(t, 4) if settles else least)
+            fwd[s] = back[t] = 0
 
-    keys = sorted(key for key in pairs(0, 1) if _canonical_key(*key, bfs_labelled=True) == key)
+    keys = sorted(key for key in pairs(0, 1, 0) if _canonical_key(*key, bfs_labelled=True) == key)
     return [Origami(Permutation(h), Permutation(v)) for h, v in keys]
 
 

@@ -11,6 +11,11 @@ where it does; it must equal the input exactly when the reference key does.
 
 The symmetric inputs (torus grids, cyclic covers) tie on every root, so the
 larger ones run more than one batch of live roots to the end.
+
+The census builds only the pairs whose square 1 lies in an h-cycle of least
+class (its length, or 4 for four and more). The lemma behind that is checked
+here on the key alone: the canonical h-key starts as the least class present
+dictates.
 """
 
 import random
@@ -18,7 +23,7 @@ import tracemalloc
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from origamis.origami import _canonical_key
@@ -249,6 +254,64 @@ def test_bfs_labelled_pairs_beaten_by_a_fixed_point(pair):
     assert early < (h, v)
     assert early == reference_bfs_labelled(h, v)
     assert _canonical_key(h, v) == reference_key(h, v) < (h, v)
+
+
+def h_cycle_lengths(h):
+    lengths, seen = [], set()
+    for s in range(1, len(h) + 1):
+        length, t = 0, s
+        while t not in seen:
+            seen.add(t)
+            length, t = length + 1, h[t - 1]
+        if length:
+            lengths.append(length)
+    return lengths
+
+
+# the BFS from a root meets h(r), h⁻¹(r), v(r), v⁻¹(r) first, in that order,
+# so the h-key from a root on an h-cycle of length 1, 2, 3 or at least 4
+# starts (1, …), (2, 1, …), (2, 3, …) or (2, e, …) with e ≥ 4: only the roots
+# of the least class can give the canonical key
+H_KEY_START = {1: (1,), 2: (2, 1), 3: (2, 3)}
+
+
+def h_key_starts_as_its_class_dictates(h_key, least_class):
+    if least_class == 4:
+        return h_key[0] == 2 and h_key[1] >= 4
+    start = H_KEY_START[least_class]
+    return h_key[: len(start)] == start
+
+
+@st.composite
+def pairs_by_h_cycle_type(draw, max_n=12):
+    """A transitive pair whose h has cycles of drawn lengths 1..5 on shuffled
+    squares, so that the classes mix often."""
+    n = draw(st.integers(1, max_n))
+    squares = draw(st.permutations(range(1, n + 1)))
+    h = [0] * n
+    start = 0
+    while start < n:
+        length = draw(st.integers(1, min(5, n - start)))
+        cycle = squares[start : start + length]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            h[a - 1] = b
+        start += length
+    while True:
+        v = tuple(draw(st.permutations(range(1, n + 1))))
+        if _transitive(h, v):
+            return tuple(h), v
+
+
+@given(pairs_by_h_cycle_type() | transitive_pairs())
+@example(((2, 1, 4, 5, 3), (3, 4, 5, 1, 2)))  # a 2-cycle and a 3-cycle: (2, 1, …)
+@example(((2, 3, 1, 5, 6, 7, 4), (2, 3, 4, 5, 6, 7, 1)))  # a 3-cycle and a 4-cycle: (2, 3, …)
+def test_canonical_h_key_starts_as_the_least_h_cycle_class_dictates(pair):
+    h, v = pair
+    least_class = min(min(h_cycle_lengths(h)), 4)
+    # h⁻¹ has the cycles of h, so the minus_id key starts the same way
+    for minus_id in (False, True):
+        h_key, _ = _canonical_key(h, v, minus_id=minus_id)
+        assert h_key_starts_as_its_class_dictates(h_key, least_class), (h_key, least_class, minus_id)
 
 
 def torus_grid(a, b):

@@ -157,6 +157,11 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_origamis(4, bound=3)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_canonical_origamis_refuses_n_below_one(self, n):
+        with pytest.raises(ValueError, match=f"got {n}$"):
+            canonical_origamis(n)
+
 
 class TestCatalogFile:
     def test_round_trip(self, tmp_path):

@@ -7,10 +7,12 @@ is a_n/n!, where a_n counts the transitive pairs: every pair splits into the
 orbit of 1 (k squares, C(n−1, k−1) ways to pick them) and a free rest,
 a_n = n!² − Σ_{k<n} C(n−1, k−1)·a_k·((n−k)!)².
 
-The census builds each transitive pair labelled by a breadth-first search
-from square 1 once: the labellings of a pair that fix square 1 act freely, so
-there are a_n/(n−1)! such pairs, and it canonicalises each of them. The
-number of classes is OEIS A057005.
+There are a_n/(n−1)! transitive pairs labelled by a breadth-first search
+from square 1, since the labellings of a pair that fix square 1 act freely;
+`reference_pairs`, the census's earlier generator, builds each of them once.
+The census builds only those whose square 1 is in an h-cycle of least class
+(its length, or 4 for four and more), since only those can be their own
+canonical key. The number of classes is OEIS A057005.
 
 H(2) count: every surface in H(2) covers a reduced one through one of the
 σ(k) sublattices of index k in ℤ², so their number is Σ_{k|n} σ(k)·P(n/k),
@@ -28,7 +30,7 @@ from origamis.catalog import canonical_origamis, enumerate_origamis
 from origamis.origami import _canonical_key
 
 SLOW_N = pytest.param(8, marks=pytest.mark.slow)
-A057005 = [1, 3, 7, 26, 97, 624, 4163, 34470]
+A057005 = [1, 3, 7, 26, 97, 624, 4163, 34470, 314493]
 
 
 def transitive_pairs(n: int) -> int:
@@ -97,9 +99,46 @@ def test_h2_count(n):
     assert len(enumerate_origamis(n, "H(2)")) == h2_count(n)
 
 
-@pytest.mark.parametrize("n", [*range(1, 8), SLOW_N])
+@pytest.mark.parametrize("n", [*range(1, 8), SLOW_N, pytest.param(9, marks=pytest.mark.slow)])
 def test_class_count(n):
     assert len(canonical_origamis(n)) == A057005[n - 1]
+
+
+def reference_pairs(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every transitive pair labelled by the BFS from square 1, once each, in
+    the order the census's earlier generator (kept verbatim) builds them."""
+    maps = [[0] * (n + 1) for _ in range(4)]  # h, h⁻¹, v, v⁻¹: maps[k ^ 1] inverts maps[k]
+    last = 4 * n  # slot 4(s-1) + k holds maps[k][s]
+
+    def pairs(slot: int, used: int):
+        while slot < last and maps[slot & 3][(slot >> 2) + 1]:
+            slot += 1  # filled by an earlier choice, through its inverse slot
+        if slot == last:
+            yield tuple(maps[0][1:]), tuple(maps[2][1:])
+            return
+        s, k = (slot >> 2) + 1, slot & 3
+        if s > used:  # the queue ran dry before n squares: not transitive
+            return
+        fwd, back = maps[k], maps[k ^ 1]
+        for t in range(1, min(used + 1, n) + 1):
+            if not back[t]:
+                fwd[s], back[t] = t, s
+                yield from pairs(slot + 1, max(used, t))
+                fwd[s] = back[t] = 0
+
+    return list(pairs(0, 1))
+
+
+def h_class(h: tuple[int, ...], s: int) -> int:
+    """The length of the h-cycle through square s, or 4 if it is longer."""
+    length, t = 1, h[s - 1]
+    while t != s and length < 4:
+        length, t = length + 1, h[t - 1]
+    return length
+
+
+def square_one_of_least_class(h: tuple[int, ...]) -> bool:
+    return h_class(h, 1) == min(h_class(h, s) for s in range(1, len(h) + 1))
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -113,8 +152,14 @@ def test_each_labelled_pair_is_built_once(n, monkeypatch):
 
     monkeypatch.setattr(catalog, "_canonical_key", key)
     canonical_origamis(n)
-    assert len(set(built)) == len(built) == transitive_pairs(n) // factorial(n - 1)
+    reference = reference_pairs(n)
+    assert len(reference) == transitive_pairs(n) // factorial(n - 1)
+    # exactly the reference pairs whose square 1 has least class, in the reference's order
+    assert built == [(h, v) for h, v in reference if square_one_of_least_class(h)]
+    assert len(set(built)) == len(built)
+    assert len(built) == [1, 3, 9, 47, 227, 1651, 11415][n - 1]
     assert all(searched_in_label_order(h, v) for h, v in built)
+    assert all(_canonical_key(h, v) != (h, v) for h, v in set(reference) - set(built))
 
 
 def searched_in_label_order(h: tuple[int, ...], v: tuple[int, ...]) -> bool:

@@ -1,14 +1,16 @@
 """Byte-identity of the enumeration: SHA-256 of the catalog lines for n = 1..7.
 
 The hashes pin canonical keys, orbit ids, cusp data and record order at once,
-so any change to canonical labelling or to orbit grouping fails here.
+so any change to canonical labelling or to orbit grouping fails here. At
+n = 8 (slow) the sorted canonical keys of the census are pinned, one
+`(h, v)` repr a line.
 """
 
 import hashlib
 
 import pytest
 
-from origamis.catalog import enumerate_origamis
+from origamis.catalog import canonical_origamis, enumerate_origamis
 
 GOLDEN = {
     1: "0bb7cb1270bf040927c908fcb8668d58a7904042d2f71c0ea544700f573255e7",
@@ -26,3 +28,9 @@ def test_enumeration_bytes_are_pinned(n):
     # exactly the bytes `catalog write` appends for a fresh file
     data = "".join(e.to_json() + "\n" for e in enumerate_origamis(n)).encode()
     assert hashlib.sha256(data).hexdigest() == GOLDEN[n]
+
+
+@pytest.mark.slow
+def test_census_keys_at_eight_squares_are_pinned():
+    data = "".join(f"{(o.h.images, o.v.images)}\n" for o in canonical_origamis(8)).encode()
+    assert hashlib.sha256(data).hexdigest() == "8e13203e17458621c7d7a46118c8b14795c54d2ffbd47f1f0b49d23f7a44d5c2"
