@@ -10,6 +10,11 @@ e ≥ 4, so no other pair can be its own key. The result is grouped into
 SL₂(ℤ)-orbits, and the genus, stratum and reducedness of each orbit are
 computed once, on its first surface.  Output order is lexicographic on
 canonical forms so repeated runs produce byte-identical catalogs.
+
+The catalog is JSONL, one line per write: the table of the orbits the write
+touches, each orbit's fields once, and the new surfaces in the order given,
+each as [origami text, index into the table]. A query filters each table
+once and reads the members of the orbits it keeps.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import json
 import os
 import warnings
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .action import _inverse, orbit
 from .origami import Origami, Stratum, _canonical_key, is_reduced, stratum
@@ -43,48 +49,88 @@ class CatalogEntry:
         return json.dumps(vars(self), sort_keys=True)  # the tuple cusp_widths becomes a list
 
 
-# the JSON type of each field of a catalog record; type() tells an int from a bool
-_FIELD_TYPES = {"origami": str, "n": int, "genus": int, "stratum": str, "reduced": bool, "orbit_id": str,
-                "index": int, "cusp_widths": list, "curve_genus": int}
-_KEYS = _FIELD_TYPES.keys()
-_INT = frozenset({int})
+# the JSON type of each field of an orbit in a catalog line; type() tells an int from a bool
+_ORBIT_TYPES = {"n": int, "genus": int, "stratum": str, "reduced": bool, "orbit_id": str, "index": int,
+                "cusp_widths": list, "curve_genus": int}
+_LINE_TYPES = {"orbits": list, "members": list}
+_orbit_fields = attrgetter(*_ORBIT_TYPES)  # a CatalogEntry's orbit fields, in the layout's order
+_INT, _STR, _LIST, _PAIR = frozenset({int}), frozenset({str}), frozenset({list}), frozenset({2})
 _JSON_SPACE = " \t\n\r"  # the whitespace json.loads allows around a value
 _scan = json.JSONDecoder().raw_decode
 
 
-def _wrong_type(rec) -> str:
-    """What is wrong with a record that is not an object with CatalogEntry's
-    fields, each of its JSON type."""
+class _OldLayout(Exception):
+    """A line of the per-surface layout, which held one surface and its orbit's fields."""
+
+
+def _wrong_fields(rec, types: dict, what: str) -> str | None:
+    """What is wrong with rec, if it is not an object with exactly the fields
+    of types, each of its JSON type."""
     if type(rec) is not dict:
-        return f"the record is {type(rec).__name__}, not an object"
-    for name, want in _FIELD_TYPES.items():
+        return f"{what} is {type(rec).__name__}, not an object"
+    for name, want in types.items():
         if name not in rec:
-            return f"field {name!r} is missing"
+            return f"{what}: field {name!r} is missing"
         if type(rec[name]) is not want:
-            return f"{name} is {rec[name]!r}, not of type {want.__name__}"
+            return f"{what}: {name} is {rec[name]!r}, not of type {want.__name__}"
     for name in rec:
-        if name not in _FIELD_TYPES:
-            return f"field {name!r} is not a catalog field"
-    return f"cusp_widths is {rec['cusp_widths']!r}, not a list of int"
+        if name not in types:
+            return f"{what}: field {name!r} is not a catalog field"
+    return None
 
 
-def _decode_record(line: str) -> dict:
-    """One catalog line: a JSON object with exactly CatalogEntry's fields, or a
-    ValueError (a JSONDecodeError, or an int too long for int()), TypeError or
-    (nested too deeply) RecursionError. One C-level scan decodes the line and
-    accepts exactly what json.loads does. The fields that readers filter or
-    key on and the list cusp_widths are checked here, on every record;
-    catalog_query checks the rest on the records it keeps, since checking
-    every field of every record costs a fifth of a full read."""
+def _members_ok(members: list, count: int) -> bool:
+    """Whether each member is a list [str, int] with the int in range(count),
+    in C-level passes: the members are most of a line."""
+    if not (_LIST.issuperset(map(type, members)) and _PAIR.issuperset(map(len, members))):
+        return False
+    if not members:
+        return True
+    texts, ks = zip(*members)
+    return _STR.issuperset(map(type, texts)) and _INT.issuperset(map(type, ks)) and set(ks).issubset(range(count))
+
+
+def _wrong_line(rec) -> str | None:
+    """What is wrong with a decoded catalog line, if it is not an orbit table
+    and members [origami text, index into the table], every field of every
+    orbit and every member of its type."""
+    wrong = _wrong_fields(rec, _LINE_TYPES, "the record")
+    if wrong:
+        return wrong
+    orbits, members = rec["orbits"], rec["members"]
+    for i, orbit in enumerate(orbits):
+        wrong = _wrong_fields(orbit, _ORBIT_TYPES, f"orbit {i}")
+        if wrong:
+            return wrong
+        if not _INT.issuperset(map(type, orbit["cusp_widths"])):
+            return f"orbit {i}: cusp_widths is {orbit['cusp_widths']!r}, not a list of int"
+    if _members_ok(members, len(orbits)):
+        return None
+    for i, member in enumerate(members):
+        if not (type(member) is list and len(member) == 2 and type(member[0]) is str and type(member[1]) is int):
+            return f"member {i} is {member!r}, not a [text, orbit] pair"
+        if not 0 <= member[1] < len(orbits):
+            return f"member {i} names orbit {member[1]} of {len(orbits)}"
+    raise AssertionError("_members_ok refused members that are each well typed and in range")
+
+
+def _decode_line(line: str) -> tuple[list[dict], list[list]]:
+    """One catalog line, the record of one write: the orbit table and the
+    members. A line that _wrong_line finds wrong is a TypeError, and one of
+    the per-surface layout an _OldLayout; a line that does not decode is a
+    ValueError (a JSONDecodeError, or an int too long for int()) or (nested
+    too deeply) RecursionError. One C-level scan decodes the line and accepts
+    exactly what json.loads does."""
     text = line.strip(_JSON_SPACE)
     rec, end = _scan(text)
     if end != len(text):
         raise json.JSONDecodeError("Extra data", text, end)
-    if not (type(rec) is dict and rec.keys() == _KEYS and type(rec["origami"]) is str and type(rec["n"]) is int
-            and type(rec["stratum"]) is str and type(rec["reduced"]) is bool and type(rec["orbit_id"]) is str
-            and type(rec["cusp_widths"]) is list):
-        raise TypeError(_wrong_type(rec))
-    return rec
+    if type(rec) is dict and "origami" in rec:
+        raise _OldLayout()
+    wrong = _wrong_line(rec)
+    if wrong:
+        raise TypeError(wrong)
+    return rec["orbits"], rec["members"]
 
 
 def canonical_origamis(n: int) -> list[Origami]:
@@ -192,22 +238,27 @@ class CatalogError(ValueError):
         self.line = line
 
 
-def _read_entries(path, repair: bool = False) -> list[dict]:
-    """The records of a catalog file, in file order, as decoded dicts; a
-    caller builds a CatalogEntry only for the records it keeps.
+def _read_entries(path, repair: bool = False) -> list[tuple[list[dict], list[list]]]:
+    """The lines of a catalog file, in file order, as decoded (orbits,
+    members) pairs, one per write; a caller builds a CatalogEntry only for
+    the members it keeps.
 
     A line nested too deeply for the decoder, or holding an int too long for
-    int(), is a malformed record like any other. A last line with no newline
-    is what an interrupted append leaves. If it does not parse, readers skip
-    it, and with repair it is cut off the file; if it does parse, repair
-    completes it with its newline. Either way the next append starts on a
-    fresh line.
+    int(), is a malformed record like any other, and a line of the
+    per-surface layout is refused. A last line with no newline is what an
+    interrupted append leaves. If it does not parse, readers skip it, and
+    with repair it is cut off the file; if it does parse, repair completes it
+    with its newline. Either way the next append starts on a fresh line, and
+    a write is kept whole or not at all.
     """
-    records = []
+    lines = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
-                records.append(_decode_record(line))
+                lines.append(_decode_line(line))
+            except _OldLayout:
+                raise CatalogError("a per-surface record, of the catalog layout before orbit tables, which is not "
+                                   "read; write the catalog anew", lineno) from None
             except (ValueError, TypeError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
                 if line.isspace():  # a blank line holds no record
                     continue
@@ -215,32 +266,38 @@ def _read_entries(path, repair: bool = False) -> list[dict]:
                     raise CatalogError(f"malformed catalog record ({exc})", lineno) from None
                 if repair:
                     os.truncate(path, os.path.getsize(path) - len(line.encode("utf-8")))
-                return records
-    if repair and records and not line.endswith("\n"):
+                return lines
+    if repair and lines and not line.endswith("\n"):
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("\n")
-    return records
+    return lines
 
 
 def catalog_write(path, entries) -> tuple[int, int]:
     """Append new entries (keyed by canonical origami text); duplicates are
     skipped with a warning.  Returns (written, skipped).
 
+    The new entries go in one line: a table of their distinct orbit field
+    tuples, and the members [text, index into the table] in the order given.
     The file is locked from the read of its keys to the end of the append, so
     concurrent writers take turns and each key is written once."""
-    written = skipped = 0
+    skipped = 0
     with open(path, "a", encoding="utf-8") as fh:
         fcntl.flock(fh, fcntl.LOCK_EX)  # released when fh closes, after its last write is flushed
-        existing = {rec["origami"] for rec in _read_entries(path, repair=True)}
+        existing = {text for _, members in _read_entries(path, repair=True) for text, _ in members}
+        orbits: dict[tuple, int] = {}
+        members = []
         for e in entries:
             if e.origami in existing:
                 warnings.warn(f"duplicate canonical key skipped: {e.origami}")
                 skipped += 1
                 continue
-            fh.write(e.to_json() + "\n")
+            members.append([e.origami, orbits.setdefault(_orbit_fields(e), len(orbits))])
             existing.add(e.origami)
-            written += 1
-    return written, skipped
+        if members:
+            table = [dict(zip(_ORBIT_TYPES, fields)) for fields in orbits]  # json writes the tuple cusp_widths as a list
+            fh.write(json.dumps({"orbits": table, "members": members}) + "\n")
+    return len(members), skipped
 
 
 def catalog_query(
@@ -253,27 +310,18 @@ def catalog_query(
     # read as enumerate_origamis reads it: "H( 0 )" is H(0), "H(1,1" a ValueError
     stratum_text = None if stratum_filter is None else str(Stratum.parse(stratum_filter))
     out = []
-    for i, rec in enumerate(_read_entries(path)):
-        if n is not None and rec["n"] != n:
-            continue
-        if stratum_text is not None and rec["stratum"] != stratum_text:
-            continue
-        if orbit_id is not None and rec["orbit_id"] != orbit_id:
-            continue
-        if reduced_only and not rec["reduced"]:
-            continue
-        widths = rec["cusp_widths"]
-        if not (type(rec["genus"]) is int and type(rec["index"]) is int and type(rec["curve_genus"]) is int
-                and _INT.issuperset(map(type, widths))):
-            raise CatalogError(f"malformed catalog record ({_wrong_type(rec)})", _line_of_record(path, i))
-        rec["cusp_widths"] = tuple(widths)
-        out.append(CatalogEntry(**rec))
+    for orbits, members in _read_entries(path):
+        # each orbit's fields in CatalogEntry's order after origami, if the filters keep it
+        kept = [
+            (o["n"], o["genus"], o["stratum"], o["reduced"], o["orbit_id"], o["index"], tuple(o["cusp_widths"]),
+             o["curve_genus"])
+            if (n is None or o["n"] == n)
+            and (stratum_text is None or o["stratum"] == stratum_text)
+            and (orbit_id is None or o["orbit_id"] == orbit_id)
+            and (o["reduced"] or not reduced_only)
+            else None
+            for o in orbits
+        ]
+        if any(kept):
+            out += [CatalogEntry(text, *fields) for text, k in members if (fields := kept[k])]
     return out
-
-
-def _line_of_record(path, index: int) -> int:
-    """The number of the line that holds the index-th record of a catalog file
-    (blank lines hold none); a failing query finds its line here, so that
-    reads carry no line numbers."""
-    with open(path, encoding="utf-8") as fh:
-        return [lineno for lineno, line in enumerate(fh, start=1) if line.strip()][index]

@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tempfile
 import warnings
 from fractions import Fraction
 
@@ -198,19 +199,30 @@ class TestCatalogFile:
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "cat.jsonl"
-        good = enumerate_origamis(1)[0].to_json()
-        path.write_text(good + "\n{not json}\n")
+        path.write_text(written_line(enumerate_origamis(1)) + "{not json}\n")
         with pytest.raises(CatalogError, match="line 2"):
             catalog_query(path)
 
     def test_malformed_inner_line_raises_before_a_torn_last_line(self, tmp_path):
         path = tmp_path / "cat.jsonl"
-        good = enumerate_origamis(1)[0].to_json()
-        path.write_text(good + "\n{not json}\n" + good[:10])
+        good = written_line(enumerate_origamis(1))
+        path.write_text(good + "{not json}\n" + good[:10])
         with pytest.raises(CatalogError, match="line 2"):
             catalog_query(path)
         with pytest.raises(CatalogError, match="line 2"):
             catalog_write(path, enumerate_origamis(2))
+
+    def test_a_write_appends_one_line_and_a_write_of_known_keys_none(self, tmp_path):
+        path = tmp_path / "cat.jsonl"
+        three = enumerate_origamis(3)
+        with pytest.warns(UserWarning, match="duplicate"):
+            assert catalog_write(path, three[:2] + three[:1]) == (2, 1)
+            assert catalog_write(path, three) == (len(three) - 2, 2)
+            assert catalog_write(path, three) == (0, len(three))
+        lines = path.read_text().splitlines()
+        assert len(lines) == 2 and path.read_text() == written_line(three[:2]) + written_line(three[2:])
+        assert [len(json.loads(line)["orbits"]) for line in lines] == [1, 2]  # two orbits, one in both writes
+        assert catalog_query(path) == three[:2] + three[2:]
 
     @pytest.mark.parametrize(
         "bad",
@@ -223,37 +235,42 @@ class TestCatalogFile:
         ids=["list", "missing", "extra", "widths"],
     )
     def test_malformed_record_outside_the_filter_still_fails(self, tmp_path, bad):
-        # the filters look at records before entries are built; the check
-        # that rejects a record must not depend on whether it matches
+        # the filters look at orbits before entries are built; the check
+        # that rejects an orbit must not depend on whether it matches
         path = tmp_path / "cat.jsonl"
         catalog_write(path, enumerate_origamis(3))
-        one = json.loads(enumerate_origamis(1)[0].to_json())
+        line = json.loads(written_line(enumerate_origamis(1)))
         with open(path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(bad(one)) + "\n")
-        lineno = len(enumerate_origamis(3)) + 1
-        with pytest.raises(CatalogError, match=f"line {lineno}"):
+            fh.write(json.dumps({**line, "orbits": [bad(line["orbits"][0])]}) + "\n")
+        with pytest.raises(CatalogError, match="line 2"):
             catalog_query(path, n=3)
         code, out, err = run_cli("catalog", "query", "--path", str(path), "--n", "3")
-        assert code == 1 and out == "" and f"line {lineno}" in err
+        assert code == 1 and out == "" and "line 2" in err
 
     @pytest.mark.parametrize(
         "bad, named",
-        [(lambda d: {k: x for k, x in d.items() if k != "index"}, "field 'index' is missing"),
-         (lambda d: {**d, "indx": 1}, "field 'indx' is not a catalog field"),
-         (lambda d: [d], "the record is list, not an object")],
-        ids=["missing", "extra", "list"],
+        [(lambda d: {**d, "orbits": [{k: x for k, x in d["orbits"][0].items() if k != "index"}]},
+          "orbit 0: field 'index' is missing"),
+         (lambda d: {**d, "orbits": [{**d["orbits"][0], "indx": 1}]}, "orbit 0: field 'indx' is not a catalog field"),
+         (lambda d: [d], "the record is list, not an object"),
+         (lambda d: {"orbits": d["orbits"]}, "the record: field 'members' is missing"),
+         (lambda d: {**d, "orbits": [d["orbits"][0]["stratum"]]}, "orbit 0 is str, not an object"),
+         (lambda d: {**d, "members": d["members"] + [["x", 1]]}, "member 1 names orbit 1 of 1"),
+         (lambda d: {**d, "members": [["x"]]}, "member 0 is ['x'], not a [text, orbit] pair")],
+        ids=["missing", "extra", "list", "no-members", "orbit-str", "member-index", "member-short"],
     )
     def test_malformed_record_names_what_is_wrong(self, tmp_path, bad, named):
         path = tmp_path / "cat.jsonl"
-        one = json.loads(enumerate_origamis(1)[0].to_json())
-        path.write_text(json.dumps(bad(one)) + "\n")
+        line = json.loads(written_line(enumerate_origamis(1)))
+        path.write_text(json.dumps(bad(line)) + "\n")
         code, out, err = run_cli("catalog", "query", "--path", str(path))
         assert (code, out) == (1, "") and err == f"error: line 1: malformed catalog record ({named})\n"
 
-    # the exact line that an untyped reader printed, and that a --n 1 query dropped
+    # the orbit of the exact line that an untyped reader printed, and that a
+    # --n 1 query dropped
     UNTYPED = (
-        '{"cusp_widths": [1], "curve_genus": 0, "genus": "one", "index": 1, "n": "1", "orbit_id": 5, '
-        '"origami": "1; h=(); v=()", "reduced": "yes", "stratum": "H(0)"}'
+        '{"orbits": [{"cusp_widths": [1], "curve_genus": 0, "genus": "one", "index": 1, "n": "1", "orbit_id": 5, '
+        '"reduced": "yes", "stratum": "H(0)"}], "members": [["1; h=(); v=()", 0]]}'
     )
 
     @pytest.mark.parametrize("filters", [[], ["--n", "1"]], ids=["all", "n=1"])
@@ -262,73 +279,67 @@ class TestCatalogFile:
         catalog_write(path, enumerate_origamis(2))
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(self.UNTYPED + "\n")
-        lineno = len(enumerate_origamis(2)) + 1
         code, out, err = run_cli("catalog", "query", "--path", str(path), *filters)
-        assert code == 1 and out == "" and f"line {lineno}" in err and "n is '1'" in err
+        assert code == 1 and out == "" and "line 2" in err and "n is '1'" in err
 
     @pytest.mark.parametrize(
         "field, value",
         [("n", True), ("n", 1.0), ("orbit_id", 5), ("origami", ["1; h=(); v=()"]), ("stratum", 0),
-         ("reduced", 1), ("reduced", "yes"), ("cusp_widths", "1"), ("cusp_widths", {"1": 1})],
-    )
-    def test_filtered_fields_have_their_types_on_every_record(self, tmp_path, field, value):
-        path = tmp_path / "cat.jsonl"
-        catalog_write(path, enumerate_origamis(3))
-        one = json.loads(enumerate_origamis(1)[0].to_json())
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps({**one, field: value}) + "\n")
-        lineno = len(enumerate_origamis(3)) + 1
-        with pytest.raises(CatalogError, match=f"line {lineno}: .*{field}"):
-            catalog_query(path, n=3)
-
-    @pytest.mark.parametrize(
-        "field, value",
-        [("genus", "one"), ("index", None), ("curve_genus", False),
+         ("reduced", 1), ("reduced", "yes"), ("cusp_widths", "1"), ("cusp_widths", {"1": 1}),
+         ("genus", "one"), ("index", None), ("curve_genus", False),
          ("cusp_widths", [True]), ("cusp_widths", ["1"]), ("cusp_widths", [1, 1.0])],
     )
-    def test_other_fields_have_their_types_on_every_record_a_query_keeps(self, tmp_path, field, value):
+    def test_every_field_has_its_type_on_every_line(self, tmp_path, field, value):
+        # every field of every orbit, and every member, is checked when its
+        # line is read, whether or not a query keeps it
         path = tmp_path / "cat.jsonl"
         catalog_write(path, enumerate_origamis(2))
-        one = json.loads(enumerate_origamis(1)[0].to_json())
+        line = json.loads(written_line(enumerate_origamis(1)))
+        if field == "origami":
+            line["members"] = [[value, 0]]
+        else:
+            line["orbits"] = [{**line["orbits"][0], field: value}]
         with open(path, "a", encoding="utf-8") as fh:
-            fh.write("\n" + json.dumps({**one, field: value}) + "\n")  # blank lines hold no record
-        lineno = len(enumerate_origamis(2)) + 2
-        with pytest.raises(CatalogError, match=f"line {lineno}: .*{field}"):
-            catalog_query(path, n=1)
-        code, out, err = run_cli("catalog", "query", "--path", str(path))
-        assert code == 1 and out == "" and f"line {lineno}" in err
-        # a record outside the filters is read for them only
-        assert catalog_query(path, n=2) == enumerate_origamis(2)
+            fh.write("\n" + json.dumps(line) + "\n")  # blank lines hold no record
+        named = "member 0" if field == "origami" else f"orbit 0: {field}"
+        for n in (1, 2, None):
+            with pytest.raises(CatalogError, match=f"line 3: .*{named}"):
+                catalog_query(path, n=n)
+        code, out, err = run_cli("catalog", "query", "--path", str(path), "--n", "2")
+        assert code == 1 and out == "" and "line 3" in err
 
     def test_torn_final_record_is_skipped_and_repaired(self, tmp_path):
-        # an append interrupted mid-record leaves a last line with no newline
+        # an append interrupted mid-line leaves a last line with no newline;
+        # the whole write it held is dropped
         path = str(tmp_path / "c.jsonl")
         code, out, _ = run_cli("catalog", "write", "--path", path, "--n", "3")
         assert code == 0
         three = json.loads(run_cli("catalog", "query", "--path", path)[1])
+        four = enumerate_origamis(4)
+        torn = written_line(four)[:-20]
         with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"origami": "4; h=(1,2')
+            fh.write(torn)
         code, out, err = run_cli("catalog", "query", "--path", path)
         assert code == 0 and json.loads(out) == three and err == ""
         code, out, _ = run_cli("catalog", "write", "--path", path, "--n", "4")
-        four = enumerate_origamis(4)
         assert code == 0 and json.loads(out) == {"written": len(four), "skipped": 0}
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-        assert text.endswith("\n") and "4; h=(1,2\n" not in text
+        assert text.endswith("\n") and torn + "\n" not in text and text.count("\n") == 2
         assert catalog_query(path, n=4) == four
         assert len(catalog_query(path)) == len(three) + len(four)
 
     def test_record_cut_before_its_newline_is_kept(self, tmp_path):
         path = tmp_path / "cat.jsonl"
         one, two = enumerate_origamis(1), enumerate_origamis(2)
-        path.write_text(one[0].to_json())
+        path.write_text(written_line(one).rstrip("\n"))
         assert catalog_query(path) == one
         assert catalog_write(path, two) == (len(two), 0)
         assert catalog_query(path) == one + two
 
     DEEP = "[" * 100_000 + "]" * 100_000  # deeper than the JSON decoder recurses
-    LONG_INT = '{"n": ' + "1" * 5_000 + "}"  # more digits than int() converts from text (4 300)
+    # more digits than int() converts from text (4 300)
+    LONG_INT = '{"orbits": [{"n": ' + "1" * 5_000 + '}], "members": []}'
 
     @pytest.mark.parametrize("line", [DEEP, LONG_INT], ids=["deep", "long-int"])
     def test_undecodable_line_is_a_malformed_record(self, tmp_path, line):
@@ -336,11 +347,10 @@ class TestCatalogFile:
         assert run_cli("catalog", "write", "--path", path, "--n", "2")[0] == 0
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(line + "\n")
-        lineno = len(enumerate_origamis(2)) + 1
         for argv in (("query", "--path", path), ("write", "--path", path, "--n", "2")):
             code, out, err = run_cli("catalog", *argv)
             assert (code, out) == (1, ""), argv
-            assert err.startswith(f"error: line {lineno}: malformed catalog record") and err.count("\n") == 1, argv
+            assert err.startswith("error: line 2: malformed catalog record") and err.count("\n") == 1, argv
 
     @pytest.mark.parametrize("line", [DEEP, LONG_INT], ids=["deep", "long-int"])
     def test_undecodable_last_line_is_a_torn_append(self, tmp_path, line):
@@ -354,8 +364,40 @@ class TestCatalogFile:
         three = enumerate_origamis(3)
         assert (code, err) == (0, "") and json.loads(out) == {"written": len(three), "skipped": 0}
         with open(path, encoding="utf-8") as fh:
-            assert line[:10] not in fh.read()
+            assert line[:30] not in fh.read()
         assert catalog_query(path) == enumerate_origamis(2) + three
+
+    OLD_LAYOUT = "error: line {}: a per-surface record, of the catalog layout before orbit tables, which is not read; " \
+                 "write the catalog anew\n"
+
+    @pytest.mark.parametrize("end", ["\n", ""], ids=["whole", "no-newline"])
+    def test_a_per_surface_catalog_is_refused_and_left_as_it_is(self, tmp_path, end):
+        # the lines the per-surface layout wrote, one to_json() a surface; its
+        # last line is refused too when it has no newline, not cut off as torn
+        path = str(tmp_path / "old.jsonl")
+        old = "".join(e.to_json() + "\n" for e in enumerate_origamis(3))[:-1] + end
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(old)
+        for argv in (("query", "--path", path), ("query", "--path", path, "--n", "1"),
+                     ("write", "--path", path, "--n", "4")):
+            assert run_cli("catalog", *argv) == (1, "", self.OLD_LAYOUT.format(1)), argv
+            with open(path, encoding="utf-8") as fh:
+                assert fh.read() == old, argv  # nothing appended, nothing cut
+        with pytest.raises(CatalogError, match="^line 1: a per-surface record"):
+            catalog_query(path)
+        one = enumerate_origamis(1)[0].to_json()
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(one + end)
+        assert run_cli("catalog", "write", "--path", path, "--n", "1") == (1, "", self.OLD_LAYOUT.format(1))
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == one + end
+
+    def test_a_per_surface_line_after_a_write_is_refused_with_its_line(self, tmp_path):
+        path = str(tmp_path / "c.jsonl")
+        assert run_cli("catalog", "write", "--path", path, "--n", "2")[0] == 0
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("\n" + enumerate_origamis(1)[0].to_json() + "\n")
+        assert run_cli("catalog", "query", "--path", path) == (1, "", self.OLD_LAYOUT.format(3))
 
     def test_concurrent_writers_append_each_key_once(self, tmp_path):
         # two writers released together on each of five fresh files; without
@@ -379,14 +421,34 @@ class TestCatalogFile:
         assert sorted(counts) == [(0, len(six))] * len(paths) + [(len(six), 0)] * len(paths)
         for path in paths:
             with open(path, encoding="utf-8") as fh:
-                keys = sorted(json.loads(line)["origami"] for line in fh)
+                lines = fh.readlines()
+            assert len(lines) == 1  # the later writer appends nothing
+            keys = sorted(text for text, _ in json.loads(lines[0])["members"])
             assert keys == [e.origami for e in six]  # each key exactly once
             assert catalog_query(path) == six
+
+    @pytest.mark.slow
+    def test_census_at_eight_squares_round_trips_in_under_two_megabytes(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        eight = enumerate_origamis(8)
+        assert catalog_write(path, eight) == (34_470, 0)
+        assert catalog_query(path, n=8) == eight
+        assert os.path.getsize(path) < 2_000_000
 
     def test_write_into_a_missing_directory_is_an_input_error(self, tmp_path):
         path = str(tmp_path / "missing" / "c.jsonl")
         code, out, err = run_cli("catalog", "write", "--path", path, "--n", "2")
         assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
+
+
+def written_line(entries) -> str:
+    """The line, with its newline, that catalog_write appends for entries to
+    a fresh file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.jsonl")
+        catalog_write(path, entries)
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
 
 
 def _write_census_to(paths, n, ready, starts, results):

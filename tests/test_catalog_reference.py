@@ -1,27 +1,26 @@
-"""The catalog reader against the namedtuple reader it replaced, kept verbatim.
+"""The catalog in its per-write layout against the per-surface code it replaced, kept verbatim.
 
-`_Record`, `_FIELD_TYPES`, `_wrong_type`, `_decode_record` and `_read_entries`
-below are the reader that decoded each line with `json.loads` into a
-namedtuple. The reader in `origamis.catalog` strips JSON whitespace, scans
-the line once with `JSONDecoder.raw_decode` and keeps the dict. On any file
-the two must agree: the same records (field values compared by repr, so NaN
-matches NaN and True does not match 1), or the same error class with the same
-line number; with repair, the two files must end with the same bytes. Error
-messages may differ and are not compared.
+`catalog_write`, `_read_entries` and `catalog_query` below, with the helpers
+they call, are the catalog that wrote one JSON line per surface, each
+repeating its orbit's fields. The catalog in `origamis.catalog` writes one
+line per write: an orbit table and the new members. For any lists of
+entries, duplicates included, in any order and split into any sequence of
+writes, the two must return the same (written, skipped) counts, warn with
+the same messages, and give the same query results for every combination of
+filters.
 
-Lines nested deeper than the decoder recurses are left out: the old reader let
-the RecursionError through as an internal error, and
-`tests/test_catalog_cli.py` pins the new behaviour (a malformed record). So are
-lines with an int of more than 4 300 digits, for the same reason (the old
-reader let int()'s ValueError through with no line number); the strategies
-below cannot draw one, since hypothesis draws unbounded integers of at most a
-few dozen digits and free text of at most 12 characters.
+The per-write reader's checks are held against `spec_read` below, a plain
+reading of the layout with `json.loads`: on any file the two give the same
+lines (compared by repr, so True does not match 1), or a CatalogError at the
+same line; with repair, the two files end with the same bytes. Error
+messages are not compared.
 """
 
+import fcntl
 import json
 import os
 import tempfile
-from collections import namedtuple
+import warnings
 from dataclasses import fields
 
 import pytest
@@ -30,57 +29,73 @@ from hypothesis import strategies as st
 
 from origamis import catalog
 from origamis.catalog import CatalogEntry, CatalogError, enumerate_origamis
+from origamis.origami import Stratum
 
-# ---- the old reader, verbatim -------------------------------------------------------------
+# ---- the per-surface catalog, verbatim ----------------------------------------------------
 
-# a decoded catalog line: CatalogEntry's fields, in its order, as a plain
-# tuple, so a read can hold every record and build entries only for some
-_Record = namedtuple("_Record", [f.name for f in fields(CatalogEntry)])
-
-
-# the JSON type of each field; type() tells an int from a bool
-_FIELD_TYPES = _Record(origami=str, n=int, genus=int, stratum=str, reduced=bool, orbit_id=str, index=int,
-                       cusp_widths=list, curve_genus=int)
-
-
-def _wrong_type(rec: _Record) -> str:
-    """What is wrong with a record whose fields do not all have their types."""
-    for name, value, want in zip(rec._fields, rec, _FIELD_TYPES):
-        if type(value) is not want:
-            return f"{name} is {value!r}, not of type {want.__name__}"
-    return f"cusp_widths is {rec.cusp_widths!r}, not a list of int"
+# the JSON type of each field of a catalog record; type() tells an int from a bool
+_FIELD_TYPES = {"origami": str, "n": int, "genus": int, "stratum": str, "reduced": bool, "orbit_id": str,
+                "index": int, "cusp_widths": list, "curve_genus": int}
+_KEYS = _FIELD_TYPES.keys()
+_INT = frozenset({int})
+_JSON_SPACE = " \t\n\r"  # the whitespace json.loads allows around a value
+_scan = json.JSONDecoder().raw_decode
 
 
-def _decode_record(line: str) -> _Record:
+def _wrong_type(rec) -> str:
+    """What is wrong with a record that is not an object with CatalogEntry's
+    fields, each of its JSON type."""
+    if type(rec) is not dict:
+        return f"the record is {type(rec).__name__}, not an object"
+    for name, want in _FIELD_TYPES.items():
+        if name not in rec:
+            return f"field {name!r} is missing"
+        if type(rec[name]) is not want:
+            return f"{name} is {rec[name]!r}, not of type {want.__name__}"
+    for name in rec:
+        if name not in _FIELD_TYPES:
+            return f"field {name!r} is not a catalog field"
+    return f"cusp_widths is {rec['cusp_widths']!r}, not a list of int"
+
+
+def _decode_record(line: str) -> dict:
     """One catalog line: a JSON object with exactly CatalogEntry's fields, or a
-    JSONDecodeError or TypeError. The fields that readers filter or key on
-    and the list cusp_widths are checked here, on every record; catalog_query
-    checks the rest on the records it keeps, since checking every field of
-    every record costs a fifth of a full read."""
-    rec = _Record(**json.loads(line))  # TypeError for anything but such an object
-    if not (type(rec.origami) is str and type(rec.n) is int and type(rec.stratum) is str
-            and type(rec.reduced) is bool and type(rec.orbit_id) is str and type(rec.cusp_widths) is list):
+    ValueError (a JSONDecodeError, or an int too long for int()), TypeError or
+    (nested too deeply) RecursionError. One C-level scan decodes the line and
+    accepts exactly what json.loads does. The fields that readers filter or
+    key on and the list cusp_widths are checked here, on every record;
+    catalog_query checks the rest on the records it keeps, since checking
+    every field of every record costs a fifth of a full read."""
+    text = line.strip(_JSON_SPACE)
+    rec, end = _scan(text)
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    if not (type(rec) is dict and rec.keys() == _KEYS and type(rec["origami"]) is str and type(rec["n"]) is int
+            and type(rec["stratum"]) is str and type(rec["reduced"]) is bool and type(rec["orbit_id"]) is str
+            and type(rec["cusp_widths"]) is list):
         raise TypeError(_wrong_type(rec))
     return rec
 
 
-def _read_entries(path, repair: bool = False) -> list[_Record]:
-    """The records of a catalog file, in file order; a caller builds a
-    CatalogEntry only for the records it keeps.
+def _read_entries(path, repair: bool = False) -> list[dict]:
+    """The records of a catalog file, in file order, as decoded dicts; a
+    caller builds a CatalogEntry only for the records it keeps.
 
-    A last line with no newline is what an interrupted append leaves. If it
-    does not parse, readers skip it, and with repair it is cut off the file;
-    if it does parse, repair completes it with its newline. Either way the
-    next append starts on a fresh line.
+    A line nested too deeply for the decoder, or holding an int too long for
+    int(), is a malformed record like any other. A last line with no newline
+    is what an interrupted append leaves. If it does not parse, readers skip
+    it, and with repair it is cut off the file; if it does parse, repair
+    completes it with its newline. Either way the next append starts on a
+    fresh line.
     """
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
             try:
                 records.append(_decode_record(line))
-            except (json.JSONDecodeError, TypeError) as exc:
+            except (ValueError, TypeError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
+                if line.isspace():  # a blank line holds no record
+                    continue
                 if line.endswith("\n"):
                     raise CatalogError(f"malformed catalog record ({exc})", lineno) from None
                 if repair:
@@ -92,10 +107,206 @@ def _read_entries(path, repair: bool = False) -> list[_Record]:
     return records
 
 
-# ---- catalog lines ------------------------------------------------------------------------
+def catalog_write(path, entries) -> tuple[int, int]:
+    """Append new entries (keyed by canonical origami text); duplicates are
+    skipped with a warning.  Returns (written, skipped).
 
-FIELDS = _Record._fields
-REAL = [json.loads(e.to_json()) for n in (1, 2, 3) for e in enumerate_origamis(n)]
+    The file is locked from the read of its keys to the end of the append, so
+    concurrent writers take turns and each key is written once."""
+    written = skipped = 0
+    with open(path, "a", encoding="utf-8") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)  # released when fh closes, after its last write is flushed
+        existing = {rec["origami"] for rec in _read_entries(path, repair=True)}
+        for e in entries:
+            if e.origami in existing:
+                warnings.warn(f"duplicate canonical key skipped: {e.origami}")
+                skipped += 1
+                continue
+            fh.write(e.to_json() + "\n")
+            existing.add(e.origami)
+            written += 1
+    return written, skipped
+
+
+def catalog_query(
+    path,
+    n: int | None = None,
+    stratum_filter: str | None = None,
+    orbit_id: str | None = None,
+    reduced_only: bool = False,
+) -> list[CatalogEntry]:
+    # read as enumerate_origamis reads it: "H( 0 )" is H(0), "H(1,1" a ValueError
+    stratum_text = None if stratum_filter is None else str(Stratum.parse(stratum_filter))
+    out = []
+    for i, rec in enumerate(_read_entries(path)):
+        if n is not None and rec["n"] != n:
+            continue
+        if stratum_text is not None and rec["stratum"] != stratum_text:
+            continue
+        if orbit_id is not None and rec["orbit_id"] != orbit_id:
+            continue
+        if reduced_only and not rec["reduced"]:
+            continue
+        widths = rec["cusp_widths"]
+        if not (type(rec["genus"]) is int and type(rec["index"]) is int and type(rec["curve_genus"]) is int
+                and _INT.issuperset(map(type, widths))):
+            raise CatalogError(f"malformed catalog record ({_wrong_type(rec)})", _line_of_record(path, i))
+        rec["cusp_widths"] = tuple(widths)
+        out.append(CatalogEntry(**rec))
+    return out
+
+
+def _line_of_record(path, index: int) -> int:
+    """The number of the line that holds the index-th record of a catalog file
+    (blank lines hold none); a failing query finds its line here, so that
+    reads carry no line numbers."""
+    with open(path, encoding="utf-8") as fh:
+        return [lineno for lineno, line in enumerate(fh, start=1) if line.strip()][index]
+
+
+# ---- the two layouts on the same writes ---------------------------------------------------
+
+REAL_ENTRIES = [e for n in (1, 2, 3, 4) for e in enumerate_origamis(n)]
+STRATA = ["H(0)", "H(2)", "H(1,1)"]
+# entries that need not be surfaces: texts shared with real ones, one orbit_id
+# with different fields, any ints
+MADE_UP = st.builds(
+    CatalogEntry,
+    origami=st.sampled_from([e.origami for e in REAL_ENTRIES[:5]]) | st.text(max_size=6),
+    n=st.integers(1, 3),
+    genus=st.integers(0, 2),
+    stratum=st.sampled_from(STRATA + ["H( 0 )", "", "é\n"]),
+    reduced=st.booleans(),
+    orbit_id=st.sampled_from(["a", "b", REAL_ENTRIES[0].orbit_id]),
+    index=st.integers(-2, 5) | st.integers(),
+    cusp_widths=st.lists(st.integers(-1, 3) | st.integers(), max_size=3).map(tuple),
+    curve_genus=st.integers(0, 1),
+)
+
+
+@st.composite
+def write_sequences(draw):
+    """Lists of entries split into writes; an entry may come back in a later
+    write or twice in one."""
+    pool = draw(st.lists(st.sampled_from(REAL_ENTRIES) | MADE_UP, min_size=1, max_size=8))
+    entries = draw(st.lists(st.sampled_from(pool), max_size=14))
+    cuts = sorted(draw(st.lists(st.integers(0, len(entries)), max_size=4)))
+    return [entries[i:j] for i, j in zip([0, *cuts], [*cuts, len(entries)])]
+
+
+def run_writes(write, path, writes):
+    """The (written, skipped) counts and the warnings of each write."""
+    results = []
+    for batch in writes:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            counts = write(path, batch)
+        results.append((counts, [(w.category, str(w.message)) for w in caught]))
+    return results
+
+
+def all_queries(query, path, entries):
+    """The result of every combination of filters, from values the entries
+    hold and values they do not."""
+    ns = [None, 0, *sorted({e.n for e in entries})]
+    strata = [None, "H(4)", *STRATA]
+    orbit_ids = [None, "c", *sorted({e.orbit_id for e in entries})]
+    return {(n, s, oid, reduced): query(path, n=n, stratum_filter=s, orbit_id=oid, reduced_only=reduced)
+            for n in ns for s in strata for oid in orbit_ids for reduced in (False, True)}
+
+
+@given(write_sequences())
+@example([REAL_ENTRIES, REAL_ENTRIES[::-1], REAL_ENTRIES[3:9]])
+@example([[CatalogEntry("x", 1, 0, "H(0)", True, "a", 1, (1,), 0),
+           CatalogEntry("y", 1, 0, "H(0)", True, "a", 2, (2,), 0),  # one orbit_id, two rows of the table
+           CatalogEntry("z", 1, 0, "H(0)", True, "a", 1, (1,), 0)], [], [CatalogEntry("x", 2, 0, "", False, "", 0, (), 0)]])
+def test_both_layouts_give_the_same_counts_warnings_and_queries(writes):
+    with tempfile.TemporaryDirectory() as tmp:
+        old_path, new_path = os.path.join(tmp, "old.jsonl"), os.path.join(tmp, "new.jsonl")
+        assert run_writes(catalog.catalog_write, new_path, writes) == run_writes(catalog_write, old_path, writes)
+        entries = [e for batch in writes for e in batch]
+        assert all_queries(catalog.catalog_query, new_path, entries) == all_queries(catalog_query, old_path, entries)
+        seen, writing = set(), 0  # one line per write that has a new key
+        for batch in writes:
+            writing += any(e.origami not in seen for e in batch)
+            seen.update(e.origami for e in batch)
+        with open(new_path, encoding="utf-8") as fh:
+            assert len(fh.readlines()) == writing
+
+
+def test_layout_equivalence_is_not_vacuous(tmp_path):
+    # two catalogs that always returned nothing would agree too
+    old_path, new_path = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+    assert catalog.catalog_write(new_path, REAL_ENTRIES) == catalog_write(old_path, REAL_ENTRIES) == (37, 0)
+    assert catalog.catalog_query(new_path, n=4) == catalog_query(old_path, n=4) == REAL_ENTRIES[11:]
+    assert os.path.getsize(new_path) < os.path.getsize(old_path) / 2
+
+
+# ---- the per-write reader against a plain reading of the layout ---------------------------
+
+ORBIT_TYPES = {"n": int, "genus": int, "stratum": str, "reduced": bool, "orbit_id": str, "index": int,
+               "cusp_widths": list, "curve_genus": int}
+
+
+def spec_line(line: str):
+    """The (orbits, members) of one line, None if it is malformed, or "old" for
+    a record of the per-surface layout."""
+    try:
+        rec = json.loads(line)
+    except (ValueError, RecursionError):
+        return None
+    if isinstance(rec, dict) and "origami" in rec:
+        return "old"
+    if not (isinstance(rec, dict) and set(rec) == {"orbits", "members"}
+            and type(rec["orbits"]) is list and type(rec["members"]) is list):
+        return None
+    orbits, members = rec["orbits"], rec["members"]
+    for orbit in orbits:
+        if not (isinstance(orbit, dict) and set(orbit) == set(ORBIT_TYPES)
+                and all(type(orbit[k]) is t for k, t in ORBIT_TYPES.items())
+                and all(type(w) is int for w in orbit["cusp_widths"])):
+            return None
+    for member in members:
+        if not (type(member) is list and len(member) == 2 and type(member[0]) is str and type(member[1]) is int
+                and 0 <= member[1] < len(orbits)):
+            return None
+    return orbits, members
+
+
+def spec_read(path, repair: bool = False):
+    lines = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            got = spec_line(line)
+            if got == "old":
+                raise CatalogError("old layout", lineno)
+            if got is not None:
+                lines.append(got)
+                continue
+            if line.isspace():
+                continue
+            if line.endswith("\n"):
+                raise CatalogError("malformed", lineno)
+            if repair:
+                os.truncate(path, os.path.getsize(path) - len(line.encode("utf-8")))
+            return lines
+    if repair and lines and not line.endswith("\n"):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("\n")
+    return lines
+
+
+def written(entries) -> dict:
+    """The line catalog_write appends for entries to a fresh file, decoded."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.jsonl")
+        catalog.catalog_write(path, entries)
+        with open(path, encoding="utf-8") as fh:
+            return json.loads(fh.read())
+
+
+REAL = [written(enumerate_origamis(n)) for n in (1, 2, 3)] + [written(REAL_ENTRIES)]
+OLD = [json.loads(e.to_json()) for e in REAL_ENTRIES[:4]]
 
 # every JSON value, NaN and ±Infinity included (json.dumps writes them as such)
 ANY_JSON = st.recursive(
@@ -104,23 +315,30 @@ ANY_JSON = st.recursive(
     max_leaves=5,
 )
 # values that are almost of a field's type: bools for ints, floats for ints, ...
-NEAR_VALUES = [True, False, 0, 1, 1.0, float("nan"), float("inf"), -float("inf"), "1", "", None,
-               [], [1], [True], [1.0], ["1"], {}, {"1": 1}]
+NEAR_VALUES = [True, False, 0, 1, -1, 2, 1.0, float("nan"), float("inf"), -float("inf"), "1", "", None,
+               [], [1], [True], [1.0], ["1"], ["x", 0], ["x", 0, 0], ["x", True], ["x", 1.0], [1, "x"], {}, {"1": 1}]
 NEAR = st.sampled_from(NEAR_VALUES)
-TYPED = st.fixed_dictionaries({
-    "origami": st.text(max_size=8), "n": st.integers(), "genus": st.integers(), "stratum": st.text(max_size=6),
-    "reduced": st.booleans(), "orbit_id": st.text(max_size=8), "index": st.integers(),
-    "cusp_widths": st.lists(st.integers(), max_size=3), "curve_genus": st.integers(),
+TYPED_ORBIT = st.fixed_dictionaries({
+    "n": st.integers(), "genus": st.integers(), "stratum": st.text(max_size=6), "reduced": st.booleans(),
+    "orbit_id": st.text(max_size=8), "index": st.integers(), "cusp_widths": st.lists(st.integers(), max_size=3),
+    "curve_genus": st.integers(),
 })
-# str.strip() removes all of these, json.loads only the first four
-SPACE = st.text(alphabet=" \t\r\n\x0b\x0c\x1c\x1f\x85\u00a0\u2028\u3000", max_size=3)
 
 
 @st.composite
-def record_text(draw) -> str:
-    """A JSON object with CatalogEntry's fields, perhaps one field wrong,
-    missing, renamed, added or repeated; keys in any order."""
-    pairs = list(draw(st.sampled_from(REAL) | TYPED).items())
+def typed_line(draw) -> dict:
+    orbits = draw(st.lists(TYPED_ORBIT, max_size=3))
+    if not orbits:
+        return {"orbits": [], "members": []}
+    member = st.tuples(st.text(max_size=8), st.integers(0, len(orbits) - 1)).map(list)
+    return {"orbits": orbits, "members": draw(st.lists(member, max_size=4))}
+
+
+@st.composite
+def changed(draw, pairs: list, names) -> list:
+    """pairs, a JSON object's items, perhaps with one value wrong, or one key
+    missing, renamed, added or repeated."""
+    pairs = list(pairs)
     change = draw(st.sampled_from(["none", "type", "missing", "renamed", "extra", "duplicate"]))
     at = draw(st.integers(0, len(pairs) - 1))
     if change == "type":
@@ -130,50 +348,82 @@ def record_text(draw) -> str:
     elif change == "renamed":
         pairs[at] = (draw(st.text(max_size=4)), pairs[at][1])
     elif change == "extra":
-        pairs.insert(at, (draw(st.text(max_size=4)), draw(ANY_JSON)))
+        pairs.insert(at, (draw(st.text(max_size=4) | st.just("origami")), draw(ANY_JSON)))
     elif change == "duplicate":  # the last copy of a key is the one json keeps
-        pairs.insert(at, (draw(st.sampled_from(FIELDS)), draw(NEAR | ANY_JSON)))
+        pairs.insert(at, (draw(st.sampled_from(names)), draw(NEAR | ANY_JSON)))
+    return draw(st.permutations(pairs))
+
+
+def dumps(value, ascii_only) -> str:
+    """JSON text of value, whose objects are lists of (key, value) pairs."""
+    if isinstance(value, list) and value and all(isinstance(p, tuple) for p in value):
+        return "{" + ", ".join(f"{json.dumps(k, ensure_ascii=ascii_only)}: {dumps(v, ascii_only)}"
+                               for k, v in value) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(dumps(v, ascii_only) for v in value) + "]"
+    return json.dumps(value, ensure_ascii=ascii_only)
+
+
+@st.composite
+def line_text(draw) -> str:
+    """A line of the per-write layout, perhaps with one thing wrong: in the
+    line's own fields, in one orbit, or in one member; keys in any order."""
+    line = draw(st.sampled_from(REAL) | typed_line())
+    orbits = [list(o.items()) for o in line["orbits"]]
+    members = [list(m) for m in line["members"]]
+    where = draw(st.sampled_from(["line", "orbit", "member", "none"]))
+    if where == "orbit" and orbits:
+        i = draw(st.integers(0, len(orbits) - 1))
+        orbits[i] = draw(changed(orbits[i], list(ORBIT_TYPES)))
+    elif where == "member" and members:
+        i = draw(st.integers(0, len(members) - 1))
+        members[i] = draw(NEAR | ANY_JSON | st.tuples(st.text(max_size=3), st.integers(-2, len(orbits) + 1)).map(list))
+    pairs = [("orbits", orbits), ("members", members)]
+    if where == "line":
+        pairs = draw(changed(pairs, ["orbits", "members"]))
     pairs = draw(st.permutations(pairs))
-    ascii_only = draw(st.booleans())
-    return "{" + ", ".join(f"{json.dumps(k, ensure_ascii=ascii_only)}: {json.dumps(v, ensure_ascii=ascii_only)}"
-                           for k, v in pairs) + "}"
+    return dumps(pairs, draw(st.booleans()))
 
 
 @st.composite
 def catalog_line(draw) -> str:
-    kind = draw(st.sampled_from(["record", "spaced", "trailing", "bom", "non-object", "blank", "text"]))
+    kind = draw(st.sampled_from(["line", "spaced", "trailing", "bom", "old", "non-object", "blank", "text"]))
     if kind == "non-object":
         return json.dumps(draw(ANY_JSON.filter(lambda v: type(v) is not dict)))
     if kind == "blank":
         return draw(SPACE)
     if kind == "text":
         return draw(st.text(max_size=12))
-    record = draw(record_text())
+    if kind == "old":
+        return json.dumps(draw(st.sampled_from(OLD)))
+    line = draw(line_text())
     if kind == "spaced":
-        return draw(SPACE) + record + draw(SPACE)
+        return draw(SPACE) + line + draw(SPACE)
     if kind == "trailing":
-        return record + draw(st.sampled_from([" x", "]", ",", "0", "{}", " " + record, record]))
+        return line + draw(st.sampled_from([" x", "]", ",", "0", "{}", " " + line, line]))
     if kind == "bom":
-        return "\ufeff" + record
-    return record
+        return "\ufeff" + line
+    return line
 
 
-GOOD = REAL[0]
-GOOD_TEXT = json.dumps(GOOD)
+# str.strip() removes all of these, json.loads only the first four
+SPACE = st.text(alphabet=" \t\r\n\x0b\x0c\x1c\x1f\x85\u00a0\u2028\u3000", max_size=3)
+GOOD_TEXT = json.dumps(REAL[1])
+OLD_TEXT = json.dumps(OLD[0])
 
 
 def outcome(read, path, repair):
     try:
-        records = read(path, repair=repair)
-    except Exception as exc:  # the class and the line, not the message
-        return type(exc), getattr(exc, "line", None)
-    return [repr(tuple(r) if isinstance(r, tuple) else tuple(r[name] for name in FIELDS)) for r in records]
+        lines = read(path, repair=repair)
+    except CatalogError as exc:  # the line, not the message
+        return CatalogError, exc.line
+    return [repr((list(orbits), list(members))) for orbits, members in lines]
 
 
 def read_both(text: str, repair: bool):
     results = []
     with tempfile.TemporaryDirectory() as tmp:
-        for read in (_read_entries, catalog._read_entries):
+        for read in (spec_read, catalog._read_entries):
             path = os.path.join(tmp, f"{read.__module__}.jsonl")
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
@@ -183,23 +433,35 @@ def read_both(text: str, repair: bool):
     return results
 
 
+def assert_agree(text: str, repair: bool):
+    (spec, spec_bytes), (new, new_bytes) = read_both(text, repair)
+    assert new == spec, text
+    assert new_bytes == spec_bytes, text
+
+
 @given(st.lists(catalog_line(), max_size=5), st.sampled_from(["\n", ""]), st.booleans())
 @example([GOOD_TEXT, " \t" + GOOD_TEXT + "\r"], "\n", False)
 @example([GOOD_TEXT, "\x0b" + GOOD_TEXT], "\n", False)
 @example([GOOD_TEXT, GOOD_TEXT + "\x0c"], "", True)
-@example([GOOD_TEXT, " ", "  "], "\n", True)
-@example([GOOD_TEXT, " " + GOOD_TEXT], "", True)
+@example([GOOD_TEXT, " ", "  "], "\n", True)
+@example([GOOD_TEXT, " " + GOOD_TEXT], "", True)
 @example([GOOD_TEXT + " " + GOOD_TEXT], "\n", False)
 @example([GOOD_TEXT, GOOD_TEXT + "x"], "", True)
+@example([GOOD_TEXT, GOOD_TEXT[:-7]], "", True)  # a torn write
 @example(["\ufeff" + GOOD_TEXT], "\n", False)
 @example([GOOD_TEXT, "[1, 2]", "null"], "\n", False)
-@example([json.dumps({**GOOD, "n": True})], "\n", False)
-@example([json.dumps({**GOOD, "genus": float("nan")})], "\n", False)
+@example([GOOD_TEXT, OLD_TEXT], "", True)  # the per-surface layout, also with no newline
+@example([json.dumps({"orbits": [], "members": []})], "\n", False)
+@example([json.dumps({**REAL[1], "members": [["x", 1]]})], "\n", False)
+@example([json.dumps({**REAL[1], "members": [["x", -1]]})], "\n", False)
+@example([json.dumps({**REAL[1], "members": [["x", True]]})], "\n", False)
+@example([json.dumps({**REAL[1], "members": [["x", 0, 0]]})], "\n", False)
+@example([json.dumps({**REAL[1], "orbits": [{**REAL[1]["orbits"][0], "n": True}]})], "\n", False)
+@example([json.dumps({**REAL[1], "orbits": [{**REAL[1]["orbits"][0], "cusp_widths": [1, 1.0]}]})], "", True)
 @example([GOOD_TEXT.replace('"index": ', '"index": Infinity, "index": ')], "\n", False)
-@example([GOOD_TEXT[:-1] + ', "n": "1"}'], "", True)
-@example([json.dumps({k: v for k, v in GOOD.items() if k != "index"})], "", True)
-@example([json.dumps({**GOOD, "extra": 1})], "\n", False)
-def test_both_readers_agree(lines, end, repair):
+@example([GOOD_TEXT[:-1] + ', "origami": "1"}'], "\n", False)
+@example([json.dumps({**REAL[1], "extra": 1})], "\n", False)
+def test_reader_agrees_with_a_plain_reading(lines, end, repair):
     # each line after a good one, so that an early malformed line hides no
     # later one, then the whole file
     for line in lines:
@@ -207,29 +469,40 @@ def test_both_readers_agree(lines, end, repair):
     assert_agree("\n".join(lines) + end if lines else "", repair)
 
 
-@pytest.mark.parametrize("field", FIELDS)
-def test_each_field_missing_or_with_each_near_value(field):
-    texts = [json.dumps({k: v for k, v in GOOD.items() if k != field}),  # missing
-             json.dumps({k if k != field else field.upper(): v for k, v in GOOD.items()}),  # renamed
-             GOOD_TEXT[:-1] + f', "{field}x": 1}}']  # one too many
-    for value in NEAR_VALUES:
-        texts.append(json.dumps({**GOOD, field: value}))
-        texts.append(f'{{"{field}": {json.dumps(value)}, ' + GOOD_TEXT[1:])  # the good value is the last copy
-        texts.append(GOOD_TEXT[:-1] + f', "{field}": {json.dumps(value)}}}')  # the near value is
+@pytest.mark.parametrize("field", ORBIT_TYPES)
+def test_each_orbit_field_missing_or_with_each_near_value(field):
+    good = REAL[1]["orbits"][0]
+    orbits = [{k: v for k, v in good.items() if k != field},  # missing
+              {k if k != field else field.upper(): v for k, v in good.items()},  # renamed
+              {**good, f"{field}x": 1}]  # one too many
+    orbits += [{**good, field: value} for value in NEAR_VALUES]
+    texts = [json.dumps({**REAL[1], "orbits": [orbit]}) for orbit in orbits]
+    orbit_text = json.dumps(good)
+    for value in NEAR_VALUES:  # a repeated key: the near value first (the good one kept), then last
+        for bad in (f'{{"{field}": {json.dumps(value)}, ' + orbit_text[1:], orbit_text[:-1] + f', "{field}": '
+                    f'{json.dumps(value)}}}'):
+            texts.append(GOOD_TEXT.replace(orbit_text, bad))
     for text in texts:
         for end in ("\n", ""):
             assert_agree(GOOD_TEXT + "\n" + text + end, repair=True)
 
 
-def assert_agree(text: str, repair: bool):
-    (old, old_bytes), (new, new_bytes) = read_both(text, repair)
-    assert new == old, text
-    assert new_bytes == old_bytes, text
+@pytest.mark.parametrize("field", ["orbits", "members"])
+def test_each_line_field_missing_or_with_each_near_value(field):
+    texts = [json.dumps({k: v for k, v in REAL[1].items() if k != field}),
+             json.dumps({**REAL[1], f"{field}x": []})]
+    texts += [json.dumps({**REAL[1], field: value}) for value in NEAR_VALUES]
+    texts += [json.dumps({**REAL[1], "members": [value]}) for value in NEAR_VALUES]
+    for text in texts:
+        for end in ("\n", ""):
+            assert_agree(GOOD_TEXT + "\n" + text + end, repair=True)
 
 
 def test_agreement_is_not_vacuous():
     # two readers that always raised would agree too
-    one = [repr(tuple(GOOD[name] for name in FIELDS))]
+    one = [repr((REAL[1]["orbits"], REAL[1]["members"]))]
     assert read_both(GOOD_TEXT + "\n \n", False)[1][0] == one
     assert read_both("\ufeff" + GOOD_TEXT + "\n", False)[1][0] == (CatalogError, 1)
+    assert read_both(GOOD_TEXT + "\n" + OLD_TEXT, True)[1] == ((CatalogError, 2), (GOOD_TEXT + "\n" + OLD_TEXT).encode())
     assert read_both(GOOD_TEXT + "\n" + GOOD_TEXT + "x", True)[1] == (one, (GOOD_TEXT + "\n").encode())
+    assert [f.name for f in fields(CatalogEntry)] == ["origami", *ORBIT_TYPES]
