@@ -79,6 +79,15 @@ def _wrong_fields(rec, types: dict, what: str) -> str | None:
     return None
 
 
+def _wrong_orbit(orbit, what: str) -> str | None:
+    """What is wrong with a decoded orbit, if it does not have exactly the
+    orbit fields, each of its JSON type, with cusp_widths a list of int."""
+    wrong = _wrong_fields(orbit, _ORBIT_TYPES, what)
+    if wrong is None and not _INT.issuperset(map(type, orbit["cusp_widths"])):
+        wrong = f"{what}: cusp_widths is {orbit['cusp_widths']!r}, not a list of int"
+    return wrong
+
+
 def _members_ok(members: list, count: int) -> bool:
     """Whether each member is a list [str, int] with the int in range(count),
     in C-level passes: the members are most of a line."""
@@ -99,11 +108,9 @@ def _wrong_line(rec) -> str | None:
         return wrong
     orbits, members = rec["orbits"], rec["members"]
     for i, orbit in enumerate(orbits):
-        wrong = _wrong_fields(orbit, _ORBIT_TYPES, f"orbit {i}")
+        wrong = _wrong_orbit(orbit, f"orbit {i}")
         if wrong:
             return wrong
-        if not _INT.issuperset(map(type, orbit["cusp_widths"])):
-            return f"orbit {i}: cusp_widths is {orbit['cusp_widths']!r}, not a list of int"
     if _members_ok(members, len(orbits)):
         return None
     for i, member in enumerate(members):
@@ -273,45 +280,78 @@ def _read_entries(path, repair: bool = False) -> list[tuple[list[dict], list[lis
     return lines
 
 
+def _wrong_entry(e) -> str | None:
+    """What would keep entry e from being read back as itself: what the
+    reader's check finds wrong with its orbit and its text as they will be
+    read, or a cusp_widths that is not a tuple (json writes a list as it
+    writes a tuple, and a query returns a tuple)."""
+    what = f"catalog entry {e.origami!r}"
+    try:
+        orbit, text = json.loads(json.dumps([dict(zip(_ORBIT_TYPES, _orbit_fields(e))), e.origami]))
+    except (TypeError, ValueError) as exc:  # a value json does not write, or an int too long for str()
+        return f"{what}: {exc}"
+    wrong = _wrong_orbit(orbit, what)
+    if wrong is None and type(text) is not str:
+        wrong = f"{what}: origami is {e.origami!r}, not of type str"
+    if wrong is None and not isinstance(e.cusp_widths, tuple):
+        wrong = f"{what}: cusp_widths is {e.cusp_widths!r}, not a tuple"
+    return wrong
+
+
 def catalog_write(path, entries) -> tuple[int, int]:
     """Append new entries (keyed by canonical origami text); duplicates are
     skipped with a warning.  Returns (written, skipped).
 
     The new entries go in one line: a table of their distinct orbit field
     tuples, and the members [text, index into the table] in the order given.
-    The file is locked from the read of its keys to the end of the append, so
-    concurrent writers take turns and each key is written once."""
+    The line is checked as the reader will read it before it is appended: an
+    entry that would not read back as itself is a TypeError naming the entry
+    and its field, and nothing is written. The file is locked from the read
+    of its keys to the end of the append, so concurrent writers take turns
+    and each key is written once."""
     skipped = 0
     with open(path, "a", encoding="utf-8") as fh:
         fcntl.flock(fh, fcntl.LOCK_EX)  # released when fh closes, after its last write is flushed
         existing = {text for _, members in _read_entries(path, repair=True) for text, _ in members}
         orbits: dict[tuple, int] = {}
         members = []
+        written = []
         for e in entries:
-            if e.origami in existing:
-                warnings.warn(f"duplicate canonical key skipped: {e.origami}")
-                skipped += 1
-                continue
-            members.append([e.origami, orbits.setdefault(_orbit_fields(e), len(orbits))])
+            try:
+                if e.origami in existing:
+                    warnings.warn(f"duplicate canonical key skipped: {e.origami}")
+                    skipped += 1
+                    continue
+                members.append([e.origami, orbits.setdefault(_orbit_fields(e), len(orbits))])
+            except TypeError as exc:  # an unhashable field, such as a list cusp_widths
+                raise TypeError(_wrong_entry(e) or str(exc)) from None
             existing.add(e.origami)
+            written.append(e)
         if members:
-            table = [dict(zip(_ORBIT_TYPES, fields)) for fields in orbits]  # json writes the tuple cusp_widths as a list
-            fh.write(json.dumps({"orbits": table, "members": members}) + "\n")
+            table = [dict(zip(_ORBIT_TYPES, fields)) for fields in orbits]  # json writes cusp_widths as a list
+            try:
+                line = json.dumps({"orbits": table, "members": members}) + "\n"
+                _decode_line(line)  # the reader's own check, on the line as it will be read
+            except (TypeError, ValueError) as exc:
+                raise TypeError(next(filter(None, map(_wrong_entry, written)), str(exc))) from None
+            fh.write(line)
     return len(members), skipped
 
 
-def catalog_query(
+def _query_rows(
     path,
     n: int | None = None,
     stratum_filter: str | None = None,
     orbit_id: str | None = None,
     reduced_only: bool = False,
-) -> list[CatalogEntry]:
+) -> list[tuple[tuple, str]]:
+    """The members that pass every filter given, in file order, as rows
+    (orbit fields in CatalogEntry's order after origami, origami text); the
+    members of one orbit in one line share their fields tuple."""
     # read as enumerate_origamis reads it: "H( 0 )" is H(0), "H(1,1" a ValueError
     stratum_text = None if stratum_filter is None else str(Stratum.parse(stratum_filter))
-    out = []
+    rows = []
     for orbits, members in _read_entries(path):
-        # each orbit's fields in CatalogEntry's order after origami, if the filters keep it
         kept = [
             (o["n"], o["genus"], o["stratum"], o["reduced"], o["orbit_id"], o["index"], tuple(o["cusp_widths"]),
              o["curve_genus"])
@@ -323,5 +363,16 @@ def catalog_query(
             for o in orbits
         ]
         if any(kept):
-            out += [CatalogEntry(text, *fields) for text, k in members if (fields := kept[k])]
-    return out
+            rows += [(fields, text) for text, k in members if (fields := kept[k])]
+    return rows
+
+
+def catalog_query(
+    path,
+    n: int | None = None,
+    stratum_filter: str | None = None,
+    orbit_id: str | None = None,
+    reduced_only: bool = False,
+) -> list[CatalogEntry]:
+    rows = _query_rows(path, n, stratum_filter, orbit_id, reduced_only)
+    return [CatalogEntry(text, *fields) for fields, text in rows]

@@ -96,10 +96,20 @@ class Permutation:
         return tuple(sorted((len(c) for c in cycles(self)), reverse=True))
 
     def __str__(self) -> str:
-        if self.is_identity():
-            return "()"
-        parts = [c for c in cycles(self) if len(c) > 1]
-        return "".join("(" + ",".join(map(str, c)) + ")" for c in parts)
+        """The cycles of length two and more, as cycles() orders them; "()" for the identity."""
+        images = self.images
+        seen = [False] * (len(images) + 1)
+        parts = []
+        for start, j in enumerate(images, start=1):
+            if seen[start] or j == start:
+                continue
+            c = [start]  # the least point of its cycle: the walk meets only later ones
+            while j != start:
+                c.append(j)
+                seen[j] = True
+                j = images[j - 1]
+            parts.append("(" + ",".join(map(str, c)) + ")")
+        return "".join(parts) or "()"
 
     def __repr__(self) -> str:
         return f"Permutation.parse({str(self)!r}, n={self.degree})"
@@ -115,18 +125,17 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
 def cycles(p: Permutation) -> list[tuple[int, ...]]:
     """Disjoint cycles covering 1..n, fixed points included, each cycle starting
     at its least element, cycles ordered by least element."""
-    seen = [False] * p.degree
+    images = p.images
+    seen = [False] * (len(images) + 1)
     out = []
-    for start in range(1, p.degree + 1):
-        if seen[start - 1]:
+    for start, j in enumerate(images, start=1):
+        if seen[start]:
             continue
-        c = [start]
-        seen[start - 1] = True
-        j = p(start)
+        c = [start]  # the least point of its cycle: the walk meets only later ones
         while j != start:
             c.append(j)
-            seen[j - 1] = True
-            j = p(j)
+            seen[j] = True
+            j = images[j - 1]
         out.append(tuple(c))
     return out
 

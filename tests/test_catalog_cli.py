@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from origamis.catalog import (
+    CatalogEntry,
     CatalogError,
     canonical_origamis,
     catalog_query,
@@ -439,6 +440,36 @@ class TestCatalogFile:
         path = str(tmp_path / "missing" / "c.jsonl")
         code, out, err = run_cli("catalog", "write", "--path", path, "--n", "2")
         assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "bad, named",
+        [(CatalogEntry("x", 1, 0, "H(0)", 1, "a", 1, (1,), 0), "reduced is 1, not of type bool"),
+         (CatalogEntry("x", 1, 0, "H(0)", True, "a", 1, [1], 0), "cusp_widths is [1], not a tuple"),
+         (CatalogEntry(1, 1, 0, "H(0)", True, "a", 1, (1,), 0), "origami is 1, not of type str"),
+         (CatalogEntry("x", 1, 0, "H(0)", True, 1, 1, (1,), 0), "orbit_id is 1, not of type str")],
+        ids=["int-reduced", "list-widths", "int-origami", "int-orbit-id"],
+    )
+    def test_an_entry_that_would_not_read_back_is_refused_and_nothing_is_written(self, tmp_path, bad, named):
+        # the entry is checked as the reader will read its line, whether it
+        # opens a new orbit, is the whole write, or comes after good entries
+        path = tmp_path / "cat.jsonl"
+        catalog_write(path, enumerate_origamis(2))
+        before = path.read_bytes()
+        three = enumerate_origamis(3)
+        for entries in ([bad], three[:1] + [bad] + three[1:]):
+            with pytest.raises(TypeError) as info:
+                catalog_write(path, entries)
+            assert str(info.value) == f"catalog entry {bad.origami!r}: {named}"
+            assert path.read_bytes() == before
+        assert catalog_query(path) == enumerate_origamis(2)
+        assert catalog_write(path, three) == (len(three), 0)
+
+    def test_a_write_of_an_int_reduced_leaves_a_fresh_file_readable(self, tmp_path):
+        path = tmp_path / "cat.jsonl"
+        with pytest.raises(TypeError, match="catalog entry 'x': reduced is 1, not of type bool"):
+            catalog_write(path, [CatalogEntry("x", 1, 0, "H(0)", 1, "a", 1, (1,), 0)])
+        assert path.read_bytes() == b"" and catalog_query(path) == []
+        assert catalog_write(path, enumerate_origamis(1)) == (1, 0)
 
 
 def written_line(entries) -> str:

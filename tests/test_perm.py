@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from origamis.perm import Permutation, compose, conjugate, cycles, is_transitive
@@ -52,6 +52,39 @@ class TestCycles:
 
     def test_three_cycle(self):
         assert cycles(Permutation((2, 3, 1))) == [(1, 2, 3)]
+
+
+def reference_cycles(p: Permutation) -> list[tuple[int, ...]]:
+    """cycles() as it was when it called p(j) per point, kept verbatim as the reference."""
+    seen = [False] * p.degree
+    out = []
+    for start in range(1, p.degree + 1):
+        if seen[start - 1]:
+            continue
+        c = [start]
+        seen[start - 1] = True
+        j = p(start)
+        while j != start:
+            c.append(j)
+            seen[j - 1] = True
+            j = p(j)
+        out.append(tuple(c))
+    return out
+
+
+@given(perms(max_degree=12))
+@example(Permutation.identity(1))
+@example(Permutation.identity(12))
+@example(Permutation((12,) + tuple(range(1, 12))))
+def test_cycles_and_text_walk_the_images_as_the_reference_does(p):
+    assert cycles(p) == reference_cycles(p)
+    moved = [c for c in reference_cycles(p) if len(c) > 1]
+    assert str(p) == ("".join("(" + ",".join(map(str, c)) + ")" for c in moved) if moved else "()")
+    assert Permutation.parse(str(p), p.degree) == p
+
+
+def test_text_of_the_empty_permutation():
+    assert (str(Permutation(())), cycles(Permutation(()))) == ("()", [])
 
 
 class TestConjugate:
