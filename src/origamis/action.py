@@ -1,7 +1,8 @@
 """The SL₂(ℤ)-action on origamis: orbits, Veech groups, cusps, elliptic points.
 
-Action formulas on image tuples, fixed by the package's worked fixtures
-(``_act`` holds the only copy):
+Action formulas, fixed by the package's worked fixtures (``_act`` holds the
+only copy, on the move tables (h, h⁻¹, v, v⁻¹) of origami._tables, so no step
+rebuilds an inverse):
 
     T:   (h, v) -> (h, v∘h⁻¹)          (horizontal shear)
     T⁻¹: (h, v) -> (h, v∘h)
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .origami import Origami, _canonical_key, genus, is_reduced
+from .origami import Origami, _canonical_key, _singular_corners, _tables, genus, is_reduced
 from .perm import Permutation
 from .quadfield import exact_rational
 
@@ -134,29 +135,24 @@ def word_for_matrix(M) -> SL2ZWord:
 # -- the action ------------------------------------------------------------------
 
 
-def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for i, j in enumerate(p, start=1):
-        inv[j - 1] = i
-    return tuple(inv)
-
-
-def _act(g: str, h: tuple[int, ...], v: tuple[int, ...]):
-    """Image tuples of (h, v) under the generator g."""
+def _act(g: str, h, hinv, v, vinv):
+    """Move tables of the image of (h, v) under the generator g; the new
+    inverses are compositions of the old tables, and an S step only permutes
+    them."""
     if g == "T":
-        return h, tuple([v[j - 1] for j in _inverse(h)])
+        return h, hinv, tuple([v[j] for j in hinv]), tuple([h[j] for j in vinv])
     if g == "S":
-        return v, _inverse(h)
+        return v, vinv, hinv, h
     if g == "T^-1":
-        return h, tuple([v[j - 1] for j in h])
-    return _inverse(v), h  # S^-1; SL2ZWord admits no other generator
+        return h, hinv, tuple([v[j] for j in h]), tuple([hinv[j] for j in vinv])
+    return vinv, v, h, hinv  # S^-1; SL2ZWord admits no other generator
 
 
 def apply_word(w: SL2ZWord, o: Origami) -> Origami:
-    h, v = o.h.images, o.v.images
+    tables = _tables(o.h.images, o.v.images)
     for g in reversed(w.gens):
-        h, v = _act(g, h, v)
-    return Origami(Permutation(h), Permutation(v))
+        tables = _act(g, *tables)
+    return Origami(Permutation(tables[0][1:]), Permutation(tables[2][1:]))
 
 
 # -- point transport (used to cross-check flow against the action) ----------------
@@ -204,11 +200,11 @@ def act_direction(gen: str, p, q):
 def transport_point(w: SL2ZWord, o: Origami, sq: int, x, y):
     """Push (sq, x, y) through the whole word; returns (surface, sq, x, y)."""
     x, y = exact_rational(x), exact_rational(y)  # also for the empty word
-    h, v = o.h.images, o.v.images
+    tables = _tables(o.h.images, o.v.images)
     for g in reversed(w.gens):
-        sq, x, y = act_point(g, h, sq, x, y)
-        h, v = _act(g, h, v)
-    return Origami(Permutation(h), Permutation(v)), sq, x, y
+        sq, x, y = act_point(g, tables[0][1:], sq, x, y)
+        tables = _act(g, *tables)
+    return Origami(Permutation(tables[0][1:]), Permutation(tables[2][1:])), sq, x, y
 
 
 def transport_direction(w: SL2ZWord, p, q):
@@ -221,12 +217,13 @@ def transport_direction(w: SL2ZWord, p, q):
 # -- orbits ------------------------------------------------------------------------
 
 
-def _proj_key(h: tuple[int, ...], v: tuple[int, ...], half_turn_trivial: bool):
-    """The key of the projective class: the lesser canonical key of (h, v) and
-    -I·(h, v) = (h⁻¹, v⁻¹) in one search, or with half_turn_trivial that of
-    (h, v). A function of its own because the benchmark's action.proj_key.calls
-    row and the orbit key-count test count its calls."""
-    return _canonical_key(h, v, not half_turn_trivial)
+def _proj_key(h, hinv, v, vinv, half_turn_trivial: bool):
+    """The key of the projective class of the pair with move tables (h, h⁻¹,
+    v, v⁻¹): the lesser canonical key of (h, v) and -I·(h, v) = (h⁻¹, v⁻¹) in
+    one search, or with half_turn_trivial that of (h, v). A function of its
+    own because the benchmark's action.proj_key.calls row and the orbit
+    key-count test count its calls."""
+    return _canonical_key(h, hinv, v, vinv, not half_turn_trivial)
 
 
 @dataclass(frozen=True)
@@ -272,19 +269,24 @@ def orbit(o: Origami) -> OrbitReport:
 
     -I is central, so it fixes one member iff it fixes all: it is decided
     once, on o (in genus ≤ 2 it is the hyperelliptic involution).
-    """
-    from .cylinders import horizontal_decomposition
 
-    h, v = o.h.images, o.v.images
-    half_turn_trivial = genus(o) <= 2 or _canonical_key(h, v) == _canonical_key(_inverse(h), _inverse(v))
-    keys = [_proj_key(h, v, half_turn_trivial)]  # one projective key per element
+    The search steps on move tables: an element's tables are built from its
+    key when it is dequeued (and those of the S∘T-image for the second S∘T
+    step), not stored per element.
+    """
+    from .cylinders import _horizontal_cylinders
+
+    h, hinv, v, vinv = _tables(o.h.images, o.v.images)
+    half_turn_trivial = genus(o) <= 2 or _canonical_key(h, hinv, v, vinv) == _canonical_key(hinv, h, vinv, v)
+    keys = [_proj_key(h, hinv, v, vinv, half_turn_trivial)]  # one projective key per element
     position = {keys[0]: 0}
     s: list[int | None] = [None]
     u: list[int | None] = [None]
 
-    def place(h, v):
-        """Index of the projective class of (h, v), added to the table if new."""
-        key = _proj_key(h, v, half_turn_trivial)
+    def place(tables):
+        """Index of the projective class of the pair with these move tables,
+        added to the table if new."""
+        key = _proj_key(*tables, half_turn_trivial)
         j = position.get(key)
         if j is None:
             j = position[key] = len(keys)
@@ -293,17 +295,20 @@ def orbit(o: Origami) -> OrbitReport:
             u.append(None)
         return j
 
-    for i, (h, v) in enumerate(keys):  # keys grows while the loop runs: this is the BFS queue
+    for i, key in enumerate(keys):  # keys grows while the loop runs: this is the BFS queue
+        if s[i] is not None and u[i] is not None:
+            continue
+        tables = _tables(*key)
         if s[i] is None:
-            j = place(*_act("S", h, v))
+            j = place(_act("S", *tables))
             assert s[j] is None or s[j] == i, "S is an involution on projective classes"
             s[i], s[j] = j, i
         if u[i] is None:
-            j = place(*_act("S", *_act("T", h, v)))
+            j = place(_act("S", *_act("T", *tables)))
             if j == i:
                 u[i] = i
             else:
-                k = place(*_act("S", *_act("T", *keys[j])))
+                k = place(_act("S", *_act("T", *_tables(*keys[j]))))
                 assert u[j] is None and u[k] is None, "S∘T has order 3 on projective classes"
                 u[i], u[j], u[k] = j, k, i
     index = len(keys)
@@ -329,10 +334,11 @@ def orbit(o: Origami) -> OrbitReport:
     for c, cyc in enumerate(cycles):
         for i in cyc:
             cusp_of[i] = c
-    cusps = tuple(
-        Cusp(len(cyc), len(horizontal_decomposition(Origami(*map(Permutation, keys[cyc[0]])))))
-        for cyc in cycles
-    )
+    cusps = []
+    for cyc in cycles:  # counted on the least member
+        h, hinv, v, vinv = _tables(*keys[cyc[0]])
+        cusps.append(Cusp(len(cyc), len(_horizontal_cylinders(h, v, _singular_corners(h, hinv, v, vinv)))))
+    cusps = tuple(cusps)
 
     assert sum(c.width for c in cusps) == index, "cusp widths must partition the orbit"
     e2 = sum(1 for i in range(index) if s[i] == i)
@@ -355,8 +361,8 @@ def in_veech_group(o: Origami, w: SL2ZWord) -> bool:
     """Whether the word's matrix stabilizes o (projectively: up to -I)."""
     half_turn_trivial = genus(o) <= 2
     image = apply_word(w, o)
-    return _proj_key(o.h.images, o.v.images, half_turn_trivial) == _proj_key(
-        image.h.images, image.v.images, half_turn_trivial
+    return _proj_key(*_tables(o.h.images, o.v.images), half_turn_trivial) == _proj_key(
+        *_tables(image.h.images, image.v.images), half_turn_trivial
     )
 
 
@@ -379,7 +385,7 @@ def slope_cusp(o: Origami, p: int, q: int, report: OrbitReport | None = None) ->
     if report is None:
         report = orbit(o)
     image = apply_word(word, o)
-    key = _proj_key(image.h.images, image.v.images, not report.minus_id_nontrivial)
+    key = _proj_key(*_tables(image.h.images, image.v.images), not report.minus_id_nontrivial)
     i = bisect_left(report.members, (key,))
     if i == len(report.members) or report.members[i][0] != key:
         raise ValueError("the report is not the orbit of o: the transported surface is not among its members")

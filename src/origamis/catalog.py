@@ -26,8 +26,8 @@ import warnings
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .action import _inverse, orbit
-from .origami import Origami, Stratum, _canonical_key, is_reduced, stratum
+from .action import orbit
+from .origami import Origami, Stratum, _canonical_key, _tables, is_reduced, stratum
 from .perm import Permutation
 
 DEFAULT_BOUND = 8
@@ -155,7 +155,9 @@ def canonical_origamis(n: int) -> list[Origami]:
     h(2) settle square 1's class, and an h or h⁻¹ choice that would close a
     cycle of a lesser class is skipped, in O(1). A pair that is built is kept
     when its labelling is its canonical key, i.e. when no other root gives a
-    lesser one; the test stops at the first root that does.
+    lesser one; the test stops at the first root that does. It reads the
+    live maps, which are the pair's move tables, and a pair's image tuples
+    are built only when its key is not cut short.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
@@ -167,7 +169,7 @@ def canonical_origamis(n: int) -> list[Origami]:
         while slot < last and maps[slot & 3][(slot >> 2) + 1]:
             slot += 1  # filled by an earlier choice, through its inverse slot
         if slot == last:
-            yield tuple(maps[0][1:]), tuple(maps[2][1:])
+            yield  # maps holds a whole pair
             return
         s, k = (slot >> 2) + 1, slot & 3
         if s > used:  # the queue ran dry before n squares: not transitive
@@ -187,7 +189,14 @@ def canonical_origamis(n: int) -> list[Origami]:
             yield from pairs(slot + 1, max(used, t), min(t, 4) if settles else least)
             fwd[s] = back[t] = 0
 
-    keys = sorted(key for key in pairs(0, 1, 0) if _canonical_key(*key, bfs_labelled=True) == key)
+    keys = []
+    for _ in pairs(0, 1, 0):
+        # a losing root cuts the key to an h-prefix and an empty v-key: most
+        # pairs are turned down without building their image tuples
+        key = _canonical_key(*maps, bfs_labelled=True)
+        if key[1] and key == (tuple(maps[0][1:]), tuple(maps[2][1:])):
+            keys.append(key)
+    keys.sort()
     return [Origami(Permutation(h), Permutation(v)) for h, v in keys]
 
 
@@ -221,7 +230,7 @@ def enumerate_origamis(
         report = orbit(o)
         members = {key for key, _ in report.members}
         if report.minus_id_nontrivial:  # the census alone needs the other orientation
-            members |= {_canonical_key(_inverse(h), _inverse(v)) for h, v in members}
+            members |= {_canonical_key(hinv, h, vinv, v) for h, hinv, v, vinv in (_tables(*k) for k in members)}
         assert members <= surfaces.keys(), "orbit members missing from the enumeration"
         texts = {k: surfaces[k].to_text() for k in members}
         fields = dict(

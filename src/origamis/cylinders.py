@@ -16,7 +16,6 @@ from functools import cached_property
 
 from .action import SL2ZWord, apply_word, word_for_matrix
 from .origami import Origami
-from .perm import cycles
 from .quadfield import QuadNum, _square_part, exact_rational, in_one_field
 
 
@@ -35,31 +34,45 @@ class Cylinder:
 
 
 def horizontal_decomposition(o: Origami) -> list[Cylinder]:
-    """Cylinders of the horizontal direction, widest first.
+    """Cylinders of the horizontal direction, widest first."""
+    # o.singular is cached on o, where a trace of the same surface reads it again
+    return _horizontal_cylinders((0, *o.h.images), (0, *o.v.images), o.singular)
 
-    Rows are the cycles of h. A row whose bottom corners are all regular
-    continues the cylinder below it: the regularity forces v to map the row
-    below onto it, in the same cyclic order. So each cylinder is walked
-    upwards from a row with a singular bottom corner; with no singular corner
-    at all (genus one) the surface is one cylinder, walked from any row.
+
+def _horizontal_cylinders(h, v, singular) -> list[Cylinder]:
+    """Cylinders of the horizontal direction of the pair with move tables h
+    and v (see origami._tables) and singular-corner table singular (see
+    origami._singular_corners), widest first.
+
+    Rows are the cycles of h, each starting at its least square, in the order
+    of those. A row whose bottom corners are all regular continues the
+    cylinder below it: the regularity forces v to map the row below onto it,
+    in the same cyclic order. So each cylinder is walked upwards from a row
+    with a singular bottom corner; with no singular corner at all (genus one)
+    the surface is one cylinder, walked from any row.
     """
-    rows = cycles(o.h)
-    row_of = [0] * (o.n + 1)
-    for i, r in enumerate(rows):
-        for s in r:
-            row_of[s] = i
-    singular = o.singular
+    n = len(h) - 1
+    rows = []
+    row_of = [-1] * (n + 1)
+    for first in range(1, n + 1):  # a row's least square meets it first
+        row = []
+        s = first
+        while row_of[s] < 0:
+            row_of[s] = len(rows)
+            row.append(s)
+            s = h[s]
+        if row:
+            rows.append(tuple(row))
     starts = {i for i, r in enumerate(rows) if any(singular[s - 1] for s in r)} or {0}
-    v = o.v.images
     cyls = []
     for i in starts:
         members = [i]
         while True:
             top = rows[members[-1]]
-            j = row_of[v[top[0] - 1]]
+            j = row_of[v[top[0]]]
             if j in starts:
                 break
-            assert {row_of[v[s - 1]] for s in top} == {j}, "regular interface must map onto one row"
+            assert {row_of[v[s]] for s in top} == {j}, "regular interface must map onto one row"
             members.append(j)
         widths = {len(rows[k]) for k in members}
         assert len(widths) == 1, "merged rows must share a length"

@@ -90,15 +90,8 @@ class Origami:
     @cached_property
     def singular(self) -> tuple[bool, ...]:
         """singular[s-1] says whether the bottom-left corner of s is a cone
-        point, i.e. whether its commutator cycle is longer than one. Read off
-        the image tuples: h(v(h⁻¹(v⁻¹(s)))) != s."""
-        h, v = self.h.images, self.v.images
-        hinv = [0] * (self.n + 1)
-        vinv = [0] * (self.n + 1)
-        for s, (a, b) in enumerate(zip(h, v), 1):
-            hinv[a] = s
-            vinv[b] = s
-        return tuple(h[v[hinv[vinv[s]] - 1] - 1] != s for s in range(1, self.n + 1))
+        point, i.e. whether its commutator cycle is longer than one."""
+        return _singular_corners(*_tables(self.h.images, self.v.images))
 
     def to_text(self) -> str:
         return f"{self.n}; h={self.h}; v={self.v}"
@@ -204,18 +197,39 @@ def stratum_dim_quadratic(orders, g: int) -> int:
 _LIVE_ROOTS = 64  # roots refined side by side: a key search holds O(64·n) labels
 
 
-def _canonical_key(
-    h_img: tuple[int, ...], v_img: tuple[int, ...], minus_id: bool = False, bfs_labelled: bool = False
-) -> tuple:
-    """Lexicographically least relabeled (h, v) over all BFS roots.
+def _tables(h_img: tuple[int, ...], v_img: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The move tables (h, h⁻¹, v, v⁻¹) of a pair of image tuples: each is
+    indexed by square and has 0 at entry 0, so p∘q is tuple([p[j] for j in q])."""
+    n = len(h_img)
+    hinv = [0] * (n + 1)
+    vinv = [0] * (n + 1)
+    for s, (a, b) in enumerate(zip(h_img, v_img), 1):
+        hinv[a] = s
+        vinv[b] = s
+    return (0, *h_img), tuple(hinv), (0, *v_img), tuple(vinv)
 
-    BFS from each square over the moves (h, h⁻¹, v, v⁻¹), relabeling squares
-    in discovery order, makes the relabeling canonical given the root; taking
-    the minimum over roots kills the root choice. Equality of keys is exactly
-    simultaneous-conjugation equivalence. (h, v) must act transitively.
 
-    With minus_id the roots of -I·(h, v) = (h⁻¹, v⁻¹) join the search, and the
-    key is the lesser of the keys of (h, v) and (h⁻¹, v⁻¹).
+def _singular_corners(h, hinv, v, vinv) -> tuple[bool, ...]:
+    """Entry s-1 says whether the bottom-left corner of s is a cone point, read
+    off the move tables without building the commutator: h(v(h⁻¹(v⁻¹(s)))) != s."""
+    return tuple([h[v[hinv[vinv[s]]]] != s for s in range(1, len(h))])
+
+
+def _canonical_key(h, hinv, v, vinv, minus_id: bool = False, bfs_labelled: bool = False) -> tuple:
+    """Lexicographically least relabeled (h, v) over all BFS roots, as a pair
+    of image tuples.
+
+    (h, h⁻¹, v, v⁻¹) are the move tables of the pair (see _tables), tuples or
+    lists; they are only read, and the key holds no reference to them, so a
+    caller may go on changing a list it passed. BFS from each square over the
+    moves (h, h⁻¹, v, v⁻¹), relabeling squares in discovery order, makes the
+    relabeling canonical given the root; taking the minimum over roots kills
+    the root choice. Equality of keys is exactly simultaneous-conjugation
+    equivalence. (h, v) must act transitively.
+
+    With minus_id the roots of -I·(h, v) = (h⁻¹, v⁻¹), whose move tables are
+    (h⁻¹, h, v⁻¹, v), join the search, and the key is the lesser of the keys
+    of (h, v) and (h⁻¹, v⁻¹).
 
     The roots are refined in lockstep, one h-key entry per step (the entry of
     a square is known as soon as it leaves its root's BFS queue), and only
@@ -234,27 +248,21 @@ def _canonical_key(
     they run one at a time, in root order, and the search returns the key of
     the first one that beats it, cut at the entry where it does (an h-key
     prefix and an empty v-key, or a whole key when the h-keys tie). The
-    result equals (h_img, v_img) exactly when the input is its canonical key,
-    and is less otherwise: the census's test of orderly generation.
+    result equals the image tuples of (h, v) exactly when the input is its
+    canonical key, and is less otherwise: the census's test of orderly
+    generation.
     """
-    n = len(h_img)
-    h = (0, *h_img)
-    v = (0, *v_img)
-    hinv = [0] * (n + 1)
-    vinv = [0] * (n + 1)
-    for i in range(1, n + 1):
-        hinv[h[i]] = i
-        vinv[v[i]] = i
+    n = len(h) - 1
     names = tuple(range(1, n + 1))  # labels, one int object each, shared by all roots
     orientations = [(h, hinv, v, vinv), (hinv, h, vinv, v)] if minus_id else [(h, hinv, v, vinv)]
     # a root's first h-key entry is 1 where h (and so h⁻¹) fixes it, else 2:
     # only h's fixed points start if h has any, unless a BFS-labelled input
     # starts with 2, which every root ties or beats
     start = range(1, n + 1)
-    if not (bfs_labelled and h_img[0] == 2):
+    if not (bfs_labelled and h[1] == 2):
         start = [r for r in start if h[r] == r] or start
     if bfs_labelled:  # the roots race the input alone: one at a time, in root order
-        best_h, best_v = list(h_img), list(v_img)
+        best_h, best_v = list(h[1:]), list(v[1:])  # copies: the key keeps no reference to the input
         size = 1
         roots = start[1:], start  # root 1 of (h, v) gives the input
     else:
@@ -345,13 +353,14 @@ def _canonical_key(
 
 
 def canonical_form(o: Origami) -> Origami:
-    h_one, v_one = _canonical_key(o.h.images, o.v.images)
+    h_one, v_one = _canonical_key(*_tables(o.h.images, o.v.images))
     return Origami(Permutation(h_one), Permutation(v_one))
 
 
 def same_surface(o1: Origami, o2: Origami) -> bool:
     """Equality up to simultaneous relabeling of the squares."""
-    return _canonical_key(o1.h.images, o1.v.images) == _canonical_key(o2.h.images, o2.v.images)
+    k1, k2 = (_canonical_key(*_tables(o.h.images, o.v.images)) for o in (o1, o2))
+    return k1 == k2
 
 
 def relabel(o: Origami, g: Permutation) -> Origami:

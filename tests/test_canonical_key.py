@@ -26,7 +26,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from origamis.origami import _canonical_key
+from origamis.origami import _canonical_key, _tables
 
 
 def reference_key(h_img: tuple[int, ...], v_img: tuple[int, ...]) -> tuple:
@@ -65,7 +65,8 @@ def reference_key(h_img: tuple[int, ...], v_img: tuple[int, ...]) -> tuple:
     return best
 
 
-def _transitive(h, v) -> bool:
+def _reached(h, v) -> set:
+    """The squares that h and v reach from square 1."""
     seen = {1}
     todo = [1]
     while todo:
@@ -74,8 +75,12 @@ def _transitive(h, v) -> bool:
             if t not in seen:
                 seen.add(t)
                 todo.append(t)
+    return seen
+
+
+def _transitive(h, v) -> bool:
     # h and v are bijections of a finite set, so forward closure is the orbit
-    return len(seen) == len(h)
+    return len(_reached(h, v)) == len(h)
 
 
 def test_exhaustive_small_degrees():
@@ -84,7 +89,7 @@ def test_exhaustive_small_degrees():
         perms = list(permutations(range(1, n + 1)))
         for h, v in product(perms, perms):
             if _transitive(h, v):
-                assert _canonical_key(h, v) == reference_key(h, v), (h, v)
+                assert _canonical_key(*_tables(h, v)) == reference_key(h, v), (h, v)
                 checked += 1
     # transitive pairs in S_n², n = 1..5 (the count behind the mass formula)
     assert checked == 1 + 3 + 26 + 426 + 11064
@@ -115,26 +120,38 @@ def test_early_exit_keeps_exactly_the_reference_keys_up_to_five_squares():
         for h, v in product(perms, perms):
             if _transitive(h, v):
                 labelled.update(bfs_relabelled(h, v, root) for root in range(1, n + 1))
-    kept = {pair for pair in labelled if _canonical_key(*pair, bfs_labelled=True) == pair}
+    kept = {pair for pair in labelled if _canonical_key(*_tables(*pair), bfs_labelled=True) == pair}
     assert kept == {reference_key(*pair) for pair in labelled}
     # the BFS-labelled pairs a_n/(n-1)! and the classes (OEIS A057005), n = 1..5
     assert (len(labelled), len(kept)) == (1 + 3 + 13 + 71 + 461, 1 + 3 + 7 + 26 + 97)
 
 
-@st.composite
-def transitive_pairs(draw, max_n=12):
-    n = draw(st.integers(1, max_n))
+def joined(h, v):
+    """v with images swapped until (h, v) is transitive. Swapping the images
+    of squares a and b in two components joins their v-cycles, and so the
+    components, so each swap leaves one component fewer."""
+    v = list(v)
     while True:
-        h = tuple(draw(st.permutations(range(1, n + 1))))
-        v = tuple(draw(st.permutations(range(1, n + 1))))
-        if _transitive(h, v):
-            return h, v
+        met = _reached(h, v)
+        if len(met) == len(h):
+            return tuple(v)
+        b = min(set(range(1, len(h) + 1)) - met)
+        v[0], v[b - 1] = v[b - 1], v[0]
+
+
+@st.composite
+def transitive_pairs(draw, max_n=12, min_n=1):
+    # joined, not filtered: the simplest draw (h = v = id) is then a
+    # transitive pair for every n, not a rejection
+    n = draw(st.integers(min_n, max_n))
+    h = tuple(draw(st.permutations(range(1, n + 1))))
+    return h, joined(h, draw(st.permutations(range(1, n + 1))))
 
 
 @given(transitive_pairs())
 def test_random_pairs_up_to_twelve_squares(pair):
     h, v = pair
-    assert _canonical_key(h, v) == reference_key(h, v)
+    assert _canonical_key(*_tables(h, v)) == reference_key(h, v)
 
 
 def relabelled(h, v, rnd):
@@ -154,7 +171,7 @@ def relabelled(h, v, rnd):
 def test_relabelled_pairs_get_the_same_key(pair, rnd):
     # symmetric inputs (many roots reaching the least key) exercise the tie path
     h, v = pair
-    assert _canonical_key(*relabelled(h, v, rnd)) == reference_key(h, v)
+    assert _canonical_key(*_tables(*relabelled(h, v, rnd))) == reference_key(h, v)
 
 
 def inverse(p):
@@ -175,7 +192,7 @@ def test_minus_id_exhaustive_small_degrees():
         perms = list(permutations(range(1, n + 1)))
         for h, v in product(perms, perms):
             if _transitive(h, v):
-                assert _canonical_key(h, v, minus_id=True) == reference_projective_key(h, v), (h, v)
+                assert _canonical_key(*_tables(h, v), minus_id=True) == reference_projective_key(h, v), (h, v)
                 checked += 1
     assert checked == 1 + 3 + 26 + 426 + 11064
 
@@ -184,8 +201,8 @@ def test_minus_id_exhaustive_small_degrees():
 def test_minus_id_on_random_and_relabelled_pairs(pair, rnd):
     h, v = pair
     want = reference_projective_key(h, v)
-    assert _canonical_key(h, v, minus_id=True) == want
-    assert _canonical_key(*relabelled(h, v, rnd), minus_id=True) == want
+    assert _canonical_key(*_tables(h, v), minus_id=True) == want
+    assert _canonical_key(*_tables(*relabelled(h, v, rnd)), minus_id=True) == want
 
 
 def reference_bfs_labelled(h, v, minus_id=False):
@@ -215,8 +232,8 @@ def test_early_exit_returns_the_first_beating_root_up_to_five_squares():
             if _transitive(h, v):
                 labelled.update(bfs_relabelled(h, v, root) for root in range(1, n + 1))
     for pair in labelled:
-        assert _canonical_key(*pair, bfs_labelled=True) == reference_bfs_labelled(*pair), pair
-        assert _canonical_key(*pair, True, True) == reference_bfs_labelled(*pair, minus_id=True), pair
+        assert _canonical_key(*_tables(*pair), bfs_labelled=True) == reference_bfs_labelled(*pair), pair
+        assert _canonical_key(*_tables(*pair), True, True) == reference_bfs_labelled(*pair, minus_id=True), pair
 
 
 @given(transitive_pairs(max_n=10), st.data())
@@ -225,23 +242,26 @@ def test_early_exit_verdict_on_bfs_labelled_pairs(pair, data):
     # canonical key's own root a canonical one
     h, v = pair
     root = data.draw(st.integers(0, len(h)))
-    h, v = _canonical_key(h, v) if root == 0 else bfs_relabelled(h, v, root)
-    early = _canonical_key(h, v, bfs_labelled=True)
-    assert (early == (h, v)) == (_canonical_key(h, v) == (h, v)) == (reference_key(h, v) == (h, v))
+    h, v = _canonical_key(*_tables(h, v)) if root == 0 else bfs_relabelled(h, v, root)
+    early = _canonical_key(*_tables(h, v), bfs_labelled=True)
+    assert (early == (h, v)) == (_canonical_key(*_tables(h, v)) == (h, v)) == (reference_key(h, v) == (h, v))
     assert early == reference_bfs_labelled(h, v)
-    assert _canonical_key(h, v, True, True) == reference_bfs_labelled(h, v, minus_id=True)
+    assert _canonical_key(*_tables(h, v), True, True) == reference_bfs_labelled(h, v, minus_id=True)
 
 
 @st.composite
 def pairs_with_a_fixed_point_of_h_off_square_one(draw, max_n=10):
     """A BFS-labelled pair whose h fixes some square but not square 1."""
-    n = draw(st.integers(2, max_n))
-    while True:
-        h, v = draw(transitive_pairs(max_n=n).filter(lambda p: len(p[0]) == n))
-        fixed = [s for s in range(1, n + 1) if h[s - 1] == s]
-        moved = [s for s in range(1, n + 1) if h[s - 1] != s]
-        if fixed and moved:
-            return bfs_relabelled(h, v, draw(st.sampled_from(moved)))
+    n = draw(st.integers(3, max_n))  # on two squares h fixes both or neither
+    h, v = draw(transitive_pairs(min_n=n, max_n=n))
+    h = list(h)
+    if h == sorted(h):  # no square moves: swap two
+        h[0], h[1] = 2, 1
+    elif all(h[s - 1] != s for s in range(1, n + 1)):  # none is fixed: take 1 out of its cycle
+        h[h.index(1)], h[0] = h[0], 1
+    h = tuple(h)
+    moved = [s for s in range(1, n + 1) if h[s - 1] != s]
+    return bfs_relabelled(h, joined(h, v), draw(st.sampled_from(moved)))
 
 
 @given(pairs_with_a_fixed_point_of_h_off_square_one())
@@ -250,10 +270,10 @@ def test_bfs_labelled_pairs_beaten_by_a_fixed_point(pair):
     # 2: the input is never canonical, and only the roots before the first
     # fixed point can beat it sooner in root order
     h, v = pair
-    early = _canonical_key(h, v, bfs_labelled=True)
+    early = _canonical_key(*_tables(h, v), bfs_labelled=True)
     assert early < (h, v)
     assert early == reference_bfs_labelled(h, v)
-    assert _canonical_key(h, v) == reference_key(h, v) < (h, v)
+    assert _canonical_key(*_tables(h, v)) == reference_key(h, v) < (h, v)
 
 
 def h_cycle_lengths(h):
@@ -310,7 +330,7 @@ def test_canonical_h_key_starts_as_the_least_h_cycle_class_dictates(pair):
     least_class = min(min(h_cycle_lengths(h)), 4)
     # h⁻¹ has the cycles of h, so the minus_id key starts the same way
     for minus_id in (False, True):
-        h_key, _ = _canonical_key(h, v, minus_id=minus_id)
+        h_key, _ = _canonical_key(*_tables(h, v), minus_id=minus_id)
         assert h_key_starts_as_its_class_dictates(h_key, least_class), (h_key, least_class, minus_id)
 
 
@@ -339,11 +359,11 @@ def cyclic_cover(n, k):
 )
 def test_symmetric_pairs_where_every_root_ties(pair):
     h, v = pair
-    assert _canonical_key(h, v) == reference_key(h, v)
-    assert _canonical_key(h, v, minus_id=True) == reference_projective_key(h, v)
+    assert _canonical_key(*_tables(h, v)) == reference_key(h, v)
+    assert _canonical_key(*_tables(h, v), minus_id=True) == reference_projective_key(h, v)
     # a BFS labelling of a pair with a transitive automorphism group is canonical
     key = bfs_relabelled(h, v, 1)
-    assert _canonical_key(*key, bfs_labelled=True) == key == _canonical_key(h, v)
+    assert _canonical_key(*_tables(*key), bfs_labelled=True) == key == _canonical_key(*_tables(h, v))
 
 
 @pytest.mark.parametrize("n, moved, seed", [(70, 70, 1), (100, 10, 2), (130, 4, 3)])
@@ -362,10 +382,10 @@ def test_pairs_whose_roots_span_several_batches(n, moved, seed):
 
     v = one_cycle(rng.sample(range(1, n + 1), n))
     h = one_cycle(rng.sample(range(1, n + 1), moved))
-    assert _canonical_key(h, v) == reference_key(h, v)
-    assert _canonical_key(h, v, minus_id=True) == reference_projective_key(h, v)
+    assert _canonical_key(*_tables(h, v)) == reference_key(h, v)
+    assert _canonical_key(*_tables(h, v), minus_id=True) == reference_projective_key(h, v)
     pair = bfs_relabelled(h, v, rng.randint(1, n))
-    assert _canonical_key(*pair, bfs_labelled=True) == reference_bfs_labelled(*pair)
+    assert _canonical_key(*_tables(*pair), bfs_labelled=True) == reference_bfs_labelled(*pair)
 
 
 def test_a_search_holds_one_batch_of_label_arrays():
@@ -374,8 +394,23 @@ def test_a_search_holds_one_batch_of_label_arrays():
     h, v = torus_grid(30, 30)
     tracemalloc.start()
     try:
-        _canonical_key(h, v)
+        _canonical_key(*_tables(h, v))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+@given(transitive_pairs(), st.integers(1, 12))
+def test_list_tables_are_only_read_and_never_kept(pair, root):
+    # the census passes its live maps as lists, and changes them after the call
+    h, v = bfs_relabelled(*pair, min(root, len(pair[0])))  # BFS-labelled, for bfs_labelled
+    for options in ({}, {"minus_id": True}, {"bfs_labelled": True}):
+        want = _canonical_key(*_tables(h, v), **options)
+        tables = [list(t) for t in _tables(h, v)]
+        key = _canonical_key(*tables, **options)
+        assert tables == [list(t) for t in _tables(h, v)], options  # the call changed no input
+        for t in tables:
+            t[1:] = reversed(t[1:])
+        assert key == want, options
+        assert all(type(part) is tuple for part in key), options

@@ -140,7 +140,7 @@ class TestEnumerate:
         # independent route: enumerate every (h, v) pair directly
         from itertools import permutations
 
-        from origamis.origami import _canonical_key
+        from origamis.origami import _canonical_key, _tables
         from origamis.perm import Permutation, is_transitive
 
         n = 4
@@ -148,7 +148,7 @@ class TestEnumerate:
         for h in permutations(range(1, n + 1)):
             for v in permutations(range(1, n + 1)):
                 if is_transitive([Permutation(h), Permutation(v)]):
-                    keys.add(_canonical_key(h, v))
+                    keys.add(_canonical_key(*_tables(h, v)))
         assert len(keys) == len(canonical_origamis(n))
 
     def test_bounds(self):

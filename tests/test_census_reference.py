@@ -13,7 +13,7 @@ from itertools import permutations
 import pytest
 
 from origamis.catalog import canonical_origamis
-from origamis.origami import _canonical_key
+from origamis.origami import _canonical_key, _tables
 
 
 def _partitions(n: int):
@@ -60,7 +60,7 @@ def reference_keys(n: int) -> list[tuple]:
         for v_perm in permutations(range(1, n + 1)):
             if not _reaches_all((h_img, v_perm)):
                 continue
-            keys.add(_canonical_key(h_img, v_perm))
+            keys.add(_canonical_key(*_tables(h_img, v_perm)))
     return sorted(keys)
 
 

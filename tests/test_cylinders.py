@@ -1,3 +1,10 @@
+"""Cylinder decompositions; the horizontal one against its image-tuple reference.
+
+`reference_horizontal_decomposition` is `horizontal_decomposition` as it was
+before it read move tables, kept verbatim: the table-level core must give the
+same cylinders, widths, heights, rows and order alike.
+"""
+
 import random
 from fractions import Fraction as F
 from math import gcd
@@ -8,16 +15,55 @@ from hypothesis import strategies as st
 
 from origamis.action import transport_direction
 from origamis.cylinders import (
+    Cylinder,
     QuadCylinder,
+    _horizontal_cylinders,
     decomposition_in_direction,
     direction_to_horizontal,
     horizontal_decomposition,
     modulus_ratios,
     octagon_horizontal_cylinders,
 )
-from origamis.origami import Origami, random_origami, st3, torus
-from origamis.perm import Permutation
+from origamis.origami import Origami, _singular_corners, _tables, random_origami, st3, torus
+from origamis.perm import Permutation, cycles
 from origamis.quadfield import QuadNum
+
+
+def reference_horizontal_decomposition(o: Origami) -> list[Cylinder]:
+    """Cylinders of the horizontal direction, widest first.
+
+    Rows are the cycles of h. A row whose bottom corners are all regular
+    continues the cylinder below it: the regularity forces v to map the row
+    below onto it, in the same cyclic order. So each cylinder is walked
+    upwards from a row with a singular bottom corner; with no singular corner
+    at all (genus one) the surface is one cylinder, walked from any row.
+    """
+    rows = cycles(o.h)
+    row_of = [0] * (o.n + 1)
+    for i, r in enumerate(rows):
+        for s in r:
+            row_of[s] = i
+    singular = o.singular
+    starts = {i for i, r in enumerate(rows) if any(singular[s - 1] for s in r)} or {0}
+    v = o.v.images
+    cyls = []
+    for i in starts:
+        members = [i]
+        while True:
+            top = rows[members[-1]]
+            j = row_of[v[top[0] - 1]]
+            if j in starts:
+                break
+            assert {row_of[v[s - 1]] for s in top} == {j}, "regular interface must map onto one row"
+            members.append(j)
+        widths = {len(rows[k]) for k in members}
+        assert len(widths) == 1, "merged rows must share a length"
+        row_tuples = tuple(sorted((rows[k] for k in members), key=min))
+        cyls.append(Cylinder(widths.pop(), len(members), row_tuples))
+    placed = sorted(row_of[r[0]] for c in cyls for r in c.rows)
+    assert placed == list(range(len(rows))), "every row lands in exactly one cylinder"
+    cyls.sort(key=lambda c: (-c.width, -c.height, c.rows))
+    return cyls
 
 
 class TestHorizontal:
@@ -43,6 +89,15 @@ class TestHorizontal:
         assert sum(c.area for c in cyls) == n
         covered = sorted(s for c in cyls for row in c.rows for s in row)
         assert covered == list(range(1, n + 1))
+
+    @given(st.integers(1, 12), st.integers(0, 10**6))
+    def test_table_core_matches_the_image_tuple_reference(self, n, seed):
+        o = random_origami(n, random.Random(seed))
+        want = reference_horizontal_decomposition(o)
+        h, hinv, v, vinv = _tables(o.h.images, o.v.images)
+        got = _horizontal_cylinders(h, v, _singular_corners(h, hinv, v, vinv))
+        assert [(c.width, c.height, c.rows) for c in got] == [(c.width, c.height, c.rows) for c in want]
+        assert horizontal_decomposition(o) == want
 
 
 class TestDirectionTransport:

@@ -9,6 +9,11 @@ from two, and decides -I once per orbit. Every OrbitReport field must agree
 (members without the reference's -I column), the census must label exactly
 the reference's -I keys, and the number of keys is exact:
 1 + (index + e2)/2 + (2·index + e3)/3.
+
+The reference acts on image tuples with `_act` and `_inverse` as they were
+before the search moved to move tables, kept verbatim below, so it shares no
+action code with the package; the package's `_act` on move tables must give
+the same images, with inverse tables that invert them.
 """
 
 import random
@@ -19,10 +24,28 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from origamis import action
-from origamis.action import Cusp, OrbitReport, _act, _inverse, _proj_key, orbit
+from origamis.action import Cusp, OrbitReport, _proj_key, orbit
 from origamis.catalog import canonical_origamis, enumerate_origamis
-from origamis.origami import Origami, _canonical_key, genus, is_reduced, random_origami, st3, st4
+from origamis.origami import Origami, _canonical_key, _tables, genus, is_reduced, random_origami, st3, st4
 from origamis.perm import Permutation
+
+
+def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(p)
+    for i, j in enumerate(p, start=1):
+        inv[j - 1] = i
+    return tuple(inv)
+
+
+def _act(g: str, h: tuple[int, ...], v: tuple[int, ...]):
+    """Image tuples of (h, v) under the generator g."""
+    if g == "T":
+        return h, tuple([v[j - 1] for j in _inverse(h)])
+    if g == "S":
+        return v, _inverse(h)
+    if g == "T^-1":
+        return h, tuple([v[j - 1] for j in h])
+    return _inverse(v), h  # S^-1; SL2ZWord admits no other generator
 
 
 def reference_proj_key(h: tuple[int, ...], v: tuple[int, ...], half_turn_trivial: bool):
@@ -33,10 +56,10 @@ def reference_proj_key(h: tuple[int, ...], v: tuple[int, ...], half_turn_trivial
     half_turn_trivial (genus ≤ 2, where -I is the hyperelliptic involution)
     the second key is not computed.
     """
-    k1 = _canonical_key(h, v)
+    k1 = _canonical_key(*_tables(h, v))
     if half_turn_trivial:
         return k1, k1
-    k2 = _canonical_key(_inverse(h), _inverse(v))
+    k2 = _canonical_key(*_tables(_inverse(h), _inverse(v)))
     if k1 == k2:
         return k1, k1
     return (k1, k2) if k1 < k2 else (k2, k1)
@@ -160,8 +183,8 @@ def test_the_surfaces_cover_both_half_turn_cases():
 def test_one_pass_key_is_the_least_key_of_both_orientations(n, seed):
     o = random_origami(n, random.Random(seed))
     h, v = o.h.images, o.v.images
-    both = min(_canonical_key(h, v), _canonical_key(_inverse(h), _inverse(v)))
-    assert _canonical_key(h, v, True) == both
+    both = min(_canonical_key(*_tables(h, v)), _canonical_key(*_tables(_inverse(h), _inverse(v))))
+    assert _canonical_key(*_tables(h, v), True) == both
 
 
 @pytest.mark.parametrize("o", [st3(), st4(), *RANDOM], ids=lambda o: o.to_text())
@@ -177,3 +200,27 @@ def test_key_count_is_one_per_s_pair_and_two_per_u_triple(o, monkeypatch):
     r = orbit(o)
     assert calls == 1 + (r.index + r.e2) // 2 + (2 * r.index + r.e3) // 3
     assert (r.index + r.e2) % 2 == 0 and (2 * r.index + r.e3) % 3 == 0
+
+
+GENERATORS = ("T", "T^-1", "S", "S^-1")
+
+
+@given(st.integers(1, 12), st.integers(0, 10**6), st.lists(st.sampled_from(GENERATORS), max_size=12))
+def test_act_on_move_tables_matches_the_image_tuple_reference(n, seed, word):
+    # every generator on its own, then a random word, one step at a time
+    o = random_origami(n, random.Random(seed))
+    for gens in ([g] for g in GENERATORS):
+        check_steps(o.h.images, o.v.images, gens)
+    check_steps(o.h.images, o.v.images, word)
+
+
+def check_steps(h, v, gens):
+    """Step the reference on image tuples and _act on move tables side by side."""
+    tables = _tables(h, v)
+    for g in gens:
+        h, v = _act(g, h, v)
+        tables = action._act(g, *tables)
+        assert (tables[0][1:], tables[2][1:]) == (h, v), g
+        for p, inv in (tables[:2], tables[2:]):
+            assert p[0] == inv[0] == 0, g
+            assert all(inv[p[s]] == s == p[inv[s]] for s in range(1, len(h) + 1)), g
