@@ -336,8 +336,8 @@ def orbit(o: Origami) -> OrbitReport:
             cusp_of[i] = c
     cusps = []
     for cyc in cycles:  # counted on the least member
-        h, hinv, v, vinv = _tables(*keys[cyc[0]])
-        cusps.append(Cusp(len(cyc), len(_horizontal_cylinders(h, v, _singular_corners(h, hinv, v, vinv)))))
+        h, v = ((0, *images) for images in keys[cyc[0]])
+        cusps.append(Cusp(len(cyc), len(_horizontal_cylinders(h, v, _singular_corners(h, v)))))
     cusps = tuple(cusps)
 
     assert sum(c.width for c in cusps) == index, "cusp widths must partition the orbit"

@@ -163,13 +163,18 @@ def canonical_origamis(n: int) -> list[Origami]:
         raise ValueError(f"n must be at least 1, got {n}")
     maps = [[0] * (n + 1) for _ in range(4)]  # h, h⁻¹, v, v⁻¹: maps[k ^ 1] inverts maps[k]
     last = 4 * n  # slot 4(s-1) + k holds maps[k][s]
+    keys = []
 
-    def pairs(slot: int, used: int, least: int):
+    def pairs(slot: int, used: int, least: int) -> None:
         # least: square 1's class, a lower bound on it until h(2) is chosen, 0 before h(1)
         while slot < last and maps[slot & 3][(slot >> 2) + 1]:
             slot += 1  # filled by an earlier choice, through its inverse slot
-        if slot == last:
-            yield  # maps holds a whole pair
+        if slot == last:  # maps holds a whole pair
+            # a losing root cuts the key to an h-prefix and an empty v-key: most
+            # pairs are turned down without building their image tuples
+            key = _canonical_key(*maps, bfs_labelled=True)
+            if key[1] and key == (tuple(maps[0][1:]), tuple(maps[2][1:])):
+                keys.append(key)
             return
         s, k = (slot >> 2) + 1, slot & 3
         if s > used:  # the queue ran dry before n squares: not transitive
@@ -186,16 +191,13 @@ def canonical_origamis(n: int) -> list[Origami]:
             if back[t] or prune and (t == s or least > 2 and (fwd[t] == s or least > 3 and fwd[fwd[t]] == s)):
                 continue
             fwd[s], back[t] = t, s
-            yield from pairs(slot + 1, max(used, t), min(t, 4) if settles else least)
+            pairs(slot + 1, max(used, t), min(t, 4) if settles else least)
             fwd[s] = back[t] = 0
 
-    keys = []
-    for _ in pairs(0, 1, 0):
-        # a losing root cuts the key to an h-prefix and an empty v-key: most
-        # pairs are turned down without building their image tuples
-        key = _canonical_key(*maps, bfs_labelled=True)
-        if key[1] and key == (tuple(maps[0][1:]), tuple(maps[2][1:])):
-            keys.append(key)
+    pairs(0, 1, 0)
+    # pairs refers to itself through its closure: breaking that cycle frees
+    # the closure now, keys with it, not at the next full collection
+    del pairs
     keys.sort()
     return [Origami(Permutation(h), Permutation(v)) for h, v in keys]
 

@@ -18,21 +18,11 @@ import warnings
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 
+# cylinders, flow, lshape and quadfield are imported by the handlers that use
+# them, so that info, orbit, enumerate and catalog do not pay for loading them
 from . import catalog as cat
 from .action import orbit
-from .cylinders import decomposition_in_direction
-from .flow import FlowState, discrepancy, trace
-from .lshape import (
-    LSurface,
-    absolute_period_lattice,
-    horizontal_cylinders,
-    lshape_stratum,
-    trace_field,
-    twist_powers,
-    veech_generators,
-)
 from .origami import genus, is_reduced, parse_origami, stratum, stratum_dim_abelian, stratum_dim_quadratic
-from .quadfield import QuadNum
 
 
 class _Parser(argparse.ArgumentParser):
@@ -115,6 +105,8 @@ def _cmd_orbit(args) -> None:
 
 
 def _cmd_cylinders(args) -> None:
+    from .cylinders import decomposition_in_direction
+
     o = parse_origami(args.origami)
     dd = decomposition_in_direction(o, *_parse_dir(args.dir))
     _emit(
@@ -126,6 +118,8 @@ def _cmd_cylinders(args) -> None:
 
 
 def _cmd_flow(args) -> None:
+    from .flow import FlowState, trace
+
     o = parse_origami(args.origami)
     p, q = _parse_dir(args.dir)
     sq, x, y = _parse_start(args.start)
@@ -137,10 +131,23 @@ def _cmd_flow(args) -> None:
 
 
 def _cmd_discrepancy(args) -> None:
+    from .flow import discrepancy
+
     _emit(discrepancy(parse_origami(args.origami), args.slope, args.crossings, args.grid))
 
 
 def _cmd_lshape(args) -> None:
+    from .lshape import (
+        LSurface,
+        absolute_period_lattice,
+        horizontal_cylinders,
+        lshape_stratum,
+        trace_field,
+        twist_powers,
+        veech_generators,
+    )
+    from .quadfield import QuadNum
+
     shift = QuadNum.parse(args.shift) if args.shift else 0
     L = LSurface.from_discriminant(args.d, shift)
     A, B = veech_generators(L)

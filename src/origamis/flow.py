@@ -18,13 +18,12 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
 
 from .cylinders import RadicalLength, decomposition_in_direction
 from .origami import Origami
 from .quadfield import QuadNum, _sign, in_one_field
 
-Scalar = Union[Fraction, QuadNum]
+Scalar = Fraction | QuadNum
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,7 @@ class TraceResult:
     singular: bool
     crossings: int
     total_time: Scalar
-    period_time: Optional[Scalar]
+    period_time: Scalar | None
     radicand: Scalar  # p² + q²
     events: tuple  # (time, square, x, y) per crossing, when recorded
 
@@ -367,7 +366,7 @@ class ShearReturn:
         return not self.rotation_is_rational
 
     @property
-    def big_cylinder_orbit_length(self) -> Optional[int]:
+    def big_cylinder_orbit_length(self) -> int | None:
         """Length of every vertical orbit of the width-two cylinder when the
         rotation p/q is rational: q return trips of height 2; None when dense.
         Unsheared this is 2, the staircase's longer vertical period."""

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
 
 from .cylinders import QuadCylinder
 from .intlattice import rational_hermite_form
@@ -53,7 +52,7 @@ class LSurface:
         return LSurface(a, shift)
 
     @cached_property
-    def discriminant(self) -> Optional[int]:
+    def discriminant(self) -> int | None:
         """d with a = (1+√d)/2, i.e. the rational integer (2a-1)²; None when
         a is not of that form."""
         dee = (2 * self.a - 1) ** 2
@@ -78,7 +77,7 @@ def vertical_cylinders(L: LSurface) -> list[QuadCylinder]:
     return [QuadCylinder(one + (L.a - 1), one), QuadCylinder(one, L.a - 1)]
 
 
-def twist_powers(L: LSurface, t) -> Optional[tuple[int, int]]:
+def twist_powers(L: LSurface, t) -> tuple[int, int] | None:
     """Dehn-twist powers (bottom, top) realized by the shear [[1,t],[0,1]].
 
     The shear twists a cylinder of width w and height h by t·h/w core circles

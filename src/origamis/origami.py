@@ -91,7 +91,7 @@ class Origami:
     def singular(self) -> tuple[bool, ...]:
         """singular[s-1] says whether the bottom-left corner of s is a cone
         point, i.e. whether its commutator cycle is longer than one."""
-        return _singular_corners(*_tables(self.h.images, self.v.images))
+        return _singular_corners((0, *self.h.images), (0, *self.v.images))
 
     def to_text(self) -> str:
         return f"{self.n}; h={self.h}; v={self.v}"
@@ -209,10 +209,15 @@ def _tables(h_img: tuple[int, ...], v_img: tuple[int, ...]) -> tuple[tuple[int, 
     return (0, *h_img), tuple(hinv), (0, *v_img), tuple(vinv)
 
 
-def _singular_corners(h, hinv, v, vinv) -> tuple[bool, ...]:
+def _singular_corners(h, v) -> tuple[bool, ...]:
     """Entry s-1 says whether the bottom-left corner of s is a cone point, read
-    off the move tables without building the commutator: h(v(h⁻¹(v⁻¹(s)))) != s."""
-    return tuple([h[v[hinv[vinv[s]]]] != s for s in range(1, len(h))])
+    off the forward move tables h and v without building the commutator: with
+    s = v(h(r)), the commutator h∘v∘h⁻¹∘v⁻¹ fixes s iff h(v(r)) = v(h(r))."""
+    out = [False] * (len(h) - 1)
+    for r in range(1, len(h)):
+        s = v[h[r]]
+        out[s - 1] = h[v[r]] != s
+    return tuple(out)
 
 
 def _canonical_key(h, hinv, v, vinv, minus_id: bool = False, bfs_labelled: bool = False) -> tuple:

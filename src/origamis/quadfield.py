@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 
 def _square_part(d: int) -> int:
@@ -318,9 +318,11 @@ def in_one_field(*values, rational_d: int | None = None) -> tuple:
     return tuple(_quad(v.a, v.b, d) if isinstance(v, QuadNum) else _quad(v, _ZERO, d) for v in exact)
 
 
-class MinimalPoly(NamedTuple):
-    degree: int
-    coeffs: tuple[Fraction, ...]  # ascending, monic: coeffs[-1] == 1
+class MinimalPoly(namedtuple("MinimalPoly", ("degree", "coeffs"))):
+    """degree: int; coeffs: tuple[Fraction, ...], ascending and monic
+    (coeffs[-1] == 1)."""
+
+    __slots__ = ()
 
     def __call__(self, x):
         out = _quad(_ZERO, _ZERO, x.d) if isinstance(x, QuadNum) else Fraction(0)

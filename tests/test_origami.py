@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from origamis.origami import (
     Origami,
     Stratum,
+    _singular_corners,
     canonical_form,
     genus,
     is_reduced,
@@ -23,7 +24,7 @@ from origamis.origami import (
     torus,
     vertex_cycles,
 )
-from origamis.perm import Permutation, cycles
+from origamis.perm import Permutation, compose, cycles
 
 
 def small_origamis(max_n=6):
@@ -142,6 +143,17 @@ class TestGenusAndStratum:
         # commutator permutation is the oracle
         c = o.commutator.images
         assert o.singular == tuple(c[s - 1] != s for s in range(1, o.n + 1))
+
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(*[st.permutations(range(1, n + 1))] * 2)))
+    def test_singular_corners_from_the_forward_tables_match_the_commutator_cycles(self, pair):
+        # any pair, transitive or not: a corner is singular iff its cycle of
+        # h∘v∘h⁻¹∘v⁻¹ is longer than one
+        h, v = (Permutation(tuple(p)) for p in pair)
+        want = [False] * h.degree
+        for c in cycles(compose(h, compose(v, compose(h.inverse(), v.inverse())))):
+            for s in c:
+                want[s - 1] = len(c) > 1
+        assert _singular_corners((0, *h.images), (0, *v.images)) == tuple(want)
 
     def test_one_commutator_cycle_list_per_call(self, monkeypatch):
         from origamis import origami
