@@ -6,13 +6,14 @@ submodule, and `origamis.orbit` imports only the modules that `orbit` needs.
 
 _NAMES = {  # home module -> the public names it defines
     "action": (
-        "OrbitReport", "S_WORD", "SL2ZWord", "T_WORD", "apply_word", "geodesic_endpoints", "horocycle_data",
-        "in_veech_group", "orbit", "slope_cusp", "torus_point", "word_for_matrix",
+        "OrbitReport", "S_WORD", "SL2ZWord", "T_WORD", "apply_word", "direction_to_horizontal",
+        "geodesic_endpoints", "horocycle_data", "in_veech_group", "orbit", "slope_cusp", "torus_point",
+        "word_for_matrix",
     ),
     "catalog": ("CatalogEntry", "catalog_query", "catalog_write", "enumerate_origamis"),
     "cylinders": (
-        "Cylinder", "QuadCylinder", "decomposition_in_direction", "direction_to_horizontal",
-        "horizontal_decomposition", "modulus_ratios", "octagon_horizontal_cylinders",
+        "Cylinder", "QuadCylinder", "decomposition_in_direction", "horizontal_decomposition", "modulus_ratios",
+        "octagon_horizontal_cylinders",
     ),
     "flow": (
         "FlowState", "ShearedSt3", "TraceResult", "direction_is_periodic", "discrepancy", "sheared_st3_return",

@@ -16,7 +16,9 @@ Words carry their integer matrix with the generator matrices
 T = [[1,1],[0,1]] and S = [[0,-1],[1,0]].  The realized quarter rotation is
 the clockwise one, i.e. S up to the central element -I; all membership and
 orbit computations here are projective (-I is identified away), which is
-exact for genus ≤ 2 and flagged otherwise in OrbitReport.
+exact for genus ≤ 2 and flagged otherwise in OrbitReport. Words are built
+by one Euclid, _column_word, on a primitive column: direction_to_horizontal
+runs it on the direction, word_for_matrix on the matrix's first column.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .origami import Origami, _canonical_key, _singular_corners, _tables, genus, is_reduced
+from .origami import Origami, _canonical_key, _horizontal_rows, _singular_corners, _tables, genus, is_reduced
 from .perm import Permutation
 from .quadfield import exact_rational
 
@@ -95,39 +97,56 @@ T_WORD = SL2ZWord(("T",))
 S_WORD = SL2ZWord(("S",))
 
 
-def word_for_matrix(M) -> SL2ZWord:
-    """A word in T, S whose matrix equals M exactly (M in SL₂(ℤ)).
+def _column_word(a: int, c: int) -> tuple[str, ...]:
+    """The generators, as a word, whose matrix maps the primitive column
+    (a, c) to (1, 0).
 
-    Euclid on the first column: T-powers shrink the top entry mod the bottom
-    one, S swaps rows; what remains is ±T^k, and -I = S². Quotients round
+    Euclid on the column: T-powers shrink the top entry mod the bottom one,
+    S⁻¹ swaps the rows; what remains is (±1, 0), and -I = S⁻². Quotients round
     toward zero, the classical Euclid on |a|, |c| in O(log) steps; floored,
     they would shrink |c| by one per step after S⁻¹ flips a sign.
     """
-    a, b = M[0]
-    c, d = M[1]
-    if a * d - b * c != 1:
-        raise ValueError(f"matrix {M} is not in SL2(Z)")
-    gens: list[str] = []  # left factors applied to M, in application order
+    gens: list[str] = []  # left factors applied to the column, in application order
     while c != 0:
         q = abs(a) // abs(c)
         if (a < 0) != (c < 0):
             q = -q
         if q:
-            # T^-q * M
-            a, b = a - q * c, b - q * d
+            a -= q * c  # T^-q
             gens.extend(["T^-1" if q > 0 else "T"] * abs(q))
-        # S^-1 * M = [[c, d], [-a, -b]]
-        a, b, c, d = c, d, -a, -b
+        a, c = c, -a  # S^-1
         gens.append("S^-1")
-    assert a == d in (1, -1) and c == 0
     if a == -1:
-        gens.extend(["S^-1", "S^-1"])  # kill -I
-        b = -b
-    if b:
-        gens.extend(["T^-1" if b > 0 else "T"] * abs(b))
-    # gens applied in order reduce M to I: gens[k]···gens[0]·M = I, so
-    # M = gens[0]⁻¹·gens[1]⁻¹···gens[k]⁻¹ read as a left-to-right word
-    word = SL2ZWord(tuple(_INVERSE_GEN[g] for g in gens)).free_reduce()
+        gens.extend(["S^-1", "S^-1"])
+    gens.reverse()  # the last factor applied is the leftmost letter
+    return tuple(gens)
+
+
+def direction_to_horizontal(p: int, q: int) -> SL2ZWord:
+    """A word whose matrix U satisfies U·(p,q)ᵀ = (1,0)ᵀ: Euclid on the
+    column (p, q)."""
+    if (p, q) == (0, 0):
+        raise ValueError("direction (0, 0)")
+    if math.gcd(p, q) != 1:
+        raise ValueError(f"direction ({p}, {q}) is not primitive; divide by the gcd")
+    word = SL2ZWord(_column_word(p, q))
+    (a, b), (c, d) = word.matrix
+    assert (a * p + b * q, c * p + d * q) == (1, 0)
+    return word
+
+
+def word_for_matrix(M) -> SL2ZWord:
+    """A word in T, S whose matrix equals M exactly (M in SL₂(ℤ)).
+
+    The column word U of M's first column gives U·M = T^k, so M = U⁻¹·T^k.
+    """
+    a, b = M[0]
+    c, d = M[1]
+    if a * d - b * c != 1:
+        raise ValueError(f"matrix {M} is not in SL2(Z)")
+    column = SL2ZWord(_column_word(a, c))
+    (_, k), _ = _mat_mul2(column.matrix, M)
+    word = column.inverse() * T_WORD**k
     assert word.matrix == (tuple(M[0]), tuple(M[1]))
     return word
 
@@ -182,21 +201,6 @@ def act_point(gen: str, h: tuple[int, ...], sq: int, x, y):
     raise ValueError(f"unknown generator {gen!r}")
 
 
-def act_direction(gen: str, p, q):
-    """Direction transform realized by the point maps (S acts as the clockwise
-    rotation, i.e. the matrix [[0,1],[-1,0]]); p and q are exact rationals."""
-    p, q = exact_rational(p), exact_rational(q)
-    if gen == "T":
-        return (p + q, q)
-    if gen == "T^-1":
-        return (p - q, q)
-    if gen == "S":
-        return (q, -p)
-    if gen == "S^-1":
-        return (-q, p)
-    raise ValueError(f"unknown generator {gen!r}")
-
-
 def transport_point(w: SL2ZWord, o: Origami, sq: int, x, y):
     """Push (sq, x, y) through the whole word; returns (surface, sq, x, y)."""
     x, y = exact_rational(x), exact_rational(y)  # also for the empty word
@@ -208,10 +212,14 @@ def transport_point(w: SL2ZWord, o: Origami, sq: int, x, y):
 
 
 def transport_direction(w: SL2ZWord, p, q):
+    """The direction (p, q) as the point maps of w move it: w's matrix times
+    (p, q), negated once per S letter, since the point maps realize S as the
+    clockwise quarter turn -S."""
     p, q = exact_rational(p), exact_rational(q)  # also for the empty word
-    for g in reversed(w.gens):
-        p, q = act_direction(g, p, q)
-    return p, q
+    (a, b), (c, d) = w.matrix
+    if sum(g[0] == "S" for g in w.gens) % 2:
+        a, b, c, d = -a, -b, -c, -d
+    return a * p + b * q, c * p + d * q
 
 
 # -- orbits ------------------------------------------------------------------------
@@ -274,8 +282,6 @@ def orbit(o: Origami) -> OrbitReport:
     key when it is dequeued (and those of the S∘T-image for the second S∘T
     step), not stored per element.
     """
-    from .cylinders import _horizontal_cylinders
-
     h, hinv, v, vinv = _tables(o.h.images, o.v.images)
     half_turn_trivial = genus(o) <= 2 or _canonical_key(h, hinv, v, vinv) == _canonical_key(hinv, h, vinv, v)
     keys = [_proj_key(h, hinv, v, vinv, half_turn_trivial)]  # one projective key per element
@@ -335,9 +341,9 @@ def orbit(o: Origami) -> OrbitReport:
         for i in cyc:
             cusp_of[i] = c
     cusps = []
-    for cyc in cycles:  # counted on the least member
+    for cyc in cycles:  # one cylinder per start row, counted on the least member
         h, v = ((0, *images) for images in keys[cyc[0]])
-        cusps.append(Cusp(len(cyc), len(_horizontal_cylinders(h, v, _singular_corners(h, v)))))
+        cusps.append(Cusp(len(cyc), len(_horizontal_rows(h, _singular_corners(h, v))[2])))
     cusps = tuple(cusps)
 
     assert sum(c.width for c in cusps) == index, "cusp widths must partition the orbit"
@@ -379,8 +385,6 @@ def slope_cusp(o: Origami, p: int, q: int, report: OrbitReport | None = None) ->
     Transports the direction to horizontal and looks the transported surface
     up in the member table of orbit(o); a report of another orbit lacks it.
     """
-    from .cylinders import direction_to_horizontal
-
     word = direction_to_horizontal(p, q)  # rejects a bad direction before any orbit work
     if report is None:
         report = orbit(o)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .action import SL2ZWord, apply_word, word_for_matrix
-from .origami import Origami
+from .action import SL2ZWord, apply_word, direction_to_horizontal
+from .origami import Origami, _horizontal_rows
 from .quadfield import QuadNum, _square_part, exact_rational, in_one_field
 
 
@@ -44,26 +44,12 @@ def _horizontal_cylinders(h, v, singular) -> list[Cylinder]:
     and v (see origami._tables) and singular-corner table singular (see
     origami._singular_corners), widest first.
 
-    Rows are the cycles of h, each starting at its least square, in the order
-    of those. A row whose bottom corners are all regular continues the
-    cylinder below it: the regularity forces v to map the row below onto it,
-    in the same cyclic order. So each cylinder is walked upwards from a row
-    with a singular bottom corner; with no singular corner at all (genus one)
-    the surface is one cylinder, walked from any row.
+    Each cylinder is walked upwards from its start row (see
+    origami._horizontal_rows): a row whose bottom corners are all regular
+    continues the cylinder below it, since the regularity forces v to map the
+    row below onto it, in the same cyclic order.
     """
-    n = len(h) - 1
-    rows = []
-    row_of = [-1] * (n + 1)
-    for first in range(1, n + 1):  # a row's least square meets it first
-        row = []
-        s = first
-        while row_of[s] < 0:
-            row_of[s] = len(rows)
-            row.append(s)
-            s = h[s]
-        if row:
-            rows.append(tuple(row))
-    starts = {i for i, r in enumerate(rows) if any(singular[s - 1] for s in r)} or {0}
+    rows, row_of, starts = _horizontal_rows(h, singular)
     cyls = []
     for i in starts:
         members = [i]
@@ -82,35 +68,6 @@ def _horizontal_cylinders(h, v, singular) -> list[Cylinder]:
     assert placed == list(range(len(rows))), "every row lands in exactly one cylinder"
     cyls.sort(key=lambda c: (-c.width, -c.height, c.rows))
     return cyls
-
-
-def direction_to_horizontal(p: int, q: int) -> SL2ZWord:
-    """A word whose matrix U satisfies U·(p,q)ᵀ = (1,0)ᵀ.
-
-    Extended Euclid gives a, b with a·p + b·q = 1; then [[a, b], [-q, p]]
-    works, and the word comes from the continued-fraction decomposition into
-    T and S.
-    """
-    if (p, q) == (0, 0):
-        raise ValueError("direction (0, 0)")
-    if math.gcd(p, q) != 1:
-        raise ValueError(f"direction ({p}, {q}) is not primitive; divide by the gcd")
-    a, b = _bezout(p, q)
-    return word_for_matrix(((a, b), (-q, p)))
-
-
-def _bezout(p: int, q: int) -> tuple[int, int]:
-    old_r, r = p, q
-    old_a, a = 1, 0
-    old_b, b = 0, 1
-    while r != 0:
-        k = old_r // r
-        old_r, r = r, old_r - k * r
-        old_a, a = a, old_a - k * a
-        old_b, b = b, old_b - k * b
-    if old_r < 0:
-        old_a, old_b = -old_a, -old_b
-    return old_a, old_b
 
 
 @dataclass(frozen=True)

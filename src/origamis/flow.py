@@ -110,10 +110,11 @@ def trace(
         if singular[_corner_square(o, sq, int(x == 1), int(y == 1)) - 1]:
             raise ValueError("flow started at a singular vertex")
 
-    # the square entered across a vertical or a horizontal edge
+    # the square entered across a vertical or a horizontal edge, built only
+    # for a coordinate that moves
     right, up = p > 0, q > 0
-    step_x = (o.h if right else o.h.inverse()).images
-    step_y = (o.v if up else o.v.inverse()).images
+    step_x = (o.h if right else o.h.inverse()).images if p else ()
+    step_y = (o.v if up else o.v.inverse()).images if q else ()
     zero = x - x  # additive zero of the working field
     one = zero + 1
     X, P = (x, p) if p >= 0 else (one - x, -p)

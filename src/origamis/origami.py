@@ -220,6 +220,29 @@ def _singular_corners(h, v) -> tuple[bool, ...]:
     return tuple(out)
 
 
+def _horizontal_rows(h, singular) -> tuple[list[tuple[int, ...]], list[int], set[int]]:
+    """The rows of the pair with forward move table h and singular-corner table
+    singular: the cycles of h, each starting at its least square, in the order
+    of those; the row of each square (entry 0 unused); and the start rows, the
+    rows with a singular bottom corner, or row 0 when there is none (genus
+    one). A row whose bottom corners are all regular continues the cylinder
+    below it, so each horizontal cylinder has one start row, its bottom one."""
+    n = len(h) - 1
+    rows = []
+    row_of = [-1] * (n + 1)
+    for first in range(1, n + 1):  # a row's least square meets it first
+        row = []
+        s = first
+        while row_of[s] < 0:
+            row_of[s] = len(rows)
+            row.append(s)
+            s = h[s]
+        if row:
+            rows.append(tuple(row))
+    starts = {i for i, r in enumerate(rows) if any(singular[s - 1] for s in r)} or {0}
+    return rows, row_of, starts
+
+
 def _canonical_key(h, hinv, v, vinv, minus_id: bool = False, bfs_labelled: bool = False) -> tuple:
     """Lexicographically least relabeled (h, v) over all BFS roots, as a pair
     of image tuples.

@@ -89,9 +89,6 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         return compose(self, other)
 
-    def is_identity(self) -> bool:
-        return all(j == i for i, j in enumerate(self.images, start=1))
-
     def cycle_type(self) -> tuple[int, ...]:
         return tuple(sorted((len(c) for c in cycles(self)), reverse=True))
 

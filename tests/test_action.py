@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from math import gcd, inf, log2
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from origamis.action import (
@@ -11,16 +11,31 @@ from origamis.action import (
     SL2ZWord,
     T_WORD,
     apply_word,
+    direction_to_horizontal,
     geodesic_endpoints,
     horocycle_data,
     in_veech_group,
     orbit,
     slope_cusp,
     torus_point,
+    transport_direction,
     word_for_matrix,
 )
-from origamis.origami import Origami, canonical_form, random_origami, relabel, same_surface, st3, st4, torus
+from origamis.cylinders import _horizontal_cylinders
+from origamis.origami import (
+    Origami,
+    _singular_corners,
+    canonical_form,
+    random_origami,
+    relabel,
+    same_surface,
+    st3,
+    st4,
+    torus,
+)
 from origamis.perm import Permutation, compose
+from origamis.quadfield import exact_rational
+from strategies import transitive_origamis
 
 # the generator formulas written with compose/inverse, sharing no code with apply_word
 _GEN_ORACLE = {
@@ -145,6 +160,40 @@ def _assert_short_word(p, q):
     assert s_letters <= 1.5 * log2(max(abs(p), abs(q)) + 1) + 4
 
 
+def _t_letters(p, q):
+    """The T letters of the column word of (p, q): the sum of the quotients
+    of Euclid on |p|, |q|. Bounding it keeps a drawn word short."""
+    a, c, total = abs(p), abs(q), 0
+    while c:
+        total += a // c
+        a, c = c, a % c
+    return total
+
+
+def reference_act_direction(gen: str, p, q):
+    """Direction transform realized by the point maps (S acts as the clockwise
+    rotation, i.e. the matrix [[0,1],[-1,0]]); p and q are exact rationals."""
+    p, q = exact_rational(p), exact_rational(q)
+    if gen == "T":
+        return (p + q, q)
+    if gen == "T^-1":
+        return (p - q, q)
+    if gen == "S":
+        return (q, -p)
+    if gen == "S^-1":
+        return (-q, p)
+    raise ValueError(f"unknown generator {gen!r}")
+
+
+def reference_transport_direction(w: SL2ZWord, p, q):
+    """action.transport_direction as it was before it read the word's matrix:
+    one reference_act_direction (the deleted action.act_direction) per letter."""
+    p, q = exact_rational(p), exact_rational(q)  # also for the empty word
+    for g in reversed(w.gens):
+        p, q = reference_act_direction(g, p, q)
+    return p, q
+
+
 class TestWords:
     def test_generator_matrices(self):
         assert T_WORD.matrix == ((1, 1), (0, 1))
@@ -178,6 +227,24 @@ class TestWords:
     def test_euclid_steps_on_random_columns(self, p, q):
         if gcd(p, q) == 1:
             _assert_short_word(p, q)
+
+    @given(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30))
+    def test_direction_to_horizontal_on_large_columns(self, p, q):
+        assume(gcd(p, q) == 1 and _t_letters(p, q) <= 2000)
+        w = direction_to_horizontal(p, q)
+        (a, b), (c, d) = w.matrix
+        assert (a * p + b * q, c * p + d * q) == (1, 0)
+        s_letters = sum(g in ("S", "S^-1") for g in w.gens)
+        assert s_letters <= 1.5 * log2(max(abs(p), abs(q))) + 4
+
+    @given(
+        st.lists(st.sampled_from(("T", "T^-1", "S", "S^-1")), max_size=40),
+        st.integers(-50, 50) | st.builds(F, st.integers(-50, 50), st.integers(1, 9)),
+        st.integers(-50, 50) | st.builds(F, st.integers(-50, 50), st.integers(1, 9)),
+    )
+    def test_transport_direction_matches_the_letter_by_letter_loop(self, gens, p, q):
+        w = SL2ZWord(tuple(gens))
+        assert transport_direction(w, p, q) == reference_transport_direction(w, p, q)
 
     def test_free_reduction(self):
         w = SL2ZWord(("T", "T^-1", "S", "S^-1", "S", "T"))
@@ -249,6 +316,31 @@ class TestOrbit:
         rep = orbit(o)
         assert sum(c.width for c in rep.cusps) == rep.index
         assert rep.curve_genus >= 0
+
+
+def _assert_cusp_cylinder_counts(o):
+    """Each cusp's cylinder_count is the horizontal cylinder count of its
+    least member, the first of its members in key order."""
+    rep = orbit(o)
+    least = {}
+    for key, c in rep.members:
+        least.setdefault(c, key)
+    assert sorted(least) == list(range(len(rep.cusps)))
+    for c, key in least.items():
+        h, v = ((0, *images) for images in key)
+        assert rep.cusps[c].cylinder_count == len(_horizontal_cylinders(h, v, _singular_corners(h, v)))
+
+
+class TestCuspCylinders:
+    @given(transitive_origamis(8))
+    def test_cylinder_counts_of_the_least_members(self, o):
+        _assert_cusp_cylinder_counts(o)
+
+    # these orbits have 432 to 11 664 members; a drawn ten-square surface can
+    # have 150 000 (random_origami(10, Random(4))), too many for a drawn example
+    @pytest.mark.parametrize("n, seed", [(9, 1), (9, 6), (10, 3), (10, 7)])
+    def test_cylinder_counts_at_nine_and_ten_squares(self, n, seed):
+        _assert_cusp_cylinder_counts(random_origami(n, random.Random(seed)))
 
 
 class TestCosetTable:

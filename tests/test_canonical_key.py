@@ -27,6 +27,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from origamis.origami import _canonical_key, _tables
+from strategies import joined, reached, transitive_pairs
 
 
 def reference_key(h_img: tuple[int, ...], v_img: tuple[int, ...]) -> tuple:
@@ -65,22 +66,9 @@ def reference_key(h_img: tuple[int, ...], v_img: tuple[int, ...]) -> tuple:
     return best
 
 
-def _reached(h, v) -> set:
-    """The squares that h and v reach from square 1."""
-    seen = {1}
-    todo = [1]
-    while todo:
-        s = todo.pop()
-        for t in (h[s - 1], v[s - 1]):
-            if t not in seen:
-                seen.add(t)
-                todo.append(t)
-    return seen
-
-
 def _transitive(h, v) -> bool:
     # h and v are bijections of a finite set, so forward closure is the orbit
-    return len(_reached(h, v)) == len(h)
+    return len(reached(h, v)) == len(h)
 
 
 def test_exhaustive_small_degrees():
@@ -124,28 +112,6 @@ def test_early_exit_keeps_exactly_the_reference_keys_up_to_five_squares():
     assert kept == {reference_key(*pair) for pair in labelled}
     # the BFS-labelled pairs a_n/(n-1)! and the classes (OEIS A057005), n = 1..5
     assert (len(labelled), len(kept)) == (1 + 3 + 13 + 71 + 461, 1 + 3 + 7 + 26 + 97)
-
-
-def joined(h, v):
-    """v with images swapped until (h, v) is transitive. Swapping the images
-    of squares a and b in two components joins their v-cycles, and so the
-    components, so each swap leaves one component fewer."""
-    v = list(v)
-    while True:
-        met = _reached(h, v)
-        if len(met) == len(h):
-            return tuple(v)
-        b = min(set(range(1, len(h) + 1)) - met)
-        v[0], v[b - 1] = v[b - 1], v[0]
-
-
-@st.composite
-def transitive_pairs(draw, max_n=12, min_n=1):
-    # joined, not filtered: the simplest draw (h = v = id) is then a
-    # transitive pair for every n, not a rejection
-    n = draw(st.integers(min_n, max_n))
-    h = tuple(draw(st.permutations(range(1, n + 1))))
-    return h, joined(h, draw(st.permutations(range(1, n + 1))))
 
 
 @given(transitive_pairs())

@@ -13,13 +13,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from origamis.action import transport_direction
+from origamis.action import direction_to_horizontal, transport_direction
 from origamis.cylinders import (
     Cylinder,
     QuadCylinder,
     _horizontal_cylinders,
     decomposition_in_direction,
-    direction_to_horizontal,
     horizontal_decomposition,
     modulus_ratios,
     octagon_horizontal_cylinders,

@@ -7,12 +7,12 @@ them on every input, cylinder order and Hermite basis included.
 """
 
 from hypothesis import given
-from hypothesis import strategies as st
 
 from origamis.cylinders import Cylinder, horizontal_decomposition
 from origamis.intlattice import hermite_form
 from origamis.origami import Origami, period_lattice, vertex_cycles
 from origamis.perm import Permutation, cycles
+from strategies import transitive_origamis
 
 
 def reference_horizontal_decomposition(o: Origami) -> list[Cylinder]:
@@ -98,39 +98,20 @@ def reference_period_lattice(o: Origami) -> list[tuple[int, int]]:
     return [(r[0], r[1]) for r in hermite_form(gens)]
 
 
-def _transitive(h, v) -> bool:
-    seen = {1}
-    todo = [1]
-    while todo:
-        s = todo.pop()
-        for t in (h[s - 1], v[s - 1]):
-            if t not in seen:
-                seen.add(t)
-                todo.append(t)
-    return len(seen) == len(h)
+origamis = transitive_origamis(12)
 
 
-@st.composite
-def origamis(draw):
-    n = draw(st.integers(1, 12))
-    while True:
-        h = tuple(draw(st.permutations(range(1, n + 1))))
-        v = tuple(draw(st.permutations(range(1, n + 1))))
-        if _transitive(h, v):
-            return Origami(Permutation(h), Permutation(v))
-
-
-@given(origamis())
+@given(origamis)
 def test_horizontal_decomposition_matches_the_union_find(o):
     assert horizontal_decomposition(o) == reference_horizontal_decomposition(o)
 
 
-@given(origamis())
+@given(origamis)
 def test_period_lattice_matches_the_grown_tree(o):
     assert period_lattice(o) == reference_period_lattice(o)
 
 
-@given(origamis())
+@given(origamis)
 def test_singular_corners_match_the_vertex_cycles(o):
     vcycles = vertex_cycles(o)
     owner = o.square_vertex

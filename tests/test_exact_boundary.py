@@ -14,7 +14,6 @@ import pytest
 from origamis.action import (
     SL2ZWord,
     T_WORD,
-    act_direction,
     act_point,
     geodesic_endpoints,
     horocycle_data,
@@ -58,7 +57,6 @@ ENTRY_POINTS = {
     "hermite_form": lambda x: hermite_form([(x, 1), (2, 0)]),
     "act_point x": lambda x: act_point("T", ST3.h.images, 1, x, F(1, 4)),
     "act_point y": lambda x: act_point("S", ST3.h.images, 1, F(1, 4), x),
-    "act_direction": lambda x: act_direction("S", 1, x),
     "transport_point": lambda x: transport_point(T_WORD, ST3, 1, x, F(1, 4)),
     "transport_point, empty word": lambda x: transport_point(SL2ZWord(), ST3, 1, x, F(1, 4)),
     "transport_direction": lambda x: transport_direction(T_WORD, x, 1),

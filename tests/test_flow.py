@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from origamis.action import apply_word, transport_direction, transport_point
-from origamis.cylinders import decomposition_in_direction, direction_to_horizontal
+from origamis.action import apply_word, direction_to_horizontal, transport_direction, transport_point
+from origamis.cylinders import decomposition_in_direction
 from origamis.flow import (
     MAX_CELLS,
     FlowState,

@@ -21,13 +21,14 @@ MODULES = ("action", "catalog", "cli", "cylinders", "flow", "intlattice", "lshap
 # the public names, by home module
 PUBLIC = {
     "action": (
-        "OrbitReport", "S_WORD", "SL2ZWord", "T_WORD", "apply_word", "geodesic_endpoints", "horocycle_data",
-        "in_veech_group", "orbit", "slope_cusp", "torus_point", "word_for_matrix",
+        "OrbitReport", "S_WORD", "SL2ZWord", "T_WORD", "apply_word", "direction_to_horizontal",
+        "geodesic_endpoints", "horocycle_data", "in_veech_group", "orbit", "slope_cusp", "torus_point",
+        "word_for_matrix",
     ),
     "catalog": ("CatalogEntry", "catalog_query", "catalog_write", "enumerate_origamis"),
     "cylinders": (
-        "Cylinder", "QuadCylinder", "decomposition_in_direction", "direction_to_horizontal",
-        "horizontal_decomposition", "modulus_ratios", "octagon_horizontal_cylinders",
+        "Cylinder", "QuadCylinder", "decomposition_in_direction", "horizontal_decomposition", "modulus_ratios",
+        "octagon_horizontal_cylinders",
     ),
     "flow": (
         "FlowState", "ShearedSt3", "TraceResult", "direction_is_periodic", "discrepancy", "sheared_st3_return",
@@ -79,7 +80,12 @@ def test_import_loads_no_submodule():
 def test_orbit_loads_only_what_it_uses():
     loaded = fresh(f"import sys, origamis\norigamis.orbit(origamis.st3())\n{LOADED}")
     assert "action" in loaded
-    assert not {"flow", "lshape", "catalog", "cli"} & set(loaded)
+    # the cusps count their cylinders by origami._horizontal_rows
+    assert not {"cylinders", "flow", "lshape", "catalog", "cli"} & set(loaded)
+
+
+def test_action_imports_no_cylinders():
+    assert "cylinders" not in fresh(f"import sys\nimport origamis.action\n{LOADED}")
 
 
 def test_cli_subcommands_that_need_neither_flow_nor_lshape_load_neither(tmp_path):

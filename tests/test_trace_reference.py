@@ -25,6 +25,7 @@ from origamis.flow import FlowState, TraceResult, _corner_square, trace
 from origamis.origami import Origami
 from origamis.perm import Permutation
 from origamis.quadfield import QuadNum
+from strategies import transitive_origamis
 
 
 def _coerce_scalars(*vals):
@@ -111,26 +112,7 @@ def _outcome(fn, o, start, m):
         return f"ValueError: {exc}"
 
 
-def _transitive(h, v) -> bool:
-    seen = {1}
-    todo = [1]
-    while todo:
-        s = todo.pop()
-        for t in (h[s - 1], v[s - 1]):
-            if t not in seen:
-                seen.add(t)
-                todo.append(t)
-    return len(seen) == len(h)
-
-
-@st.composite
-def origamis(draw):
-    n = draw(st.integers(1, 9))
-    while True:
-        h = tuple(draw(st.permutations(range(1, n + 1))))
-        v = tuple(draw(st.permutations(range(1, n + 1))))
-        if _transitive(h, v):
-            return Origami(Permutation(h), Permutation(v))
+origamis = transitive_origamis(9)
 
 
 FIELDS = (2, 3, 5, 13)
@@ -207,7 +189,7 @@ def wall_starts(draw, o):
 
 
 def _check(data, starts):
-    o = data.draw(origamis())
+    o = data.draw(origamis)
     start = data.draw(starts(o))
     m = data.draw(crossing_bounds)
     assert _outcome(trace, o, start, m) == _outcome(reference_trace, o, start, m)
