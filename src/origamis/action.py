@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from ._record import record
 from .origami import Origami, _canonical_key, _horizontal_rows, _singular_corners, _tables, genus, is_reduced
 from .perm import Permutation
 from .quadfield import exact_rational
@@ -51,7 +51,7 @@ def _mat_mul2(A, B):
     )
 
 
-@dataclass(frozen=True)
+@record
 class SL2ZWord:
     """A word in the generators T, T⁻¹, S, S⁻¹, applied right-to-left."""
 
@@ -74,15 +74,6 @@ class SL2ZWord:
 
     def inverse(self) -> "SL2ZWord":
         return SL2ZWord(tuple(_INVERSE_GEN[g] for g in reversed(self.gens)))
-
-    def free_reduce(self) -> "SL2ZWord":
-        out: list[str] = []
-        for g in self.gens:
-            if out and out[-1] == _INVERSE_GEN[g]:
-                out.pop()
-            else:
-                out.append(g)
-        return SL2ZWord(tuple(out))
 
     def __pow__(self, k: int) -> "SL2ZWord":
         if k < 0:
@@ -234,13 +225,13 @@ def _proj_key(h, hinv, v, vinv, half_turn_trivial: bool):
     return _canonical_key(h, hinv, v, vinv, not half_turn_trivial)
 
 
-@dataclass(frozen=True)
+@record
 class Cusp:
     width: int
     cylinder_count: int
 
 
-@dataclass(frozen=True)
+@record
 class OrbitReport:
     index: int
     cusps: tuple[Cusp, ...]
@@ -372,7 +363,7 @@ def in_veech_group(o: Origami, w: SL2ZWord) -> bool:
     )
 
 
-@dataclass(frozen=True)
+@record
 class SlopeCusp:
     cusp_index: int
     cylinder_count: int
@@ -415,7 +406,7 @@ def geodesic_endpoints(A):
     return first, second
 
 
-@dataclass(frozen=True)
+@record
 class HorocycleData:
     endpoint: object  # Fraction or ∞
     apogee: tuple | None  # (x, y) of the topmost point, None when based at ∞
@@ -435,9 +426,10 @@ def horocycle_data(A) -> HorocycleData:
     return HorocycleData(d / c, (d / c, 1 / (c * c)))
 
 
-def torus_point(u, v) -> complex:
-    """Point of the upper half-plane representing the torus with lattice basis
-    (u, v): the ratio z(v)/z(u) for a positively oriented basis."""
+def torus_point(u, v) -> tuple[Fraction, Fraction]:
+    """Point (Re, Im) of the upper half-plane representing the torus with
+    lattice basis (u, v): the ratio z(v)/z(u) for a positively oriented
+    basis, exactly."""
     ux, uy = map(exact_rational, u)
     vx, vy = map(exact_rational, v)
     det = ux * vy - uy * vx
@@ -446,6 +438,4 @@ def torus_point(u, v) -> complex:
     if det < 0:
         raise ValueError("basis is negatively oriented")
     norm = ux * ux + uy * uy
-    re = (vx * ux + vy * uy) / norm
-    im = det / norm
-    return complex(float(re), float(im))
+    return (vx * ux + vy * uy) / norm, det / norm

@@ -23,9 +23,9 @@ import fcntl
 import json
 import os
 import warnings
-from dataclasses import dataclass
 from operator import attrgetter
 
+from ._record import record
 from .action import orbit
 from .origami import Origami, Stratum, _canonical_key, _tables, is_reduced, stratum
 from .perm import Permutation
@@ -33,7 +33,7 @@ from .perm import Permutation
 DEFAULT_BOUND = 8
 
 
-@dataclass(frozen=True)
+@record
 class CatalogEntry:
     origami: str  # canonical text form, the primary key
     n: int

@@ -10,16 +10,16 @@ then carry the exact radical √(p²+q²).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from ._record import record
 from .action import SL2ZWord, apply_word, direction_to_horizontal
 from .origami import Origami, _horizontal_rows
 from .quadfield import QuadNum, _square_part, exact_rational, in_one_field
 
 
-@dataclass(frozen=True)
+@record
 class Cylinder:
     width: int
     height: int
@@ -70,7 +70,7 @@ def _horizontal_cylinders(h, v, singular) -> list[Cylinder]:
     return cyls
 
 
-@dataclass(frozen=True)
+@record
 class RadicalLength:
     """An exact length w·√r, kept symbolic; r is reduced to a squarefree core."""
 
@@ -92,7 +92,7 @@ class RadicalLength:
         return root if self.coefficient == 1 else f"{self.coefficient}*{root}"
 
 
-@dataclass(frozen=True)
+@record
 class DirectionalDecomposition:
     direction: tuple[int, int]
     word: SL2ZWord
@@ -120,7 +120,7 @@ def decomposition_in_direction(o: Origami, p: int, q: int) -> DirectionalDecompo
 # -- cylinders with exact real side lengths ----------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class QuadCylinder:
     width: QuadNum
     height: QuadNum

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .cylinders import RadicalLength, decomposition_in_direction
 from .origami import Origami
 from .quadfield import QuadNum, _sign, in_one_field
@@ -26,7 +26,7 @@ from .quadfield import QuadNum, _sign, in_one_field
 Scalar = Fraction | QuadNum
 
 
-@dataclass(frozen=True)
+@record
 class FlowState:
     """A point of the surface with a direction of travel."""
 
@@ -35,7 +35,7 @@ class FlowState:
     direction: tuple  # (p, q), exact scalars, not both zero
 
 
-@dataclass(frozen=True)
+@record
 class TraceResult:
     periodic: bool
     singular: bool
@@ -181,7 +181,7 @@ def trace(
     return TraceResult(False, False, max_crossings, time(s), None, radicand, tuple(events))
 
 
-@dataclass(frozen=True)
+@record
 class PeriodicityWitness:
     periodic: bool
     cylinder_count: int
@@ -337,7 +337,7 @@ def discrepancy(o: Origami, slope: float, crossings: int, grid: int) -> float:
 # -- the sheared staircase of three squares ------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ShearedSt3:
     """St(3) with its top edge sheared right by x, same gluing pattern.
 
@@ -354,7 +354,7 @@ class ShearedSt3:
         object.__setattr__(self, "x", x)
 
 
-@dataclass(frozen=True)
+@record
 class ShearReturn:
     periodic_cylinder_length: int  # the 1×1 cylinder's vertical period, always 1
     big_cylinder_rotation: Scalar

@@ -13,17 +13,17 @@ which is what puts it in the Veech group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from ._record import record
 from .cylinders import QuadCylinder
 from .intlattice import rational_hermite_form
 from .origami import Stratum
 from .quadfield import MAX_D, QuadMatrix, QuadNum, _quad, _square_part, in_one_field, minimal_poly_degree
 
 
-@dataclass(frozen=True)
+@record
 class LSurface:
     a: QuadNum
     shift: QuadNum
@@ -110,7 +110,7 @@ def veech_generators(L: LSurface) -> tuple[QuadMatrix, QuadMatrix]:
     )
 
 
-@dataclass(frozen=True)
+@record
 class TraceFieldReport:
     generator_trace: QuadNum
     degree: int
@@ -128,11 +128,11 @@ def trace_field(L: LSurface) -> TraceFieldReport:
     return TraceFieldReport(tr, degree, field)
 
 
-@dataclass(frozen=True)
+@record
 class PeriodLattice:
     """A ℤ-module in Q[√d]², generated over ℤ⁴ in the basis {1,√d} of each
     coordinate; (denominator, rows) is a canonical Hermite presentation, so
-    equality of dataclasses is equality of modules."""
+    equality of records is equality of modules."""
 
     denominator: int
     basis: tuple[tuple[int, int, int, int], ...]

@@ -13,14 +13,14 @@ this package). A cycle of length ℓ is a cone point of angle 2πℓ.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 
+from ._record import record
 from .intlattice import hermite_form
 from .perm import Permutation, compose, conjugate, cycles, is_transitive
 
 
-@dataclass(frozen=True)
+@record
 class Stratum:
     """Multiset of positive cone-point orders, sorted decreasingly.
 
@@ -56,7 +56,7 @@ class Stratum:
         return Stratum(tuple(int(t) for t in body.split(",")) if body else ())
 
 
-@dataclass(frozen=True)
+@record
 class Origami:
     h: Permutation
     v: Permutation

@@ -10,10 +10,11 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+
+from ._record import record
 
 
-@dataclass(frozen=True)
+@record
 class Permutation:
     """A bijection of {1..n} in one-line notation: ``images[i-1]`` is the image of i."""
 

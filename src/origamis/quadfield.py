@@ -24,8 +24,9 @@ from __future__ import annotations
 import math
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
+
+from ._record import record
 
 
 def _square_part(d: int) -> int:
@@ -68,7 +69,7 @@ def _check_d(d: int) -> int:
     return d
 
 
-@dataclass(frozen=True)
+@record
 class QuadNum:
     """a + b·√d, exactly."""
 
@@ -257,7 +258,7 @@ def _quad(a: Fraction, b: Fraction, d: int) -> QuadNum:
     """The trusted constructor: a and b must be Fractions and d a checked
     radicand, as they are for every field-operation result."""
     x = _new(QuadNum)
-    # a frozen dataclass refuses setattr, so fill the instance dict itself
+    # a frozen record refuses setattr, so fill the instance dict itself
     fields = x.__dict__
     fields["a"] = a
     fields["b"] = b
@@ -345,7 +346,7 @@ def minimal_poly_degree(x: QuadNum) -> MinimalPoly:
 # -- matrices -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class QuadMatrix:
     """2x2 matrix over a single Q[√d]; d names the field of a matrix whose
     entries are all rational (2 when not given)."""

@@ -21,7 +21,6 @@ import json
 import os
 import tempfile
 import warnings
-from dataclasses import fields
 
 import pytest
 from hypothesis import example, given
@@ -505,4 +504,4 @@ def test_agreement_is_not_vacuous():
     assert read_both("\ufeff" + GOOD_TEXT + "\n", False)[1][0] == (CatalogError, 1)
     assert read_both(GOOD_TEXT + "\n" + OLD_TEXT, True)[1] == ((CatalogError, 2), (GOOD_TEXT + "\n" + OLD_TEXT).encode())
     assert read_both(GOOD_TEXT + "\n" + GOOD_TEXT + "x", True)[1] == (one, (GOOD_TEXT + "\n").encode())
-    assert [f.name for f in fields(CatalogEntry)] == ["origami", *ORBIT_TYPES]
+    assert list(CatalogEntry.__match_args__) == ["origami", *ORBIT_TYPES]

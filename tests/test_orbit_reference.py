@@ -147,7 +147,7 @@ SURFACES = ORBIT_FIRSTS + RANDOM
 
 def _fields(report: OrbitReport) -> dict:
     """Every field but members, whose columns are compared separately."""
-    return {f: getattr(report, f) for f in OrbitReport.__dataclass_fields__ if f != "members"}
+    return {f: getattr(report, f) for f in OrbitReport.__match_args__ if f != "members"}
 
 
 @pytest.mark.parametrize("o", SURFACES, ids=lambda o: o.to_text())

@@ -16,7 +16,9 @@ import pytest
 import origamis
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(origamis.__file__)))
-MODULES = ("action", "catalog", "cli", "cylinders", "flow", "intlattice", "lshape", "origami", "perm", "quadfield")
+MODULES = (
+    "_record", "action", "catalog", "cli", "cylinders", "flow", "intlattice", "lshape", "origami", "perm", "quadfield",
+)
 
 # the public names, by home module
 PUBLIC = {
@@ -79,9 +81,8 @@ def test_import_loads_no_submodule():
 
 def test_orbit_loads_only_what_it_uses():
     loaded = fresh(f"import sys, origamis\norigamis.orbit(origamis.st3())\n{LOADED}")
-    assert "action" in loaded
-    # the cusps count their cylinders by origami._horizontal_rows
-    assert not {"cylinders", "flow", "lshape", "catalog", "cli"} & set(loaded)
+    # the cusps count their cylinders by origami._horizontal_rows, so no cylinders
+    assert loaded == ["_record", "action", "intlattice", "origami", "perm", "quadfield"]
 
 
 def test_action_imports_no_cylinders():
@@ -156,3 +157,29 @@ def test_the_package_imports_no_typing():
     # without site, nothing else in the interpreter imports typing
     code = f"import sys\nimport {', '.join('origamis.' + m for m in MODULES)}\nprint(repr('typing' in sys.modules))"
     assert fresh(code, flags=("-S",)) is False
+
+
+# what the package's frozen records do without: dataclasses imports inspect
+GENERATORS = "print(repr(sorted({'dataclasses', 'inspect'} & set(sys.modules))))"
+
+
+def test_orbit_imports_no_dataclasses_or_inspect():
+    # without site, nothing else in the interpreter imports either
+    code = f"import sys\nfrom origamis import orbit, st3\norbit(st3())\n{GENERATORS}"
+    assert fresh(code, flags=("-S",)) == []
+
+
+def test_cli_info_imports_no_dataclasses_or_inspect():
+    code = f"""
+        import contextlib, io, sys
+        from origamis import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["info", "3; h=(1,2,3); v=(1,2)"]) == 0
+        {GENERATORS}
+        """
+    assert fresh(code, flags=("-S",)) == []
+
+
+def test_the_package_imports_no_dataclasses_or_inspect():
+    code = f"import sys\nimport {', '.join('origamis.' + m for m in MODULES)}\n{GENERATORS}"
+    assert fresh(code, flags=("-S",)) == []
