@@ -269,43 +269,52 @@ def orbit(o: Origami) -> OrbitReport:
     -I is central, so it fixes one member iff it fixes all: it is decided
     once, on o (in genus ≤ 2 it is the hyperelliptic involution).
 
-    The search steps on move tables: an element's tables are built from its
-    key when it is dequeued (and those of the S∘T-image for the second S∘T
-    step), not stored per element.
+    The search steps on move tables: each element keeps the tables of the
+    labelled surface that first reached it until it is dequeued, so only the
+    queue holds tables, and no step rebuilds them from a key. The second S∘T
+    step steps on from the S∘T-image just computed.
     """
     h, hinv, v, vinv = _tables(o.h.images, o.v.images)
-    half_turn_trivial = genus(o) <= 2 or _canonical_key(h, hinv, v, vinv) == _canonical_key(hinv, h, vinv, v)
-    keys = [_proj_key(h, hinv, v, vinv, half_turn_trivial)]  # one projective key per element
-    position = {keys[0]: 0}
+    key = _proj_key(h, hinv, v, vinv, True)
+    half_turn_trivial = genus(o) <= 2
+    if not half_turn_trivial:  # -I·o = (h⁻¹, v⁻¹): the lesser of the two keys names the class
+        other = _canonical_key(hinv, h, vinv, v)
+        half_turn_trivial = key == other
+        key = min(key, other)
+    keys = [key]  # one projective key per element
+    position = {key: 0}
+    reps = [(h, hinv, v, vinv)]  # an element's move tables while it is queued, then None
     s: list[int | None] = [None]
     u: list[int | None] = [None]
 
     def place(tables):
         """Index of the projective class of the pair with these move tables,
-        added to the table if new."""
+        added to the table, with the tables, if new."""
         key = _proj_key(*tables, half_turn_trivial)
         j = position.get(key)
         if j is None:
             j = position[key] = len(keys)
             keys.append(key)
+            reps.append(tables)
             s.append(None)
             u.append(None)
         return j
 
-    for i, key in enumerate(keys):  # keys grows while the loop runs: this is the BFS queue
+    for i, tables in enumerate(reps):  # reps grows while the loop runs: this is the BFS queue
+        reps[i] = None
         if s[i] is not None and u[i] is not None:
             continue
-        tables = _tables(*key)
         if s[i] is None:
             j = place(_act("S", *tables))
             assert s[j] is None or s[j] == i, "S is an involution on projective classes"
             s[i], s[j] = j, i
         if u[i] is None:
-            j = place(_act("S", *_act("T", *tables)))
+            image = _act("S", *_act("T", *tables))
+            j = place(image)
             if j == i:
                 u[i] = i
             else:
-                k = place(_act("S", *_act("T", *_tables(*keys[j]))))
+                k = place(_act("S", *_act("T", *image)))
                 assert u[j] is None and u[k] is None, "S∘T has order 3 on projective classes"
                 u[i], u[j], u[k] = j, k, i
     index = len(keys)

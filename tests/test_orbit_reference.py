@@ -24,10 +24,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from origamis import action
-from origamis.action import Cusp, OrbitReport, _proj_key, orbit
+from origamis.action import Cusp, OrbitReport, SL2ZWord, _proj_key, apply_word, orbit
 from origamis.catalog import canonical_origamis, enumerate_origamis
-from origamis.origami import Origami, _canonical_key, _tables, genus, is_reduced, random_origami, st3, st4
+from origamis.origami import Origami, _canonical_key, _tables, genus, is_reduced, random_origami, relabel, st3, st4
 from origamis.perm import Permutation
+from strategies import transitive_origamis
 
 
 def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -202,7 +203,31 @@ def test_key_count_is_one_per_s_pair_and_two_per_u_triple(o, monkeypatch):
     assert (r.index + r.e2) % 2 == 0 and (2 * r.index + r.e3) % 3 == 0
 
 
+@pytest.mark.parametrize("o", [st3(), st4(), *RANDOM], ids=lambda o: o.to_text())
+def test_move_tables_are_built_once_for_the_input(o, monkeypatch):
+    # every other element steps on the tables of the surface that reached it
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return _tables(*args)
+
+    monkeypatch.setattr(action, "_tables", counted)
+    orbit(o)
+    assert calls == 1
+
+
 GENERATORS = ("T", "T^-1", "S", "S^-1")
+
+
+@given(transitive_origamis(7), st.data(), st.lists(st.sampled_from(GENERATORS), max_size=12))
+def test_the_report_does_not_depend_on_where_the_orbit_is_entered(o, data, word):
+    # a stored non-canonical representative must not leak into any field
+    g = Permutation(tuple(data.draw(st.permutations(range(1, o.n + 1)))))
+    want = orbit(o)
+    assert orbit(relabel(o, g)) == want
+    assert orbit(apply_word(SL2ZWord(tuple(word)), o)) == want
 
 
 @given(st.integers(1, 12), st.integers(0, 10**6), st.lists(st.sampled_from(GENERATORS), max_size=12))
