@@ -158,11 +158,17 @@ def _act(g: str, h, hinv, v, vinv):
     return vinv, v, h, hinv  # S^-1; SL2ZWord admits no other generator
 
 
-def apply_word(w: SL2ZWord, o: Origami) -> Origami:
-    tables = _tables(o.h.images, o.v.images)
+def _act_word(w: SL2ZWord, tables):
+    """Move tables of the image under w of the pair with these move tables:
+    one _act per letter, the rightmost first."""
     for g in reversed(w.gens):
         tables = _act(g, *tables)
-    return Origami(Permutation(tables[0][1:]), Permutation(tables[2][1:]))
+    return tables
+
+
+def apply_word(w: SL2ZWord, o: Origami) -> Origami:
+    h, _, v, _ = _act_word(w, _tables(o.h.images, o.v.images))
+    return Origami(Permutation(h[1:]), Permutation(v[1:]))
 
 
 # -- point transport (used to cross-check flow against the action) ----------------
@@ -366,10 +372,8 @@ def orbit(o: Origami) -> OrbitReport:
 def in_veech_group(o: Origami, w: SL2ZWord) -> bool:
     """Whether the word's matrix stabilizes o (projectively: up to -I)."""
     half_turn_trivial = genus(o) <= 2
-    image = apply_word(w, o)
-    return _proj_key(*_tables(o.h.images, o.v.images), half_turn_trivial) == _proj_key(
-        *_tables(image.h.images, image.v.images), half_turn_trivial
-    )
+    tables = _tables(o.h.images, o.v.images)
+    return _proj_key(*tables, half_turn_trivial) == _proj_key(*_act_word(w, tables), half_turn_trivial)
 
 
 @record
@@ -388,8 +392,7 @@ def slope_cusp(o: Origami, p: int, q: int, report: OrbitReport | None = None) ->
     word = direction_to_horizontal(p, q)  # rejects a bad direction before any orbit work
     if report is None:
         report = orbit(o)
-    image = apply_word(word, o)
-    key = _proj_key(*_tables(image.h.images, image.v.images), not report.minus_id_nontrivial)
+    key = _proj_key(*_act_word(word, _tables(o.h.images, o.v.images)), not report.minus_id_nontrivial)
     i = bisect_left(report.members, (key,))
     if i == len(report.members) or report.members[i][0] != key:
         raise ValueError("the report is not the orbit of o: the transported surface is not among its members")

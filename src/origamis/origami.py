@@ -259,59 +259,85 @@ def _canonical_key(h, hinv, v, vinv, minus_id: bool = False, bfs_labelled: bool 
     (h⁻¹, h, v⁻¹, v), join the search, and the key is the lesser of the keys
     of (h, v) and (h⁻¹, v⁻¹).
 
-    The roots are refined in lockstep, one h-key entry per step (the entry of
-    a square is known as soon as it leaves its root's BFS queue), and only
-    the roots at the least entry go on. A root's first entry is 1 exactly
-    when h fixes it, so only h's fixed points start when h has any. A lone
-    root runs on by itself, comparing entries only while it ties the known
-    key, and v-keys are read only for the roots tied on the whole h-key. At
-    most _LIVE_ROOTS roots are live at once: the roots of each orientation
-    run in batches, and the least key so far competes in each batch as a
-    known key, which ends the batch at the first entry where all its roots
-    fall behind it.
+    A root's class is the length of its h-cycle, or 4 for four and more. The
+    BFS from a root meets h(r), h⁻¹(r), v(r), v⁻¹(r) first, so its h-key
+    starts (1, …), (2, 1, …), (2, 3, …) or (2, e, …) with e ≥ 4 by its class,
+    and only the roots of the least class start; h⁻¹ has the cycles of h, so
+    this holds for both orientations. The roots are refined in lockstep, one
+    h-key entry per step (the entry of a square is known as soon as it leaves
+    its root's BFS queue), and only the roots at the least entry go on; each
+    root carries its own move tables, so with minus_id the roots of both
+    orientations race in one lockstep. A lone root runs on by itself,
+    comparing entries only while it ties the known key, and v-keys are read
+    only for the roots tied on the whole h-key. At most _LIVE_ROOTS roots are
+    live at once: the roots run in batches, and the least key so far competes
+    in each batch as a known key, which ends the batch at the first entry
+    where all its roots fall behind it.
 
     bfs_labelled promises that (h, v) is labelled by this BFS from square 1,
     so that root's key is the input itself: it is the known key from the
     start and root 1 is skipped. The other roots race the input alone, so
-    they run one at a time, in root order, and the search returns the key of
-    the first one that beats it, cut at the entry where it does (an h-key
-    prefix and an empty v-key, or a whole key when the h-keys tie). The
-    result equals the image tuples of (h, v) exactly when the input is its
-    canonical key, and is less otherwise: the census's test of orderly
-    generation.
+    they run one at a time, in root order, each as a lone root, and the
+    search returns the key of the first one that beats it, cut at the entry
+    where it does (an h-key prefix and an empty v-key, or a whole key when
+    the h-keys tie). Only the roots of square 1's class or a lesser one
+    start: the others lose to the input by entry 1. The result equals the
+    image tuples of (h, v) exactly when the input is its canonical key, and
+    is less otherwise: the census's test of orderly generation.
     """
     n = len(h) - 1
     names = tuple(range(1, n + 1))  # labels, one int object each, shared by all roots
-    orientations = [(h, hinv, v, vinv), (hinv, h, vinv, v)] if minus_id else [(h, hinv, v, vinv)]
-    # a root's first h-key entry is 1 where h (and so h⁻¹) fixes it, else 2:
-    # only h's fixed points start if h has any, unless a BFS-labelled input
-    # starts with 2, which every root ties or beats
-    start = range(1, n + 1)
-    if not (bfs_labelled and h[1] == 2):
-        start = [r for r in start if h[r] == r] or start
-    if bfs_labelled:  # the roots race the input alone: one at a time, in root order
+    squares = range(1, n + 1)
+    orientations = ((h, hinv, v, vinv), (hinv, h, vinv, v))
+    if bfs_labelled:  # the roots of square 1's class or a lesser one, in root order
+        if h[1] == 1:
+            start = [r for r in squares if h[r] == r]
+        elif h[h[1]] == 1:
+            start = [r for r in squares if h[h[r]] == r]
+        elif h[h[h[1]]] == 1:
+            start = [r for r in squares if h[h[h[r]]] == r or h[h[r]] == r]
+        else:
+            start = squares
+        roots = start[1:]  # root 1 of (h, v) gives the input
         best_h, best_v = list(h[1:]), list(v[1:])  # copies: the key keeps no reference to the input
-        size = 1
-        roots = start[1:], start  # root 1 of (h, v) gives the input
-    else:
+        step = 1
+    else:  # the roots of the least class
+        start = (
+            [r for r in squares if h[r] == r]
+            or [r for r in squares if h[h[r]] == r]
+            or [r for r in squares if h[h[h[r]]] == r]
+            or squares
+        )
+        roots = start
         best_h = best_v = None
-        size = _LIVE_ROOTS
-        roots = start, start
-    for (H, Hinv, V, Vinv), rs in zip(orientations, roots):
-        for k in range(0, len(rs), size):
+        step = _LIVE_ROOTS
+    first = len(roots)  # roots[j] is a root of (h⁻¹, v⁻¹) when j ≥ first
+    if minus_id:
+        roots = [*roots, *start]
+    for k in range(0, len(roots), step):
+        known = best_h  # the key to beat while the roots tie it, else None
+        i = 0
+        H, Hinv, V, Vinv = orientations[k >= first]
+        if bfs_labelled:  # one root races the input
+            r = roots[k]
+            label = [0] * (n + 1)
+            label[r] = 1
+            order = [r]
+        else:
             live = []
-            for r in rs[k : k + size]:
+            for j in range(k, min(k + step, len(roots))):
+                if j == first:
+                    H, Hinv, V, Vinv = orientations[1]
+                r = roots[j]
                 label = [0] * (n + 1)
                 label[r] = 1
-                live.append((label, [r]))
-            known = best_h  # the key to beat while the batch ties it, else None
-            i = 0
+                live.append((label, [r], H, Hinv, V, Vinv))
             while len(live) > 1 and i < n:  # refine side by side, one h-key entry per step
                 # the known key competes as one more root, at entry b
                 b = m = known[i] if known is not None else n + 1
                 tied = []
                 for root in live:
-                    label, order = root
+                    label, order, H, Hinv, V, Vinv = root
                     s = order[i]
                     nb = H[s]
                     e = label[nb]
@@ -339,44 +365,46 @@ def _canonical_key(h, hinv, v, vinv, minus_id: bool = False, bfs_labelled: bool 
                     known = None
                 live = tied
                 i += 1
-            if len(live) == 1:  # a lone root runs on, comparing only while tied with the known key
-                label, order = live[0]
-                for i in range(i, n):
-                    s = order[i]
-                    nb = H[s]
-                    e = label[nb]
-                    if not e:
-                        e = label[nb] = names[len(order)]
-                        order.append(nb)
-                    if known is not None and e != known[i]:
-                        if e > known[i]:
-                            live = []
-                            break
-                        if bfs_labelled:  # this root beats the input: cut its key here
-                            return (*known[:i], e), ()
-                        known = None
-                    nb = Hinv[s]
-                    if not label[nb]:
-                        label[nb] = names[len(order)]
-                        order.append(nb)
-                    nb = V[s]
-                    if not label[nb]:
-                        label[nb] = names[len(order)]
-                        order.append(nb)
-                    nb = Vinv[s]
-                    if not label[nb]:
-                        label[nb] = names[len(order)]
-                        order.append(nb)
-            if live:  # the roots left tie on the whole h-key, and with the known key if any
-                label, order = live[0]
-                h_key = [label[H[s]] for s in order]
-                for label, order in live:
-                    v_key = [label[V[s]] for s in order]
-                    if known is None or v_key < best_v:
-                        if bfs_labelled:
-                            return tuple(h_key), tuple(v_key)
-                        best_h = known = h_key
-                        best_v = v_key
+            if not live:  # the known key beat every root of the batch
+                continue
+            # one root left runs on alone; several left tie on the whole h-key
+            label, order, H, Hinv, V, Vinv = live[0]
+        for i in range(i, n):  # a lone root, comparing only while tied with the known key
+            s = order[i]
+            nb = H[s]
+            e = label[nb]
+            if not e:
+                e = label[nb] = names[len(order)]
+                order.append(nb)
+            if known is not None and e != known[i]:
+                if e > known[i]:
+                    break
+                if bfs_labelled:  # this root beats the input: cut its key here
+                    return (*known[:i], e), ()
+                known = None
+            nb = Hinv[s]
+            if not label[nb]:
+                label[nb] = names[len(order)]
+                order.append(nb)
+            nb = V[s]
+            if not label[nb]:
+                label[nb] = names[len(order)]
+                order.append(nb)
+            nb = Vinv[s]
+            if not label[nb]:
+                label[nb] = names[len(order)]
+                order.append(nb)
+        else:  # the roots left tie on the whole h-key, and with the known key if any
+            if bfs_labelled:  # the lone root that raced the input
+                live = [(label, order, H, Hinv, V, Vinv)]
+            h_key = [label[H[s]] for s in order]
+            for label, order, H, Hinv, V, Vinv in live:
+                v_key = [label[V[s]] for s in order]
+                if known is None or v_key < best_v:
+                    if bfs_labelled:
+                        return tuple(h_key), tuple(v_key)
+                    best_h = known = h_key
+                    best_v = v_key
     return tuple(best_h), tuple(best_v)
 
 

@@ -202,10 +202,32 @@ def test_early_exit_returns_the_first_beating_root_up_to_five_squares():
         assert _canonical_key(*_tables(*pair), True, True) == reference_bfs_labelled(*pair, minus_id=True), pair
 
 
-@given(transitive_pairs(max_n=10), st.data())
+@st.composite
+def pairs_by_h_cycle_type(draw, max_n=12):
+    """A transitive pair whose h has cycles of drawn lengths 1..5 on shuffled
+    squares, so that the classes mix often."""
+    n = draw(st.integers(1, max_n))
+    squares = draw(st.permutations(range(1, n + 1)))
+    h = [0] * n
+    start = 0
+    while start < n:
+        length = draw(st.integers(1, min(5, n - start)))
+        cycle = squares[start : start + length]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            h[a - 1] = b
+        start += length
+    while True:
+        v = tuple(draw(st.permutations(range(1, n + 1))))
+        if _transitive(h, v):
+            return tuple(h), v
+
+
+@given(transitive_pairs(max_n=10) | pairs_by_h_cycle_type(), st.data())
 def test_early_exit_verdict_on_bfs_labelled_pairs(pair, data):
     # a random root gives a non-canonical labelling most of the time, the
-    # canonical key's own root a canonical one
+    # canonical key's own root a canonical one; pairs with mixed h-cycle
+    # classes put square 1 in a 2- or 3-cycle with a lesser class elsewhere,
+    # whose roots race the input too
     h, v = pair
     root = data.draw(st.integers(0, len(h)))
     h, v = _canonical_key(*_tables(h, v)) if root == 0 else bfs_relabelled(h, v, root)
@@ -266,26 +288,6 @@ def h_key_starts_as_its_class_dictates(h_key, least_class):
         return h_key[0] == 2 and h_key[1] >= 4
     start = H_KEY_START[least_class]
     return h_key[: len(start)] == start
-
-
-@st.composite
-def pairs_by_h_cycle_type(draw, max_n=12):
-    """A transitive pair whose h has cycles of drawn lengths 1..5 on shuffled
-    squares, so that the classes mix often."""
-    n = draw(st.integers(1, max_n))
-    squares = draw(st.permutations(range(1, n + 1)))
-    h = [0] * n
-    start = 0
-    while start < n:
-        length = draw(st.integers(1, min(5, n - start)))
-        cycle = squares[start : start + length]
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            h[a - 1] = b
-        start += length
-    while True:
-        v = tuple(draw(st.permutations(range(1, n + 1))))
-        if _transitive(h, v):
-            return tuple(h), v
 
 
 @given(pairs_by_h_cycle_type() | transitive_pairs())
@@ -354,13 +356,15 @@ def test_pairs_whose_roots_span_several_batches(n, moved, seed):
     assert _canonical_key(*_tables(*pair), bfs_labelled=True) == reference_bfs_labelled(*pair)
 
 
-def test_a_search_holds_one_batch_of_label_arrays():
-    # all 900 roots of the 30×30 grid tie to the end; live at once, their
-    # label arrays and queues would take about 13 MB
+@pytest.mark.parametrize("minus_id", [False, True])
+def test_a_search_holds_one_batch_of_label_arrays(minus_id):
+    # all 900 roots of the 30×30 grid tie to the end, and with minus_id the
+    # 900 of (h⁻¹, v⁻¹) race them; live at once, the label arrays and queues
+    # of 900 roots would take about 13 MB
     h, v = torus_grid(30, 30)
     tracemalloc.start()
     try:
-        _canonical_key(*_tables(h, v))
+        _canonical_key(*_tables(h, v), minus_id=minus_id)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

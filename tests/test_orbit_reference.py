@@ -218,6 +218,38 @@ def test_move_tables_are_built_once_for_the_input(o, monkeypatch):
     assert calls == 1
 
 
+@pytest.mark.parametrize("o", [st3(), st4(), *RANDOM], ids=lambda o: o.to_text())
+def test_veech_membership_and_slope_cusps_build_the_input_tables_once(o, monkeypatch):
+    # the word steps the input's tables, and the image is keyed on the tables
+    # it ends with, not rebuilt from an Origami
+    report = orbit(o)
+    words = [SL2ZWord(()), action.S_WORD, action.T_WORD**2, SL2ZWord(("S", "T", "S^-1", "T^-1", "T^-1"))]
+    want = [action.in_veech_group(o, w) for w in words]
+    slopes = [(1, 0), (0, 1), (1, 1), (2, -1), (3, 5)]
+    cusps = [action.slope_cusp(o, p, q, report) for p, q in slopes]
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return _tables(*args)
+
+    monkeypatch.setattr(action, "_tables", counted)
+    for w, member in zip(words, want):
+        calls = 0
+        assert action.in_veech_group(o, w) == member
+        assert calls == 1
+        # the same verdict from the keys of o and of its image as an Origami
+        image = apply_word(w, o)
+        half_turn_trivial = genus(o) <= 2
+        keys = [_proj_key(*_tables(p.h.images, p.v.images), half_turn_trivial) for p in (o, image)]
+        assert member == (keys[0] == keys[1])
+    for (p, q), cusp in zip(slopes, cusps):
+        calls = 0
+        assert action.slope_cusp(o, p, q, report) == cusp
+        assert calls == 1
+
+
 GENERATORS = ("T", "T^-1", "S", "S^-1")
 
 
