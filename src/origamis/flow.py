@@ -21,7 +21,7 @@ from fractions import Fraction
 from ._record import record
 from .cylinders import RadicalLength, decomposition_in_direction
 from .origami import Origami
-from .quadfield import QuadNum, _sign, in_one_field
+from .quadfield import QuadNum, _quad, _sign, in_one_field
 
 Scalar = Fraction | QuadNum
 
@@ -75,6 +75,13 @@ def _corner_square(o: Origami, sq: int, cx: int, cy: int) -> int:
     return o.v(o.h(sq))
 
 
+def _int_arg(name: str, v) -> int:
+    """v when it is an int and not a bool; anything else is a TypeError naming ``name``."""
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise TypeError(f"{name} must be an int, got {type(v).__name__} {v!r}")
+    return v
+
+
 def trace(
     o: Origami,
     start: FlowState,
@@ -89,58 +96,85 @@ def trace(
     a square and different on every other parallel chord. Its sign says which
     wall the chord reaches first: the vertical one when u < 0, the horizontal
     one when u > 0, the corner when u = 0. Crossing a vertical wall adds Q to
-    u, crossing a horizontal one subtracts P, so after one common denominator
-    D the loop runs on the integers U + V·√d = D·u. A state is a square and a
-    chord, which pins the point where the chord entered the square. Times
-    come from the wall counts m and j when they are needed: the m-th vertical
-    wall is reached at (m − x₀)/P and the j-th horizontal one at (j − y₀)/Q.
+    u, crossing a horizontal one subtracts P. The set-up runs on integers:
+    x, y, p and q, read as a + b·√d, are scaled by the lcm D of their eight
+    denominators, every set-up test is a ``quadfield._sign`` of such an
+    integer pair, and the loop runs on the integers U + V·√d = D²·u. A state
+    is a square and a chord, which pins the point where the chord entered the
+    square. Times come from the wall counts m and j, each by one exact
+    division: the m-th vertical wall is reached at (m − x₀)/P and the j-th
+    horizontal one at (j − y₀)/Q. Only recorded events use field arithmetic.
     """
+    sq = _int_arg("start.square", start.square)
+    _int_arg("max_crossings", max_crossings)
     if max_crossings < 1:
         raise ValueError(f"max_crossings must be at least 1, got {max_crossings}")
     x, y, p, q = in_one_field(*start.pos, *start.direction)
-    if not p and not q:
+    quad = isinstance(x, QuadNum)
+    d = x.d if quad else 2  # every b is 0 on Fraction data, so d is never read
+    coeffs = [c for v in (x, y, p, q) for c in ((v.a, v.b) if quad else (v, 0))]
+    D = math.lcm(*(c.denominator for c in coeffs))
+    xa, xb, ya, yb, pa, pb, qa, qb = [c.numerator * (D // c.denominator) for c in coeffs]
+    ps, qs = _sign(pa, pb, d), _sign(qa, qb, d)
+    if not ps and not qs:
         raise ValueError("zero direction")
-    if not (0 <= x <= 1 and 0 <= y <= 1):
+    if min(_sign(xa, xb, d), _sign(D - xa, -xb, d), _sign(ya, yb, d), _sign(D - ya, -yb, d)) < 0:
         raise ValueError(f"position ({x}, {y}) outside the unit square")
-    sq = start.square
     if not 1 <= sq <= o.n:
         raise ValueError(f"square {sq} out of range 1..{o.n}")
     singular = o.singular
-    if x in (0, 1) and y in (0, 1):
-        if singular[_corner_square(o, sq, int(x == 1), int(y == 1)) - 1]:
+    # cx (cy) is 0 or 1 when x (y) lies on a grid line, else None
+    cx = None if xb or 0 < xa < D else xa // D
+    cy = None if yb or 0 < ya < D else ya // D
+    if cx is not None and cy is not None:
+        if singular[_corner_square(o, sq, cx, cy) - 1]:
             raise ValueError("flow started at a singular vertex")
 
     # the square entered across a vertical or a horizontal edge, built only
     # for a coordinate that moves
-    right, up = p > 0, q > 0
-    step_x = (o.h if right else o.h.inverse()).images if p else ()
-    step_y = (o.v if up else o.v.inverse()).images if q else ()
-    zero = x - x  # additive zero of the working field
-    one = zero + 1
-    X, P = (x, p) if p >= 0 else (one - x, -p)
-    Y, Q = (y, q) if q >= 0 else (one - y, -q)
-    radicand = p * p + q * q
-    # the a and b of u, P and Q as a + b·√d (b = 0 for a Fraction)
-    coeffs = [(v.a, v.b) if isinstance(v, QuadNum) else (v, 0) for v in ((one - X) * Q - (one - Y) * P, P, Q)]
-    D = math.lcm(*(c.denominator for pair in coeffs for c in pair))
-    (U, V), (Pa, Pb), (Qa, Qb) = [(int(a * D), int(b * D)) for a, b in coeffs]
-    d = x.d if isinstance(x, QuadNum) else 2  # V stays 0 on Fraction data, so d is never read
+    right, up = ps > 0, qs > 0
+    step_x = (o.h if right else o.h.inverse()).images if ps else ()
+    step_y = (o.v if up else o.v.inverse()).images if qs else ()
+    # mirrored: x, y become X, Y and p, q become P, Q, still scaled by D
+    if ps < 0:
+        xa, xb, pa, pb = D - xa, -xb, -pa, -pb
+    if qs < 0:
+        ya, yb, qa, qb = D - ya, -yb, -qa, -qb
+
+    def ratio(a, b, c, e):  # (a + b·√d)/(c + e·√d) of integers, in the field of the data
+        if not quad:
+            return Fraction(a, c)
+        if e:  # rationalised by the conjugate
+            a, b, c = a * c - b * e * d, b * c - a * e, c * c - e * e * d
+        return _quad(Fraction(a, c), Fraction(b, c), d)
+
+    radicand = ratio(pa * pa + pb * pb * d + qa * qa + qb * qb * d, 2 * (pa * pb + qa * qb), D * D, 0)
+    # D²·u = (D − X)·Q − (D − Y)·P, and the steps D·Q and D·P
+    U = (D - xa) * qa - xb * qb * d - (D - ya) * pa + yb * pb * d
+    V = (D - xa) * qb - xb * qa - (D - ya) * pb + yb * pa
+    Pa, Pb, Qa, Qb = D * pa, D * pb, D * qa, D * qb
     grid_corner = None
-    if not P or not Q:
+    if not ps or not qs:
         # an axis direction crosses one kind of wall only; along a grid line
         # it meets a vertex, the corner of the square entered, at every crossing
-        U, V = (1 if Q else -1), 0
-        if not P and x in (0, 1):
-            grid_corner = (int(x == 1), int(not up))
-        elif not Q and y in (0, 1):
-            grid_corner = (int(not right), int(y == 1))
+        U, V = (1 if qs else -1), 0
+        if not ps and cx is not None:
+            grid_corner = (cx, int(not up))
+        elif not qs and cy is not None:
+            grid_corner = (int(not right), cy)
     # every state after a crossing lies on an entry wall; the start is one
     # of them only when it lies on the entry wall of a coordinate that moves
-    seen = {(sq, U, V): (0, 0)} if (P and not X) or (Q and not Y) else {}
+    seen = {(sq, U, V): (0, 0)} if (ps and not (xa or xb)) or (qs and not (ya or yb)) else {}
     m = j = 0  # vertical and horizontal walls crossed; a corner is both
 
     def time(s):  # of the crossing just made, whose sign test gave s
-        return (m - X) / P if s <= 0 else (j - Y) / Q
+        return ratio(m * D - xa, -xb, pa, pb) if s <= 0 else ratio(j * D - ya, -yb, qa, qb)
+
+    if record_events:  # the recorded points keep the field arithmetic
+        zero = x - x  # additive zero of the working field
+        one = zero + 1
+        X, P = (x, p) if ps >= 0 else (one - x, -p)
+        Y, Q = (y, q) if qs >= 0 else (one - y, -q)
 
     events = []
     for crossing in range(1, max_crossings + 1):
@@ -175,7 +209,7 @@ def trace(
         state = (sq, U, V)
         if state in seen:
             m0, j0 = seen[state]
-            period = (m - m0) / P if s <= 0 else (j - j0) / Q
+            period = ratio((m - m0) * D, 0, pa, pb) if s <= 0 else ratio((j - j0) * D, 0, qa, qb)
             return TraceResult(True, False, crossing, time(s), period, radicand, tuple(events))
         seen[state] = (m, j)
     return TraceResult(False, False, max_crossings, time(s), None, radicand, tuple(events))
@@ -248,6 +282,8 @@ def discrepancy(o: Origami, slope: float, crossings: int, grid: int) -> float:
 
     Floating point on purpose: this is a statistic, not a certificate.
     """
+    _int_arg("crossings", crossings)
+    _int_arg("grid", grid)
     if crossings < 1 or grid < 1:
         raise ValueError("need crossings >= 1 and grid >= 1")
     if not math.isfinite(slope):

@@ -4,8 +4,11 @@ Every public function or constructor that takes exact scalars accepts ints,
 Fractions and QuadNums only: a float, a bool, a string or a Decimal is a
 TypeError naming its type, never a value read off its binary expansion.
 Values from two quadratic fields are a ValueError at the call, naming both.
+The flow's counts (a start square, a crossing bound, a grid) take ints only:
+anything else, a bool included, is a TypeError naming the argument.
 """
 
+import re
 from decimal import Decimal
 from fractions import Fraction as F
 
@@ -22,7 +25,7 @@ from origamis.action import (
     transport_point,
 )
 from origamis.cylinders import QuadCylinder, RadicalLength
-from origamis.flow import FlowState, ShearedSt3, sheared_st3_return, trace
+from origamis.flow import FlowState, ShearedSt3, discrepancy, sheared_st3_return, trace
 from origamis.intlattice import hermite_form, rational_hermite_form
 from origamis.lshape import LSurface, twist_powers
 from origamis.origami import Origami
@@ -71,6 +74,41 @@ BAD = [0.5, True, "1/2", Decimal("0.5")]
 def test_inexact_input_is_a_type_error(name, bad):
     with pytest.raises(TypeError, match=type(bad).__name__):
         ENTRY_POINTS[name](bad)
+
+
+# each takes the bad value where the int 2 would be accepted
+INT_ARGS = {
+    "start.square": lambda k: trace(ST3, FlowState(k, (F(1, 3), F(1, 5)), (1, 2))),
+    "max_crossings": lambda k: trace(ST3, FlowState(1, (F(1, 3), F(1, 5)), (1, 2)), k),
+    "crossings": lambda k: discrepancy(ST3, 1.618, k, 10),
+    "grid": lambda k: discrepancy(ST3, 1.618, 10, k),
+}
+
+BAD_INTS = [2.0, True, F(2), "2", Decimal(2)]
+
+
+@pytest.mark.parametrize("bad", BAD_INTS, ids=lambda x: type(x).__name__)
+@pytest.mark.parametrize("name", sorted(INT_ARGS))
+def test_flow_counts_take_ints_only(name, bad):
+    with pytest.raises(TypeError, match=rf"^{re.escape(name)} must be an int, got {type(bad).__name__} "):
+        INT_ARGS[name](bad)
+
+
+@pytest.mark.parametrize("name", sorted(INT_ARGS))
+def test_flow_counts_accept_ints(name):
+    INT_ARGS[name](2)
+
+
+def test_flow_counts_are_checked_before_any_work():
+    # each call is also wrong, or long, in a way its other arguments would report
+    with pytest.raises(TypeError, match="start.square"):
+        trace(ST3, FlowState(1.0, (F(2), F(0)), (0, 0)), 0)
+    with pytest.raises(TypeError, match="max_crossings"):
+        trace(ST3, FlowState(1, (F(2), F(0)), (0, 0)), -1.0)
+    with pytest.raises(TypeError, match="crossings"):
+        discrepancy(ST3, float("nan"), True, 10**9)
+    with pytest.raises(TypeError, match="grid"):
+        discrepancy(ST3, 1.618, 10**12, True)
 
 
 def test_hermite_form_takes_ints_only():

@@ -188,6 +188,60 @@ def wall_starts(draw, o):
     return FlowState(draw(st.integers(1, o.n)), pos, direction)
 
 
+# pairwise coprime denominators up to 10¹², so that the common denominator D
+# of a start is the product of its four
+COPRIME_DENOMINATORS = (7, 2**39, 3**25, 1_000_003, 1_000_000_007, 999_999_999_989, 999_999_999_961)
+
+
+@st.composite
+def coprime_starts(draw, o):
+    """x, y, p and q with four different denominators from COPRIME_DENOMINATORS,
+    each numerator free, so the position may lie on a wall or a corner."""
+    dx, dy, dp, dq = draw(st.permutations(COPRIME_DENOMINATORS))[:4]
+    x, y = F(draw(st.integers(0, dx)), dx), F(draw(st.integers(0, dy)), dy)
+    speed = st.integers(-5, 5).flatmap(lambda k: st.integers(k * 10**12 - 10**12, k * 10**12 + 10**12))
+    p, q = draw(st.tuples(speed, speed).filter(lambda pq: pq != (0, 0)))
+    return FlowState(draw(st.integers(1, o.n)), (x, y), (F(p, dp), F(q, dq)))
+
+
+@st.composite
+def split_denominator_starts(draw, o):
+    """Q[√d] data whose rational and √d parts have different (coprime)
+    denominators: p and q are r + s·√d, and x and y are (r + s·(√d − ⌊√d⌋))/2
+    with r and s in [0, 1]."""
+    d = draw(st.sampled_from(FIELDS))
+    m = isqrt(d)
+    da, db = draw(st.permutations(COPRIME_DENOMINATORS))[:2]
+    part = st.integers(-3, 3).map(lambda k: F(k * da + 1, da) if k else F(0))
+    root = st.integers(-3, 3).map(lambda k: F(k * db - 1, db) if k else F(0))
+    coef = st.tuples(part, root).map(lambda ab: QuadNum(ab[0], ab[1], d))
+    p, q = draw(st.tuples(coef, coef).filter(lambda pq: pq[0] or pq[1]))
+
+    def unit():
+        r, s = F(draw(st.integers(0, da)), da), F(draw(st.integers(0, db)), db)
+        return QuadNum((r - s * m) / 2, s / 2, d)
+
+    return FlowState(draw(st.integers(1, o.n)), (unit(), unit()), (p, q))
+
+
+@st.composite
+def far_wall_starts(draw, o):
+    """A negative direction from the x = 1 or the y = 1 wall, which the
+    mirroring turns into the wall the flow enters by; Fraction or Q[√d] data,
+    the other coordinate free (a corner included) and the other speed of any
+    sign, zero included."""
+    d = draw(st.sampled_from(FIELDS))
+    back = st.one_of(
+        small_rationals.filter(lambda r: r < 0),
+        st.sampled_from((QuadNum(0, -1, d), QuadNum(1, -1, d), QuadNum(F(-1, 3), F(1, 7), d))),
+    )
+    other_speed = st.one_of(small_rationals, st.sampled_from((QuadNum(0, 1, d), QuadNum(1, -1, d))))
+    other = draw(unit_quads(d))
+    if draw(st.booleans()):
+        return FlowState(draw(st.integers(1, o.n)), (F(1), other), (draw(back), draw(other_speed)))
+    return FlowState(draw(st.integers(1, o.n)), (other, F(1)), (draw(other_speed), draw(back)))
+
+
 def _check(data, starts):
     o = data.draw(origamis)
     start = data.draw(starts(o))
@@ -218,6 +272,21 @@ def test_corner_directions_match_the_reference(data):
 @given(st.data())
 def test_wall_starts_match_the_reference(data):
     _check(data, wall_starts)
+
+
+@given(st.data())
+def test_coprime_denominators_match_the_reference(data):
+    _check(data, coprime_starts)
+
+
+@given(st.data())
+def test_split_denominators_match_the_reference(data):
+    _check(data, split_denominator_starts)
+
+
+@given(st.data())
+def test_negative_directions_from_the_far_walls_match_the_reference(data):
+    _check(data, far_wall_starts)
 
 
 def test_bad_bound_matches_the_reference():
