@@ -23,6 +23,7 @@ import fcntl
 import json
 import os
 import warnings
+from json.encoder import encode_basestring_ascii as _encode_str
 from operator import attrgetter
 
 from ._record import record
@@ -376,6 +377,24 @@ def _query_rows(
         if any(kept):
             rows += [(fields, text) for text, k in members if (fields := kept[k])]
     return rows
+
+
+def _entries_json(rows) -> str:
+    """json.dumps([vars(e) for e in entries], sort_keys=True) for the entries
+    of rows (orbit fields in the layout's order, origami text), with each
+    orbit's fields encoded once: its object with an empty origami, split at
+    that key, is the head and tail of each of its members (no encoded string
+    holds an unescaped quote, so the split finds the key)."""
+    parts: dict[tuple, tuple[str, str]] = {}
+    out = []
+    for fields, text in rows:
+        head_tail = parts.get(fields)
+        if head_tail is None:
+            obj = json.dumps({**dict(zip(_ORBIT_TYPES, fields)), "origami": ""}, sort_keys=True)
+            head, tail = obj.split('"origami": ""')
+            head_tail = parts[fields] = (head + '"origami": ', tail)
+        out.append(head_tail[0] + _encode_str(text) + head_tail[1])
+    return "[" + ", ".join(out) + "]"
 
 
 def catalog_query(

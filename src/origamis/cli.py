@@ -16,7 +16,6 @@ import json
 import sys
 import warnings
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _encode_str
 
 # cylinders, flow, lshape and quadfield are imported by the handlers that use
 # them, so that info, orbit, enumerate and catalog do not pay for loading them
@@ -54,25 +53,6 @@ def _parse_start(text: str):
 
 def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
-
-
-def _entries_json(rows) -> str:
-    """json.dumps([vars(e) for e in entries], sort_keys=True) for the entries
-    of rows (orbit fields in CatalogEntry's order after origami, origami
-    text), with each orbit's fields encoded once: the keys before "origami"
-    make its head and the keys after it its tail."""
-    parts: dict[tuple, tuple[str, str]] = {}
-    out = []
-    for fields, text in rows:
-        head_tail = parts.get(fields)
-        if head_tail is None:
-            n, genus, stratum, reduced, orbit_id, index, cusp_widths, curve_genus = fields
-            head = json.dumps(dict(curve_genus=curve_genus, cusp_widths=cusp_widths, genus=genus, index=index, n=n,
-                                   orbit_id=orbit_id), sort_keys=True)
-            tail = json.dumps(dict(reduced=reduced, stratum=stratum), sort_keys=True)
-            head_tail = parts[fields] = (head[:-1] + ', "origami": ', ", " + tail[1:])
-        out.append(head_tail[0] + _encode_str(text) + head_tail[1])
-    return "[" + ", ".join(out) + "]"
 
 
 def _cmd_info(args) -> None:
@@ -178,7 +158,7 @@ def _cmd_enumerate(args) -> None:
         reduced_only=args.reduced,
         bound=args.bound,
     )
-    print(_entries_json((cat._orbit_fields(e), e.origami) for e in entries))
+    print(cat._entries_json((cat._orbit_fields(e), e.origami) for e in entries))
 
 
 def _cmd_catalog_write(args) -> None:
@@ -190,7 +170,7 @@ def _cmd_catalog_write(args) -> None:
 
 
 def _cmd_catalog_query(args) -> None:
-    print(_entries_json(cat._query_rows(args.path, args.n, args.stratum, args.orbit_id, args.reduced)))
+    print(cat._entries_json(cat._query_rows(args.path, args.n, args.stratum, args.orbit_id, args.reduced)))
 
 
 def _cmd_strata_dim(args) -> None:

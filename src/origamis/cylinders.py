@@ -72,15 +72,24 @@ def _horizontal_cylinders(h, v, singular) -> list[Cylinder]:
 
 @record
 class RadicalLength:
-    """An exact length w·√r, kept symbolic; r is reduced to a squarefree core."""
+    """An exact length w·√r, kept symbolic; r is reduced to a squarefree core.
+
+    A rational radicand a/b is read as w·√(a/b) = (w/b)·√(ab). A radicand
+    that is not positive is a ValueError naming it."""
 
     coefficient: Fraction
     radicand: int
 
-    def __init__(self, coefficient, radicand: int):
-        s = _square_part(radicand)
-        object.__setattr__(self, "coefficient", exact_rational(coefficient) * s)
-        object.__setattr__(self, "radicand", radicand // (s * s))
+    def __init__(self, coefficient, radicand: int | Fraction):
+        w, r = exact_rational(coefficient), radicand
+        if type(r) is not int:
+            r = exact_rational(r)
+            w, r = w / r.denominator, r.numerator * r.denominator
+        if r <= 0:
+            raise ValueError(f"radicand {radicand} is not positive")
+        s = _square_part(r)
+        object.__setattr__(self, "coefficient", w * s)
+        object.__setattr__(self, "radicand", r // (s * s))
 
     def __float__(self) -> float:
         return float(self.coefficient) * math.sqrt(self.radicand)

@@ -49,30 +49,20 @@ class TraceResult:
         """Exact geometric period length, for rational directions."""
         if not self.periodic:
             raise ValueError("orbit was not found periodic")
-        rad = self.radicand
-        if isinstance(rad, QuadNum):
-            if not rad.is_rational:
-                raise ValueError("irrational radicand: the length is not w·√r with w rational")
-            rad = rad.a
-        coeff = self.period_time
-        if isinstance(coeff, QuadNum):
-            if not coeff.is_rational:
-                raise ValueError("irrational period: the length is not w·√r with w rational")
-            coeff = coeff.a
-        if rad.denominator != 1:
-            raise ValueError("non-integer radicand")
-        return RadicalLength(coeff, rad.numerator)
+        w, r = self.period_time, self.radicand
+        if isinstance(r, QuadNum):  # the period and the radicand share its field
+            for name, v in (("radicand", r), ("period", w)):
+                if not v.is_rational:
+                    raise ValueError(f"irrational {name}: the length is not w·√r with w rational")
+            w, r = w.a, r.a
+        return RadicalLength(w, r)
 
 
 def _corner_square(o: Origami, sq: int, cx: int, cy: int) -> int:
-    """Square whose bottom-left corner is the (cx, cy) corner of sq."""
-    if (cx, cy) == (0, 0):
-        return sq
-    if (cx, cy) == (1, 0):
-        return o.h(sq)
-    if (cx, cy) == (0, 1):
-        return o.v(sq)
-    return o.v(o.h(sq))
+    """Square whose bottom-left corner is the (cx, cy) corner of sq: cx steps
+    by h, then cy steps by v."""
+    sq = o.h(sq) if cx else sq
+    return o.v(sq) if cy else sq
 
 
 def _int_arg(name: str, v) -> int:

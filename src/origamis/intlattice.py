@@ -7,7 +7,7 @@ this package ever sees.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import lcm
 
 from .quadfield import exact_rational
 
@@ -68,20 +68,11 @@ def rational_hermite_form(rows) -> tuple[int, list[tuple[int, ...]]]:
 
     Returns (den, basis) with the actual basis vectors being basis/den;
     the pair is canonical, so equality of pairs is equality of modules.
+    den, the lcm of the denominators, is the least that makes the module
+    integral: a prime power that exactly divides den exactly divides the
+    denominator of some entry, which scales to an integer prime to it.
     """
     rows = [[exact_rational(x) for x in r] for r in rows]
-    den = 1
-    for r in rows:
-        for x in r:
-            den = lcm(den, x.denominator)
+    den = lcm(*(x.denominator for r in rows for x in r))
     ints = [[int(x * den) for x in r] for r in rows]
-    basis = hermite_form(ints)
-    # normalize the denominator
-    g = den
-    for r in basis:
-        for x in r:
-            g = gcd(g, x)
-    if g > 1:
-        den //= g
-        basis = [tuple(x // g for x in r) for r in basis]
-    return den, basis
+    return den, hermite_form(ints)

@@ -206,7 +206,7 @@ class QuadNum:
         return other / self
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
             raise ValueError("only non-negative integer powers")
         out = _quad(Fraction(1), _ZERO, self.d)
         base = self
@@ -291,6 +291,8 @@ def _coerce(x, d: int):
 def exact_rational(x) -> Fraction:
     """x as a Fraction, when it is an exact rational: an int or a Fraction,
     never a bool (the rule ``_coerce`` applies to arithmetic operands)."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"expected an exact rational (int or Fraction), got {type(x).__name__} {x!r}")

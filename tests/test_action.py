@@ -19,6 +19,7 @@ from origamis.action import (
     slope_cusp,
     torus_point,
     transport_direction,
+    transport_point,
     word_for_matrix,
 )
 from origamis.cylinders import _horizontal_cylinders
@@ -82,6 +83,14 @@ class TestActionFormulas:
                 img = apply_word(S_WORD, img)
             assert img == o
             assert apply_word(T_WORD, apply_word(SL2ZWord(("T^-1",)), o)) == o
+
+    def test_transport_point_through_S_and_T_inverse(self):
+        # by hand on St(3), h = (1,2): T⁻¹ shears (1/4, 1/2) in square 1 past
+        # x = 0 into h⁻¹(1) = 2 at x = 3/4, and S turns (3/4, 1/2) to (1/2, 1/4)
+        w = SL2ZWord(("S", "T^-1"))
+        moved = transport_point(w, st3(), 1, F(1, 4), F(1, 2))
+        assert moved == (apply_word(w, st3()), 2, F(1, 2), F(1, 4))
+        assert transport_point(w.inverse(), *moved) == (st3(), 1, F(1, 4), F(1, 2))
 
     def test_minus_identity_trivial_in_genus_two(self):
         # every enumerated surface of genus <= 2 is fixed by the half turn

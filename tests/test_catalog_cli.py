@@ -471,6 +471,20 @@ class TestCatalogFile:
         assert path.read_bytes() == b"" and catalog_query(path) == []
         assert catalog_write(path, enumerate_origamis(1)) == (1, 0)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [object(),
+         pytest.param(10**5000, marks=pytest.mark.skipif(
+             not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+             reason="this Python writes an int of any length"))],
+        ids=["object", "long-int"],
+    )
+    def test_a_curve_genus_json_cannot_write_back_is_refused(self, tmp_path, bad):
+        path = tmp_path / "cat.jsonl"
+        with pytest.raises(TypeError, match=r"^catalog entry 'x': "):
+            catalog_write(path, [CatalogEntry("x", 1, 0, "H(0)", True, "a", 1, (1,), bad)])
+        assert path.read_bytes() == b"" and catalog_query(path) == []
+
 
 def written_line(entries) -> str:
     """The line, with its newline, that catalog_write appends for entries to

@@ -30,7 +30,7 @@ from origamis.intlattice import hermite_form, rational_hermite_form
 from origamis.lshape import LSurface, twist_powers
 from origamis.origami import Origami
 from origamis.perm import Permutation
-from origamis.quadfield import QuadMatrix, QuadNum
+from origamis.quadfield import QuadMatrix, QuadNum, exact_rational
 
 ST3 = Origami(Permutation((2, 1, 3)), Permutation((3, 2, 1)))
 RT2 = QuadNum.sqrt(2)
@@ -56,6 +56,7 @@ ENTRY_POINTS = {
     "horocycle_data": lambda x: horocycle_data(((1, 0), (x, 1))),
     "torus_point": lambda x: torus_point((1, 0), (x, 1)),
     "RadicalLength": lambda x: RadicalLength(x, 2),
+    "RadicalLength radicand": lambda x: RadicalLength(1, x),
     "rational_hermite_form": lambda x: rational_hermite_form([(x, 0), (0, 1)]),
     "hermite_form": lambda x: hermite_form([(x, 1), (2, 0)]),
     "act_point x": lambda x: act_point("T", ST3.h.images, 1, x, F(1, 4)),
@@ -109,6 +110,24 @@ def test_flow_counts_are_checked_before_any_work():
         discrepancy(ST3, float("nan"), True, 10**9)
     with pytest.raises(TypeError, match="grid"):
         discrepancy(ST3, 1.618, 10**12, True)
+
+
+@pytest.mark.parametrize("bad", [0, -3, F(-1, 2)], ids=str)
+def test_radical_length_radicand_is_positive(bad):
+    with pytest.raises(ValueError, match=f"^radicand {bad} is not positive$"):
+        RadicalLength(1, bad)
+
+
+def test_radical_length_reads_a_rational_radicand():
+    # (1/2)·√(8/9) = (1/2)·√72/9 = √2/3; an int radicand gives the same length
+    assert RadicalLength(F(1, 2), F(8, 9)) == RadicalLength(F(1, 3), 2) == RadicalLength(F(1, 6), 8)
+    assert str(RadicalLength(3, F(1, 4))) == "3/2"
+
+
+def test_exact_rational_keeps_a_fraction_as_it_is():
+    x = F(1, 3)
+    assert exact_rational(x) is x
+    assert type(exact_rational(3)) is F and exact_rational(3) == 3
 
 
 def test_hermite_form_takes_ints_only():

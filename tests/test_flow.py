@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from origamis.action import apply_word, direction_to_horizontal, transport_direction, transport_point
-from origamis.cylinders import decomposition_in_direction
+from origamis.cylinders import RadicalLength, decomposition_in_direction
 from origamis.flow import (
     MAX_CELLS,
     FlowState,
@@ -56,6 +56,13 @@ class TestTrace:
         with pytest.raises(ValueError, match="singular"):
             trace(st3(), FlowState(1, (F(0), F(0)), (F(1), F(1))))
 
+    def test_start_off_the_surface_rejected(self):
+        with pytest.raises(ValueError, match=r"position \(3/2, 1/3\) outside the unit square"):
+            trace(st3(), FlowState(1, (F(3, 2), F(1, 3)), (F(1), F(2))))
+        for sq in (0, 4):
+            with pytest.raises(ValueError, match=rf"^square {sq} out of range 1\.\.3$"):
+                trace(st3(), FlowState(sq, (F(1, 2), F(1, 3)), (F(1), F(2))))
+
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
             trace(torus(), FlowState(1, (F(1, 2), F(1, 2)), (F(0), F(0))))
@@ -101,6 +108,39 @@ class TestTrace:
                     singular += hit
                     traced += 1
         assert traced > 2000 and 0 < singular < traced
+
+
+class TestLength:
+    """length() is period·√(p² + q²) as w·√r, w rational and r a squarefree
+    int, whenever the direction is rational."""
+
+    def test_fractional_direction(self):
+        # p² + q² = 1/9 + 1/4 = 13/36, so the length is 12·√13/6
+        r = trace(st3(), FlowState(1, (F(1, 7), F(1, 3)), (F(1, 3), F(1, 2))))
+        assert (r.periodic, r.period_time, r.radicand) == (True, 12, F(13, 36))
+        assert r.length() == RadicalLength(2, 13) and str(r.length()) == "2*sqrt(13)"
+
+    def test_rational_direction_from_a_quadratic_start(self):
+        rt2 = QuadNum.sqrt(2)
+        r = trace(st3(), FlowState(1, (rt2 / 6, F(1, 3)), (1, 2)))
+        assert isinstance(r.radicand, QuadNum) and str(r.length()) == "sqrt(5)"
+
+    @pytest.mark.parametrize(
+        "direction, error",
+        [((QuadNum.sqrt(2), QuadNum.sqrt(2)), "irrational period"),
+         ((1 + QuadNum.sqrt(2), 1 + QuadNum.sqrt(2)), "irrational radicand")],
+        ids=["sqrt2-sqrt2", "1+sqrt2-1+sqrt2"],
+    )
+    def test_irrational_direction_has_no_rational_length(self, direction, error):
+        r = trace(st3(), FlowState(1, (F(1, 6), F(1, 3)), direction))
+        assert r.periodic
+        with pytest.raises(ValueError, match=f"^{error}: the length is not"):
+            r.length()
+
+    def test_non_periodic_result_has_no_length(self):
+        r = trace(torus(), FlowState(1, (F(0), F(0)), (F(1), QuadNum.sqrt(2))), max_crossings=20)
+        with pytest.raises(ValueError, match="orbit was not found periodic"):
+            r.length()
 
 
 class TestPeriodicity:

@@ -1,6 +1,9 @@
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from origamis.lshape import (
     LSurface,
@@ -13,9 +16,9 @@ from origamis.lshape import (
     veech_generators,
     vertical_cylinders,
 )
-from origamis.intlattice import rational_hermite_form
+from origamis.intlattice import hermite_form, rational_hermite_form
 from origamis.origami import Stratum
-from origamis.quadfield import MAX_D, QuadNum, minimal_poly_degree
+from origamis.quadfield import MAX_D, QuadNum, exact_rational, minimal_poly_degree
 
 DS = (2, 3, 5, 7, 13)
 
@@ -180,6 +183,39 @@ class TestPeriodLattice:
             for k in range(1, 11):
                 shifted = LSurface.from_discriminant(d, F(k, 11))
                 assert absolute_period_lattice(shifted) == base
+
+
+def reference_rational_hermite_form(rows):
+    """rational_hermite_form as it was, ending in a division of den and the
+    basis by their gcd g; den is the lcm of the denominators, so g is 1."""
+    rows = [[exact_rational(x) for x in r] for r in rows]
+    den = 1
+    for r in rows:
+        for x in r:
+            den = lcm(den, x.denominator)
+    ints = [[int(x * den) for x in r] for r in rows]
+    basis = hermite_form(ints)
+    # normalize the denominator
+    g = den
+    for r in basis:
+        for x in r:
+            g = gcd(g, x)
+    if g > 1:
+        den //= g
+        basis = [tuple(x // g for x in r) for r in basis]
+    return den, basis
+
+
+@st.composite
+def rational_rows(draw):
+    cols = draw(st.sampled_from([2, 4]))
+    entry = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+    return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), max_size=5))
+
+
+@given(rational_rows())
+def test_rational_hermite_form_matches_its_gcd_normalising_reference(rows):
+    assert rational_hermite_form(rows) == reference_rational_hermite_form(rows)
 
 
 class TestCornerWalkOracle:

@@ -172,6 +172,11 @@ class TestText:
         # phantom rational term ("1/10*sqrt(5)" once parsed as 1/1 + 0·√5)
         assert QuadNum.parse("1/10*sqrt(5)") == QuadNum(0, F(1, 10), 5)
 
+    @pytest.mark.parametrize("text", ["3/2*sqrt(5)", "-3/2*sqrt(5)", "sqrt(7)", "-sqrt(7)"])
+    def test_pure_roots_round_trip(self, text):
+        x = QuadNum.parse(text)
+        assert x.a == 0 and str(x) == text and QuadNum.parse(str(x)) == x
+
     def test_garbage_rejected(self):
         for bad in ("", "sqrt()", "1 +", "sqrt(8)", "one"):
             with pytest.raises(ValueError):
@@ -185,6 +190,11 @@ class TestValidation:
     def test_public_constructor_checks_d(self, d, error):
         with pytest.raises(error):
             QuadNum(1, 0, d)
+
+    @pytest.mark.parametrize("k", [True, False, 1.0, -1], ids=repr)
+    def test_powers_are_non_negative_ints(self, k):
+        with pytest.raises(ValueError, match="only non-negative integer powers"):
+            QuadNum(1, 1, 5) ** k
 
     def test_mixed_irrational_fields_do_not_compare(self):
         for op in ("__lt__", "__le__", "__gt__", "__ge__"):
