@@ -2,14 +2,17 @@
 
 Enumeration builds, once each, the transitive pairs (h, v) labelled by a
 breadth-first search from square 1 whose square 1 lies in an h-cycle of least
-class, and keeps those whose labelling is their canonical key (the generation
-half of orderly generation: Read, 1978; McKay, 1998). The class of a square
-is the length of its h-cycle, or 4 for four and more; the h-key from a root
-of class 1, 2, 3 or 4 starts (1, …), (2, 1, …), (2, 3, …) or (2, e, …) with
-e ≥ 4, so no other pair can be its own key. The result is grouped into
-SL₂(ℤ)-orbits, and the genus, stratum and reducedness of each orbit are
-computed once, on its first surface.  Output order is lexicographic on
-canonical forms so repeated runs produce byte-identical catalogs.
+class; canonical_origamis keeps those whose labelling is their canonical key
+(the generation half of orderly generation: Read, 1978; McKay, 1998). The
+class of a square is the length of its h-cycle, or 4 for four and more; the
+h-key from a root of class 1, 2, 3 or 4 starts (1, …), (2, 1, …), (2, 3, …)
+or (2, e, …) with e ≥ 4, so no other pair can be its own key.
+enumerate_origamis runs the same generation orbit by orbit: the first
+canonical pair it meets in an SL₂(ℤ)-orbit seeds the orbit, orbit() places
+the keys of all its members, and a later pair that is a placed key skips the
+canonicity test. The genus, stratum and reducedness of each orbit are
+computed once, on its seed. Output order is lexicographic on canonical forms
+so repeated runs produce byte-identical catalogs.
 
 The catalog is JSONL, one line per write: the table of the orbits the write
 touches, each orbit's fields once, and the new surfaces in the order given,
@@ -24,11 +27,11 @@ import json
 import os
 import warnings
 from json.encoder import encode_basestring_ascii as _encode_str
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from ._record import record
 from .action import orbit
-from .origami import Origami, Stratum, _canonical_key, _tables, is_reduced, stratum
+from .origami import Origami, Stratum, _canonical_key, _pair_text, _tables, stratum
 from .perm import Permutation
 
 DEFAULT_BOUND = 8
@@ -55,6 +58,7 @@ _ORBIT_TYPES = {"n": int, "genus": int, "stratum": str, "reduced": bool, "orbit_
                 "cusp_widths": list, "curve_genus": int}
 _LINE_TYPES = {"orbits": list, "members": list}
 _orbit_fields = attrgetter(*_ORBIT_TYPES)  # a CatalogEntry's orbit fields, in the layout's order
+_orbit_values = itemgetter(*_ORBIT_TYPES)  # a decoded orbit's fields, in the layout's order
 _INT, _STR, _LIST, _PAIR = frozenset({int}), frozenset({str}), frozenset({list}), frozenset({2})
 _JSON_SPACE = " \t\n\r"  # the whitespace json.loads allows around a value
 _scan = json.JSONDecoder().raw_decode
@@ -141,41 +145,46 @@ def _decode_line(line: str) -> tuple[list[dict], list[list]]:
     return rec["orbits"], rec["members"]
 
 
-def canonical_origamis(n: int) -> list[Origami]:
-    """All connected n-square origamis up to relabeling, lexicographically.
+def _orderly_generation(n: int, unbuilt: set, seed) -> None:
+    """Build the n-square transitive pairs labelled by _canonical_key's BFS
+    from square 1 whose square 1 lies in an h-cycle of least class, once
+    each; take each pair that is in unbuilt out of it, and call seed with
+    each other one that is its canonical key.
 
-    Pairs are built once each, labelled by _canonical_key's BFS from square
-    1: squares s = 1, 2, ... in queue order fill their slots h(s), h⁻¹(s),
+    Squares s = 1, 2, ... in queue order fill their slots h(s), h⁻¹(s),
     v(s), v⁻¹(s) in move order, each with a labelled square whose inverse
     slot is free or with the next new label.
 
     That BFS from a root r labels h(r), h⁻¹(r), v(r), v⁻¹(r) first, so the
-    h-key from r starts (1, …) if r's h-cycle has length 1, (2, 1, …) if 2,
-    (2, 3, …) if 3 and (2, e, …) with e ≥ 4 if longer: only the roots of the
-    least of these four classes can give the canonical key. h(1), h⁻¹(1) and
-    h(2) settle square 1's class, and an h or h⁻¹ choice that would close a
-    cycle of a lesser class is skipped, in O(1). A pair that is built is kept
-    when its labelling is its canonical key, i.e. when no other root gives a
-    lesser one; the test stops at the first root that does. It reads the
+    h-key from r starts (1, …), (2, 1, …), (2, 3, …) or (2, e, …) with e ≥ 4
+    if r's h-cycle has length 1, 2, 3 or more: only the roots of the least
+    of these four classes can give the canonical key. h(1), h⁻¹(1) and h(2)
+    settle square 1's class, and an h or h⁻¹ choice that would close a cycle
+    of a lesser class is skipped, in O(1). A pair that is built and not in
+    unbuilt is tested: it is its canonical key when no other root gives a
+    lesser one, and the test stops at the first root that does. It reads the
     live maps, which are the pair's move tables, and a pair's image tuples
-    are built only when its key is not cut short.
+    are built only when unbuilt is not empty or its key is not cut short.
+    seed may add to unbuilt while the generation runs.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
     maps = [[0] * (n + 1) for _ in range(4)]  # h, h⁻¹, v, v⁻¹: maps[k ^ 1] inverts maps[k]
     last = 4 * n  # slot 4(s-1) + k holds maps[k][s]
-    keys = []
 
     def pairs(slot: int, used: int, least: int) -> None:
         # least: square 1's class, a lower bound on it until h(2) is chosen, 0 before h(1)
         while slot < last and maps[slot & 3][(slot >> 2) + 1]:
             slot += 1  # filled by an earlier choice, through its inverse slot
         if slot == last:  # maps holds a whole pair
+            if unbuilt:
+                images = (tuple(maps[0][1:]), tuple(maps[2][1:]))
+                if images in unbuilt:  # a canonical key whose orbit is placed: no test
+                    unbuilt.remove(images)
+                    return
             # a losing root cuts the key to an h-prefix and an empty v-key: most
             # pairs are turned down without building their image tuples
             key = _canonical_key(*maps, bfs_labelled=True)
             if key[1] and key == (tuple(maps[0][1:]), tuple(maps[2][1:])):
-                keys.append(key)
+                seed(key)
             return
         s, k = (slot >> 2) + 1, slot & 3
         if s > used:  # the queue ran dry before n squares: not transitive
@@ -197,8 +206,17 @@ def canonical_origamis(n: int) -> list[Origami]:
 
     pairs(0, 1, 0)
     # pairs refers to itself through its closure: breaking that cycle frees
-    # the closure now, keys with it, not at the next full collection
+    # the closure now, not at the next full collection
     del pairs
+
+
+def canonical_origamis(n: int) -> list[Origami]:
+    """All connected n-square origamis up to relabeling, lexicographically:
+    the pairs of the orderly generation that are their own canonical key."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    keys = []
+    _orderly_generation(n, set(), keys.append)
     keys.sort()
     return [Origami(Permutation(h), Permutation(v)) for h, v in keys]
 
@@ -210,45 +228,42 @@ def enumerate_origamis(
     bound: int = DEFAULT_BOUND,
 ) -> list[CatalogEntry]:
     """CatalogEntries for all n-square origamis passing the filters, grouped
-    into SL₂(ℤ)-orbits; the orbit id is the least member's canonical text."""
+    into SL₂(ℤ)-orbits; the orbit id is the least member's canonical text.
+
+    The orderly generation runs once, and the first canonical pair it builds
+    in an orbit is the orbit's seed: orbit() on it places the key of every
+    member, and of its image under -I when -I moves the members, and a later
+    pair that is a placed key skips the canonicity test. Every pair is built
+    once, so the placed keys are all built exactly when none is left
+    unbuilt. Stratum and reducedness are SL₂(ℤ)-invariant (Per(g·o) =
+    g·Per(o) and g·Z² = Z²), so they are computed once, on the seed, and the
+    filters keep or drop whole orbits. Only the seed is built as an Origami;
+    the texts come from the keys."""
     if not 1 <= n <= bound:
         raise ValueError(f"n must lie in 1..{bound}, got {n}")
     if isinstance(stratum_filter, str):
         stratum_filter = Stratum.parse(stratum_filter)
-    # A canonical origami's images are its canonical key, so the keys of an
-    # orbit's members, and of their images under -I, look the surfaces up.
-    surfaces = {(o.h.images, o.v.images): o for o in canonical_origamis(n)}
-    entry_of: dict[tuple, CatalogEntry] = {}
-    for images, o in surfaces.items():
-        if images in entry_of:
-            continue
-        # stratum and reducedness are SL2(Z)-invariant (Per(g·o) = g·Per(o) and
-        # g·Z² = Z²), so one test decides the whole orbit and orbits never
-        # straddle the filters
-        s = stratum(o)
-        if stratum_filter is not None and s != stratum_filter:
-            continue
-        if reduced_only and not is_reduced(o):
-            continue
+    unbuilt: set[tuple] = set()  # the keys of the placed orbits that the generation has yet to build
+    entries = []
+
+    def place(key: tuple) -> None:
+        o = Origami(Permutation(key[0]), Permutation(key[1]))
         report = orbit(o)
-        members = {key for key, _ in report.members}
+        members = {k for k, _ in report.members}
         if report.minus_id_nontrivial:  # the census alone needs the other orientation
             members |= {_canonical_key(hinv, h, vinv, v) for h, hinv, v, vinv in (_tables(*k) for k in members)}
-        assert members <= surfaces.keys(), "orbit members missing from the enumeration"
-        texts = {k: surfaces[k].to_text() for k in members}
-        fields = dict(
-            n=n,
-            genus=s.genus,
-            stratum=str(s),
-            reduced=report.input_reduced,
-            orbit_id=min(texts.values()),
-            index=report.index,
-            cusp_widths=report.cusp_widths(),
-            curve_genus=report.curve_genus,
-        )
-        for k, text in texts.items():
-            entry_of[k] = CatalogEntry(origami=text, **fields)
-    return sorted(entry_of.values(), key=lambda e: e.origami)
+        unbuilt.update(members)
+        unbuilt.remove(key)
+        s = stratum(o)
+        if (stratum_filter is None or s == stratum_filter) and (report.input_reduced or not reduced_only):
+            texts = [_pair_text(*k) for k in members]
+            fields = (n, s.genus, str(s), report.input_reduced, min(texts), report.index, report.cusp_widths(),
+                      report.curve_genus)
+            entries.extend(CatalogEntry(text, *fields) for text in texts)
+
+    _orderly_generation(n, unbuilt, place)
+    assert not unbuilt, "orbit members missing from the enumeration"
+    return sorted(entries, key=attrgetter("origami"))
 
 
 class CatalogError(ValueError):
@@ -358,15 +373,15 @@ def _query_rows(
     reduced_only: bool = False,
 ) -> list[tuple[tuple, str]]:
     """The members that pass every filter given, in file order, as rows
-    (orbit fields in CatalogEntry's order after origami, origami text); the
-    members of one orbit in one line share their fields tuple."""
+    (orbit fields as _orbit_fields gives them, the list one as a tuple,
+    origami text); the members of one orbit in one line share their fields
+    tuple, built once."""
     # read as enumerate_origamis reads it: "H( 0 )" is H(0), "H(1,1" a ValueError
     stratum_text = None if stratum_filter is None else str(Stratum.parse(stratum_filter))
     rows = []
     for orbits, members in _read_entries(path):
         kept = [
-            (o["n"], o["genus"], o["stratum"], o["reduced"], o["orbit_id"], o["index"], tuple(o["cusp_widths"]),
-             o["curve_genus"])
+            tuple([tuple(x) if type(x) is list else x for x in _orbit_values(o)])
             if (n is None or o["n"] == n)
             and (stratum_text is None or o["stratum"] == stratum_text)
             and (orbit_id is None or o["orbit_id"] == orbit_id)

@@ -17,7 +17,7 @@ from functools import cached_property
 
 from ._record import record
 from .intlattice import hermite_form
-from .perm import Permutation, compose, conjugate, cycles, is_transitive
+from .perm import Permutation, _cycle_text, compose, conjugate, cycles, is_transitive
 
 
 @record
@@ -94,10 +94,15 @@ class Origami:
         return _singular_corners((0, *self.h.images), (0, *self.v.images))
 
     def to_text(self) -> str:
-        return f"{self.n}; h={self.h}; v={self.v}"
+        return _pair_text(self.h.images, self.v.images)
 
     def __str__(self) -> str:
         return self.to_text()
+
+
+def _pair_text(h_img: tuple[int, ...], v_img: tuple[int, ...]) -> str:
+    """The text form "n; h=…; v=…" of the pair with image tuples h_img and v_img."""
+    return f"{len(h_img)}; h={_cycle_text(h_img)}; v={_cycle_text(v_img)}"
 
 
 def parse_origami(text: str) -> Origami:

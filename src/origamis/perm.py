@@ -94,23 +94,27 @@ class Permutation:
         return tuple(sorted((len(c) for c in cycles(self)), reverse=True))
 
     def __str__(self) -> str:
-        """The cycles of length two and more, as cycles() orders them; "()" for the identity."""
-        images = self.images
-        seen = [False] * (len(images) + 1)
-        parts = []
-        for start, j in enumerate(images, start=1):
-            if seen[start] or j == start:
-                continue
-            c = [start]  # the least point of its cycle: the walk meets only later ones
-            while j != start:
-                c.append(j)
-                seen[j] = True
-                j = images[j - 1]
-            parts.append("(" + ",".join(map(str, c)) + ")")
-        return "".join(parts) or "()"
+        return _cycle_text(self.images)
 
     def __repr__(self) -> str:
         return f"Permutation.parse({str(self)!r}, n={self.degree})"
+
+
+def _cycle_text(images: tuple[int, ...]) -> str:
+    """The cycles of length two and more of the permutation with one-line
+    images, as cycles() orders them; "()" for the identity."""
+    seen = [False] * (len(images) + 1)
+    parts = []
+    for start, j in enumerate(images, start=1):
+        if seen[start] or j == start:
+            continue
+        c = [start]  # the least point of its cycle: the walk meets only later ones
+        while j != start:
+            c.append(j)
+            seen[j] = True
+            j = images[j - 1]
+        parts.append("(" + ",".join(map(str, c)) + ")")
+    return "".join(parts) or "()"
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:

@@ -104,37 +104,43 @@ class TestEnumerate:
                 o = parse_origami(e.origami)
                 assert (e.genus, e.stratum, e.reduced) == (genus(o), str(stratum(o)), is_reduced(o)), e
 
-    def test_filters_select_entries_of_the_unfiltered_list(self):
-        for n in range(1, 7):
-            entries = enumerate_origamis(n)
-            for s in sorted({e.stratum for e in entries}) + [None]:
-                for reduced_only in (False, True):
-                    expected = [
-                        e
-                        for e in entries
-                        if (s is None or e.stratum == s) and (e.reduced or not reduced_only)
-                    ]
-                    assert enumerate_origamis(n, s, reduced_only) == expected, (n, s, reduced_only)
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_filters_select_entries_of_the_unfiltered_list(self, n):
+        # the filters keep or drop whole orbits: every stratum that occurs, one
+        # that does not (H(8) needs genus 5, so n >= 9), and no filter
+        entries = enumerate_origamis(n)
+        for s in [*sorted({e.stratum for e in entries}), "H(8)", None]:
+            for reduced_only in (False, True):
+                expected = [
+                    e
+                    for e in entries
+                    if (s is None or e.stratum == s) and (e.reduced or not reduced_only)
+                ]
+                assert enumerate_origamis(n, s, reduced_only) == expected, (n, s, reduced_only)
 
-    def test_invariants_are_computed_once_per_orbit(self, monkeypatch):
-        from origamis import catalog
+    @pytest.mark.parametrize("reduced_only", [False, True])
+    def test_invariants_are_computed_once_per_orbit(self, monkeypatch, reduced_only):
+        # the census tests stratum itself and reads reducedness off the orbit
+        # report; either way, once per orbit, filtered out or not
+        from origamis import action, catalog
 
-        calls = {"stratum": 0, "is_reduced": 0}
+        orbits = len({e.orbit_id for e in enumerate_origamis(6)})
+        assert orbits == 28
+        calls = {(catalog, "stratum"): 0, (action, "is_reduced"): 0}
 
-        def counted(name):
-            fn = getattr(catalog, name)
+        def counted(module, name):
+            fn = getattr(module, name)
 
             def wrapper(o):
-                calls[name] += 1
+                calls[module, name] += 1
                 return fn(o)
 
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(catalog, name, counted(name))
-        entries = enumerate_origamis(6)
-        assert calls == {"stratum": len({e.orbit_id for e in entries}), "is_reduced": 0}
-        assert calls["stratum"] == 28
+        for module, name in calls:
+            monkeypatch.setattr(module, name, counted(module, name))
+        enumerate_origamis(6, reduced_only=reduced_only)
+        assert list(calls.values()) == [orbits, orbits]
 
     def test_against_brute_force_count(self):
         # independent route: enumerate every (h, v) pair directly
@@ -151,13 +157,10 @@ class TestEnumerate:
                     keys.add(_canonical_key(*_tables(h, v)))
         assert len(keys) == len(canonical_origamis(n))
 
-    def test_bounds(self):
-        with pytest.raises(ValueError):
-            enumerate_origamis(0)
-        with pytest.raises(ValueError):
-            enumerate_origamis(9)
-        with pytest.raises(ValueError):
-            enumerate_origamis(4, bound=3)
+    @pytest.mark.parametrize("n, options, bound", [(0, {}, 8), (-1, {}, 8), (9, {}, 8), (4, {"bound": 3}, 3)])
+    def test_bounds(self, n, options, bound):
+        with pytest.raises(ValueError, match=rf"^n must lie in 1\.\.{bound}, got {n}$"):
+            enumerate_origamis(n, **options)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_canonical_origamis_refuses_n_below_one(self, n):
@@ -173,6 +176,23 @@ class TestCatalogFile:
         assert (written, skipped) == (len(entries), 0)
         back = catalog_query(path, n=3)
         assert back == entries
+
+    def test_query_rows_hold_the_orbit_fields_of_their_entries(self, tmp_path):
+        # a row's fields tuple is built from the orbit table's layout: it must
+        # be exactly what _orbit_fields reads off the entry built from the row
+        from origamis import catalog
+
+        path = tmp_path / "cat.jsonl"
+        entries = enumerate_origamis(5)
+        catalog_write(path, entries[:40])
+        catalog_write(path, entries[40:])
+        for options in ({}, {"n": 5, "stratum_filter": "H(2)"}, {"reduced_only": True}):
+            rows = catalog._query_rows(path, **options)
+            assert rows
+            for fields, text in rows:
+                assert catalog._orbit_fields(CatalogEntry(text, *fields)) == fields
+                assert type(fields) is tuple and list not in map(type, fields)  # cusp_widths a tuple
+        assert [CatalogEntry(text, *fields) for fields, text in catalog._query_rows(path)] == entries
 
     def test_idempotent_append(self, tmp_path):
         path = tmp_path / "cat.jsonl"

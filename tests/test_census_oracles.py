@@ -26,6 +26,7 @@ from math import comb, factorial
 import pytest
 
 from origamis import catalog
+from origamis.action import OrbitReport
 from origamis.catalog import canonical_origamis, enumerate_origamis
 from origamis.origami import _canonical_key, _tables
 
@@ -161,6 +162,46 @@ def test_each_labelled_pair_is_built_once(n, monkeypatch):
     assert len(built) == [1, 3, 9, 47, 227, 1651, 11415][n - 1]
     assert all(searched_in_label_order(h, v) for h, v in built)
     assert all(_canonical_key(*_tables(h, v)) != (h, v) for h, v in set(reference) - set(built))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_the_census_tests_only_the_pairs_no_orbit_has_placed(n, monkeypatch):
+    tested = []
+
+    def key(h, hinv, v, vinv, **options):
+        if options.get("bfs_labelled"):  # the census's -I keys are plain searches
+            tested.append((tuple(h[1:]), tuple(v[1:])))
+        return _canonical_key(h, hinv, v, vinv, **options)
+
+    monkeypatch.setattr(catalog, "_canonical_key", key)
+    entries = enumerate_origamis(n)
+    by_census = tested.copy()
+    tested.clear()
+    keys = {(o.h.images, o.v.images) for o in canonical_origamis(n)}
+    assert len(by_census) == [1, 1, 4, 26, 138, 1055, 7293][n - 1]
+    assert len(tested) == [1, 3, 9, 47, 227, 1651, 11415][n - 1]
+    # the census tests a subsequence of the generation's pairs; the pairs it
+    # skips are canonical keys, and the keys it tests are one seed per orbit
+    rest = iter(tested)
+    assert all(pair in rest for pair in by_census)
+    assert set(tested) - set(by_census) <= keys
+    assert len(keys.intersection(by_census)) == len({e.orbit_id for e in entries})
+
+
+def test_an_orbit_member_the_generation_never_builds_is_caught(monkeypatch):
+    # h a 3-cycle with h(1) = 3: the breadth-first search from square 1 names
+    # h(1) square 2, so the generation never builds this pair
+    extra = ((3, 1, 2), (1, 2, 3))
+    orbit = catalog.orbit
+
+    def padded(o):
+        report = orbit(o)
+        fields = {name: getattr(report, name) for name in OrbitReport.__match_args__}
+        return OrbitReport(**{**fields, "members": (*report.members, (extra, 0))})
+
+    monkeypatch.setattr(catalog, "orbit", padded)
+    with pytest.raises(AssertionError, match="orbit members missing from the enumeration"):
+        enumerate_origamis(3)
 
 
 def searched_in_label_order(h: tuple[int, ...], v: tuple[int, ...]) -> bool:
