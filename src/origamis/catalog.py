@@ -10,9 +10,11 @@ or (2, e, …) with e ≥ 4, so no other pair can be its own key.
 enumerate_origamis runs the same generation orbit by orbit: the first
 canonical pair it meets in an SL₂(ℤ)-orbit seeds the orbit, orbit() places
 the keys of all its members, and a later pair that is a placed key skips the
-canonicity test. The genus, stratum and reducedness of each orbit are
-computed once, on its seed. Output order is lexicographic on canonical forms
-so repeated runs produce byte-identical catalogs.
+canonicity test. The number of classes is known in closed form (Liskovets,
+1971), so the generation stops as soon as the placed orbits hold them all.
+The genus, stratum and reducedness of each orbit are computed once, on its
+seed. Output order is lexicographic on canonical forms so repeated runs
+produce byte-identical catalogs.
 
 The catalog is JSONL, one line per write: the table of the orbits the write
 touches, each orbit's fields once, and the new surfaces in the order given,
@@ -27,7 +29,8 @@ import json
 import os
 import warnings
 from json.encoder import encode_basestring_ascii as _encode_str
-from operator import attrgetter, itemgetter
+from math import factorial
+from operator import attrgetter, eq, itemgetter
 
 from ._record import record
 from .action import orbit
@@ -165,7 +168,8 @@ def _orderly_generation(n: int, unbuilt: set, seed) -> None:
     lesser one, and the test stops at the first root that does. It reads the
     live maps, which are the pair's move tables, and a pair's image tuples
     are built only when unbuilt is not empty or its key is not cut short.
-    seed may add to unbuilt while the generation runs.
+    seed may add to unbuilt while the generation runs, and may end it by
+    raising.
     """
     maps = [[0] * (n + 1) for _ in range(4)]  # h, h⁻¹, v, v⁻¹: maps[k ^ 1] inverts maps[k]
     last = 4 * n  # slot 4(s-1) + k holds maps[k][s]
@@ -204,10 +208,66 @@ def _orderly_generation(n: int, unbuilt: set, seed) -> None:
             pairs(slot + 1, max(used, t), min(t, 4) if settles else least)
             fwd[s] = back[t] = 0
 
-    pairs(0, 1, 0)
-    # pairs refers to itself through its closure: breaking that cycle frees
-    # the closure now, not at the next full collection
-    del pairs
+    try:
+        pairs(0, 1, 0)
+    finally:
+        # pairs refers to itself through its closure: breaking that cycle frees
+        # the closure and its maps now, not at the next full collection, also
+        # when seed raises
+        del pairs
+
+
+def _jordan(k: int, m: int) -> int:
+    """Jordan's totient J_k(m), the number of k-tuples mod m whose entries
+    and m have gcd 1, by Σ_{d|m} J_k(d) = m^k."""
+    return m**k - sum(_jordan(k, d) for d in range(1, m) if m % d == 0)
+
+
+def _class_count(n: int) -> int:
+    """The number of n-square origamis up to relabeling, the conjugacy classes
+    of index-n subgroups of F₂ (OEIS A057005), in exact integers: c_n =
+    (1/n)·Σ_{l|n} a_l·J_{l+1}(n/l) (Liskovets, 1971), where a_l = l·l! −
+    Σ_{k<l} (l−k)!·a_k counts the index-l subgroups of F₂ (M. Hall, 1949)."""
+    a = [0]
+    for l in range(1, n + 1):
+        a.append(l * factorial(l) - sum(factorial(l - k) * a[k] for k in range(1, l)))
+    count, rest = divmod(sum(a[l] * _jordan(l + 1, n // l) for l in range(1, n + 1) if n % l == 0), n)
+    assert not rest, "Liskovets' sum is a multiple of n"
+    return count
+
+
+def _build_order(key: tuple) -> tuple:
+    """The place of the pair key = (h, v) of image tuples in the order
+    _orderly_generation builds pairs in, in O(n): its moves (h(s), h⁻¹(s),
+    v(s), v⁻¹(s)) for s = 1, ..., n, which the generation chooses in this
+    order, each ascending (a move filled through its inverse follows from
+    the moves before it). A pair the generation does not build gets (),
+    which comes before every pair: one whose BFS from square 1 over h, h⁻¹,
+    v, v⁻¹, in that order, does not meet the squares as 1, 2, ..., n, or
+    whose square 1 does not lie in an h-cycle of least class."""
+    h, hinv, v, vinv = _tables(*key)
+    steps = tuple(zip(h, hinv, v, vinv))  # steps[s]: the moves of square s
+    met = 1  # the squares 1..met are met
+    for s in range(1, len(steps)):
+        if s > met:  # the search ran dry: not transitive
+            return ()
+        for t in steps[s]:
+            if t > met:
+                if t != met + 1:
+                    return ()
+                met = t
+    hk, squares = key[0], range(1, len(steps))
+    for _ in range(3):  # hk holds the images of h, h², h³ in turn
+        if hk[0] == 1:  # square 1's class is this power
+            break
+        if any(map(eq, hk, squares)):  # a square of this class, below square 1's
+            return ()
+        hk = tuple(map(h.__getitem__, hk))
+    return steps[1:]
+
+
+class _AllPlaced(Exception):
+    """The census's orbits hold every class: the rest of the generation would place nothing."""
 
 
 def canonical_origamis(n: int) -> list[Origami]:
@@ -233,20 +293,27 @@ def enumerate_origamis(
     The orderly generation runs once, and the first canonical pair it builds
     in an orbit is the orbit's seed: orbit() on it places the key of every
     member, and of its image under -I when -I moves the members, and a later
-    pair that is a placed key skips the canonicity test. Every pair is built
-    once, so the placed keys are all built exactly when none is left
-    unbuilt. Stratum and reducedness are SL₂(ℤ)-invariant (Per(g·o) =
-    g·Per(o) and g·Z² = Z²), so they are computed once, on the seed, and the
-    filters keep or drop whole orbits. Only the seed is built as an Origami;
-    the texts come from the keys."""
+    pair that is a placed key skips the canonicity test. The generation stops
+    at the seed that brings the surfaces placed to _class_count(n), which at
+    n = 7 is the 2 367th of the 11 415 pairs it builds. Every pair is built
+    once, in _build_order, so the placed keys are all built or still to come
+    exactly when none is left unbuilt, or, after a stop, each one left comes
+    after the stop in that order; and the count must be the class count.
+    Stratum and reducedness are SL₂(ℤ)-invariant (Per(g·o) = g·Per(o) and
+    g·Z² = Z²), so they are computed once, on the seed, and the filters keep
+    or drop whole orbits. Only the seed is built as an Origami; the texts
+    come from the keys."""
     if not 1 <= n <= bound:
         raise ValueError(f"n must lie in 1..{bound}, got {n}")
     if isinstance(stratum_filter, str):
         stratum_filter = Stratum.parse(stratum_filter)
     unbuilt: set[tuple] = set()  # the keys of the placed orbits that the generation has yet to build
     entries = []
+    classes = _class_count(n)
+    placed = 0  # the surfaces in the placed orbits
 
     def place(key: tuple) -> None:
+        nonlocal placed
         o = Origami(Permutation(key[0]), Permutation(key[1]))
         report = orbit(o)
         members = {k for k, _ in report.members}
@@ -254,15 +321,24 @@ def enumerate_origamis(
             members |= {_canonical_key(hinv, h, vinv, v) for h, hinv, v, vinv in (_tables(*k) for k in members)}
         unbuilt.update(members)
         unbuilt.remove(key)
+        placed += len(members)
         s = stratum(o)
         if (stratum_filter is None or s == stratum_filter) and (report.input_reduced or not reduced_only):
             texts = [_pair_text(*k) for k in members]
             fields = (n, s.genus, str(s), report.input_reduced, min(texts), report.index, report.cusp_widths(),
                       report.curve_genus)
             entries.extend(CatalogEntry(text, *fields) for text in texts)
+        if placed >= classes:
+            raise _AllPlaced(key)
 
-    _orderly_generation(n, unbuilt, place)
-    assert not unbuilt, "orbit members missing from the enumeration"
+    try:
+        _orderly_generation(n, unbuilt, place)
+    except _AllPlaced as stop:  # the keys left must come after the stop in the generation, which is not run
+        after_stop = _build_order(stop.args[0]).__lt__
+        assert all(map(after_stop, map(_build_order, unbuilt))), "orbit members missing from the enumeration"
+    else:
+        assert not unbuilt, "orbit members missing from the enumeration"
+    assert placed == classes, f"the orbits hold {placed} surfaces, not the {classes} classes"
     return sorted(entries, key=attrgetter("origami"))
 
 

@@ -12,7 +12,9 @@ from square 1, since the labellings of a pair that fix square 1 act freely;
 `reference_pairs`, the census's earlier generator, builds each of them once.
 The census builds only those whose square 1 is in an h-cycle of least class
 (its length, or 4 for four and more), since only those can be their own
-canonical key. The number of classes is OEIS A057005.
+canonical key. The number of classes is OEIS A057005; the census stops
+when its orbits hold them all, counted by Liskovets' formula, which is
+checked here against the published values.
 
 H(2) count: every surface in H(2) covers a reduced one through one of the
 σ(k) sublattices of index k in ℤ², so their number is Σ_{k|n} σ(k)·P(n/k),
@@ -20,8 +22,11 @@ with P(m) = (3/8)(m−2)m²∏_{p|m}(1−p⁻²) reduced surfaces for m ≥ 3
 (Hubert–Lelièvre; Eskin–Masur–Schmoll) and P(1) = P(2) = 0.
 """
 
+import gc
 from fractions import Fraction
+from itertools import permutations
 from math import comb, factorial
+from types import FunctionType
 
 import pytest
 
@@ -31,7 +36,7 @@ from origamis.catalog import canonical_origamis, enumerate_origamis
 from origamis.origami import _canonical_key, _tables
 
 SLOW_N = pytest.param(8, marks=pytest.mark.slow)
-A057005 = [1, 3, 7, 26, 97, 624, 4163, 34470, 314493]
+A057005 = [1, 3, 7, 26, 97, 624, 4163, 34470, 314493, 3202839, 35704007]
 
 
 def transitive_pairs(n: int) -> int:
@@ -105,6 +110,10 @@ def test_class_count(n):
     assert len(canonical_origamis(n)) == A057005[n - 1]
 
 
+def test_liskovets_formula_gives_the_published_class_counts():
+    assert [catalog._class_count(n) for n in range(1, 12)] == A057005
+
+
 def reference_pairs(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Every transitive pair labelled by the BFS from square 1, once each, in
     the order the census's earlier generator (kept verbatim) builds them."""
@@ -164,6 +173,24 @@ def test_each_labelled_pair_is_built_once(n, monkeypatch):
     assert all(_canonical_key(*_tables(h, v)) != (h, v) for h, v in set(reference) - set(built))
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_the_build_order_is_the_generations(n, monkeypatch):
+    built = []
+
+    def key(h, hinv, v, vinv, **options):
+        built.append((tuple(h[1:]), tuple(v[1:])))
+        return _canonical_key(h, hinv, v, vinv, **options)
+
+    monkeypatch.setattr(catalog, "_canonical_key", key)
+    canonical_origamis(n)
+    orders = [catalog._build_order(pair) for pair in built]
+    assert () not in orders
+    assert orders == sorted(set(orders))
+    # every other pair in S_n × S_n, transitive or not, labelled by the search or not
+    everything = {(h, v) for h in permutations(range(1, n + 1)) for v in permutations(range(1, n + 1))}
+    assert all(catalog._build_order(pair) == () for pair in everything - set(built))
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_the_census_tests_only_the_pairs_no_orbit_has_placed(n, monkeypatch):
     tested = []
@@ -178,13 +205,16 @@ def test_the_census_tests_only_the_pairs_no_orbit_has_placed(n, monkeypatch):
     by_census = tested.copy()
     tested.clear()
     keys = {(o.h.images, o.v.images) for o in canonical_origamis(n)}
-    assert len(by_census) == [1, 1, 4, 26, 138, 1055, 7293][n - 1]
+    assert len(by_census) == [1, 1, 2, 11, 10, 212, 648][n - 1]
     assert len(tested) == [1, 3, 9, 47, 227, 1651, 11415][n - 1]
-    # the census tests a subsequence of the generation's pairs; the pairs it
+    # the census tests a subsequence of the generation's pairs and stops at the
+    # last orbit's seed; in the prefix of the generation it ran, the pairs it
     # skips are canonical keys, and the keys it tests are one seed per orbit
     rest = iter(tested)
     assert all(pair in rest for pair in by_census)
-    assert set(tested) - set(by_census) <= keys
+    assert by_census[-1] in keys
+    ran = tested[: tested.index(by_census[-1]) + 1]
+    assert set(ran) - set(by_census) <= keys
     assert len(keys.intersection(by_census)) == len({e.orbit_id for e in entries})
 
 
@@ -202,6 +232,47 @@ def test_an_orbit_member_the_generation_never_builds_is_caught(monkeypatch):
     monkeypatch.setattr(catalog, "orbit", padded)
     with pytest.raises(AssertionError, match="orbit members missing from the enumeration"):
         enumerate_origamis(3)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_an_orbit_member_dropped_from_each_report_is_caught(n, monkeypatch):
+    # the dropped key is not placed, so the generation tests it, finds it
+    # canonical and seeds its orbit a second time. That puts back members it
+    # has built, which come before the stop, and the count passes c_n unless
+    # it lands on c_n exactly (as at n = 3)
+    orbit = catalog.orbit
+
+    def dropped(o):
+        report = orbit(o)
+        seed = (o.h.images, o.v.images)
+        last = max((k for k, _ in report.members if k != seed), default=None)  # a member other than the seed
+        fields = {name: getattr(report, name) for name in OrbitReport.__match_args__}
+        return OrbitReport(**{**fields, "members": tuple(m for m in report.members if m[0] != last)})
+
+    monkeypatch.setattr(catalog, "orbit", dropped)
+    with pytest.raises(AssertionError):
+        enumerate_origamis(n)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_a_class_count_the_orbits_do_not_reach_is_caught(n, monkeypatch):
+    # the generation runs to its end without a stop, and the count falls short by one
+    monkeypatch.setattr(catalog, "_class_count", lambda n: A057005[n - 1] + 1)
+    with pytest.raises(AssertionError, match=f"the orbits hold {A057005[n - 1]} surfaces"):
+        enumerate_origamis(n)
+
+
+def test_a_stopped_generation_frees_its_closure():
+    # with the collector off, only breaking the closure's cycle frees it
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_origamis(5)  # stops at the 18th of 227 pairs
+        left = [f for f in gc.get_objects()
+                if type(f) is FunctionType and f.__qualname__ == "_orderly_generation.<locals>.pairs"]
+    finally:
+        gc.enable()
+    assert not left
 
 
 def searched_in_label_order(h: tuple[int, ...], v: tuple[int, ...]) -> bool:
