@@ -295,10 +295,12 @@ def enumerate_origamis(
     member, and of its image under -I when -I moves the members, and a later
     pair that is a placed key skips the canonicity test. The generation stops
     at the seed that brings the surfaces placed to _class_count(n), which at
-    n = 7 is the 2 367th of the 11 415 pairs it builds. Every pair is built
-    once, in _build_order, so the placed keys are all built or still to come
-    exactly when none is left unbuilt, or, after a stop, each one left comes
-    after the stop in that order; and the count must be the class count.
+    n = 7 is the 2 367th of the 11 415 pairs it builds. A key placed twice
+    would be counted twice, so no orbit may place a key still unbuilt. Every
+    pair is built once, in _build_order, so the placed keys are all built or
+    still to come exactly when each one left at the stop comes after the
+    stop in that order; and the count must be the class count, which a
+    generation that runs to its end has not reached.
     Stratum and reducedness are SL₂(ℤ)-invariant (Per(g·o) = g·Per(o) and
     g·Z² = Z²), so they are computed once, on the seed, and the filters keep
     or drop whole orbits. Only the seed is built as an Origami; the texts
@@ -319,6 +321,9 @@ def enumerate_origamis(
         members = {k for k, _ in report.members}
         if report.minus_id_nontrivial:  # the census alone needs the other orientation
             members |= {_canonical_key(hinv, h, vinv, v) for h, hinv, v, vinv in (_tables(*k) for k in members)}
+        # a key already waiting would be counted twice; one already built comes
+        # back into unbuilt and fails the stop's order check
+        assert unbuilt.isdisjoint(members), "orbit members missing from the enumeration"
         unbuilt.update(members)
         unbuilt.remove(key)
         placed += len(members)
@@ -336,8 +341,6 @@ def enumerate_origamis(
     except _AllPlaced as stop:  # the keys left must come after the stop in the generation, which is not run
         after_stop = _build_order(stop.args[0]).__lt__
         assert all(map(after_stop, map(_build_order, unbuilt))), "orbit members missing from the enumeration"
-    else:
-        assert not unbuilt, "orbit members missing from the enumeration"
     assert placed == classes, f"the orbits hold {placed} surfaces, not the {classes} classes"
     return sorted(entries, key=attrgetter("origami"))
 

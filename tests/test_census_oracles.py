@@ -254,6 +254,38 @@ def test_an_orbit_member_dropped_from_each_report_is_caught(n, monkeypatch):
         enumerate_origamis(n)
 
 
+def test_a_key_two_orbits_place_is_caught(monkeypatch):
+    # at n = 4 the orbits, in seed order, hold 6, 9, 4, 6 and 1 surfaces. A
+    # member of the second orbit copied into the first report is counted
+    # twice, so the count reaches c_4 = 26 at the fourth seed, and the last
+    # orbit would be left out; the copy still waits when the second orbit
+    # places it again
+    orbit = catalog.orbit
+    seeds, reports = [], []
+
+    def recorded(o):
+        seeds.append((o.h.images, o.v.images))
+        reports.append(orbit(o))
+        return reports[-1]
+
+    monkeypatch.setattr(catalog, "orbit", recorded)
+    enumerate_origamis(4)
+    assert [len(r.members) for r in reports] == [6, 9, 4, 6, 1]
+    assert not any(r.minus_id_nontrivial for r in reports)
+    copy = max(m for m in reports[1].members if m[0] != seeds[1])  # a member built after its seed
+
+    def copied(o):
+        report = orbit(o)
+        if (o.h.images, o.v.images) != seeds[0]:
+            return report
+        fields = {name: getattr(report, name) for name in OrbitReport.__match_args__}
+        return OrbitReport(**{**fields, "members": (*report.members, copy)})
+
+    monkeypatch.setattr(catalog, "orbit", copied)
+    with pytest.raises(AssertionError, match="orbit members missing from the enumeration"):
+        enumerate_origamis(4)
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_a_class_count_the_orbits_do_not_reach_is_caught(n, monkeypatch):
     # the generation runs to its end without a stop, and the count falls short by one
