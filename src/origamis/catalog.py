@@ -321,9 +321,10 @@ def enumerate_origamis(
         members = {k for k, _ in report.members}
         if report.minus_id_nontrivial:  # the census alone needs the other orientation
             members |= {_canonical_key(hinv, h, vinv, v) for h, hinv, v, vinv in (_tables(*k) for k in members)}
-        # a key already waiting would be counted twice; one already built comes
-        # back into unbuilt and fails the stop's order check
-        assert unbuilt.isdisjoint(members), "orbit members missing from the enumeration"
+        # a report must hold its seed; a key already waiting would be counted
+        # twice, and one already built comes back into unbuilt and fails the
+        # stop's order check
+        assert key in members and unbuilt.isdisjoint(members), "orbit members missing from the enumeration"
         unbuilt.update(members)
         unbuilt.remove(key)
         placed += len(members)

@@ -4,7 +4,9 @@ L(a,1) is the union of a bottom rectangle [0,a]×[0,1] and a column of width 1
 and height a-1 on its left end, opposite sides glued by translations.  The
 ``shift`` parameter slides the column left by s while keeping the gluing
 pattern, which moves the surface into the two-singularity stratum without
-touching its absolute periods.
+touching its absolute periods. Cut at the x-coordinates of its corners, L is
+rectangles glued edge to edge, an origami with stretched squares, and its
+stratum is that origami's.
 
 The interesting family has a = (1+√d)/2; then [[1,4a],[0,1]] acts on the two
 horizontal cylinders as the 4th and the (d-1)-th power of their Dehn twists,
@@ -19,7 +21,7 @@ from functools import cached_property
 from ._record import record
 from .cylinders import QuadCylinder
 from .intlattice import rational_hermite_form
-from .origami import Stratum
+from .origami import Origami, Stratum, parse_origami, stratum
 from .quadfield import MAX_D, QuadMatrix, QuadNum, _quad, _square_part, in_one_field, minimal_poly_degree
 
 
@@ -157,128 +159,32 @@ def absolute_period_lattice(L: LSurface) -> PeriodLattice:
     return PeriodLattice(den, tuple(tuple(r) for r in rows))
 
 
-# -- stratum of the (possibly shifted) polygon --------------------------------------
-#
-# The L is two rectangles with edges, split at the gluing breakpoints, glued
-# pairwise by translations.  Walking e -> next(twin(e)) around a corner visits
-# one circular sector per step, so the total angle of a vertex class is the
-# sum of the interior angles at the origins of the directed edges in one walk
-# orbit.  All angles here are multiples of π/2, counted in quarter turns.
+# -- stratum of the (possibly shifted) L ------------------------------------------
 
 
-def _quarter_turns(u, w) -> int:
-    cross = u[0] * w[1] - u[1] * w[0]
-    dot = u[0] * w[0] + u[1] * w[1]
-    if cross > 0:
-        return 1
-    if cross == 0 and dot > 0:
-        return 2
-    if cross < 0:
-        return 3
-    raise ValueError("slit corner (angle 2π) in a rectangle complex")
+def _rectangle_tiling(L: LSurface) -> Origami:
+    """L cut at the x-coordinates of its corners: rectangles glued edge to
+    edge, which is an origami with stretched squares (h(r) is the rectangle
+    right of r, v(r) the one on top). Every corner is a right angle, as in a
+    square, so the cone points are the commutator cycles.
 
-
-def _walk_cone_angles(polygons, gluings) -> list[int]:
-    """Cone angles, in quarter turns, of the vertex classes of a glued
-    rectangle complex.  ``polygons``: lists of ccw corner points (exact
-    scalars); ``gluings``: pairs of directed edges (poly, edge_index).
-
-    Zero-length edges (breakpoints that coincide with a corner) are dropped
-    with their partners before the walk."""
-    keep = [[i for i in range(len(pts)) if pts[i] != pts[(i + 1) % len(pts)]] for pts in polygons]
-    index = [{i: k for k, i in enumerate(kept)} for kept in keep]
-    gluings = [
-        ((pa, index[pa][ia]), (pb, index[pb][ib]))
-        for (pa, ia), (pb, ib) in gluings
-        if ia in index[pa] and ib in index[pb]
-    ]
-    polygons = [[pts[i] for i in kept] for pts, kept in zip(polygons, keep)]
-    nedges = {p: len(polygons[p]) for p in range(len(polygons))}
-    twin = {}
-    for e1, e2 in gluings:
-        for (pa, ia), (pb, ib) in ((e1, e2), (e2, e1)):
-            pts = polygons[pa]
-            qts = polygons[pb]
-            va = (
-                pts[(ia + 1) % nedges[pa]][0] - pts[ia][0],
-                pts[(ia + 1) % nedges[pa]][1] - pts[ia][1],
-            )
-            vb = (
-                qts[(ib + 1) % nedges[pb]][0] - qts[ib][0],
-                qts[(ib + 1) % nedges[pb]][1] - qts[ib][1],
-            )
-            assert va[0] == -vb[0] and va[1] == -vb[1], "glued edges must be antiparallel"
-            twin[(pa, ia)] = (pb, ib)
-    all_edges = {(p, i) for p in range(len(polygons)) for i in range(nedges[p])}
-    assert set(twin) == all_edges, "every boundary edge needs a gluing partner"
-
-    def interior_angle(p, i):
-        pts = polygons[p]
-        m = nedges[p]
-        prev_dir = (pts[i][0] - pts[i - 1][0], pts[i][1] - pts[i - 1][1])
-        cur_dir = (pts[(i + 1) % m][0] - pts[i][0], pts[(i + 1) % m][1] - pts[i][1])
-        return _quarter_turns(prev_dir, cur_dir)
-
-    angles = []
-    todo = set(all_edges)
-    while todo:
-        e = todo.pop()
-        quarters = interior_angle(*e)
-        p, i = twin[e]
-        nxt = (p, (i + 1) % nedges[p])
-        while nxt != e:
-            todo.discard(nxt)
-            quarters += interior_angle(*nxt)
-            p, i = twin[nxt]
-            nxt = (p, (i + 1) % nedges[p])
-        assert quarters % 4 == 0, "vertex angles must be whole multiples of 2π"
-        angles.append(quarters)
-    return angles
-
-
-def _lshape_complex(a: QuadNum, s: QuadNum):
-    zero = a - a
-    one = zero + 1
-    # the column sits over [-s, 1-s]; every gluing is in place up to a shift
-    # by the full width a, so vertical lines over [0, 1-s] and [a-s, a] run
-    # through both rectangles while those over [1-s, a-s] close after height 1;
-    # at s = 0 the edges over [a-s, a] and [-s, 0] have length zero, and the
-    # walk drops them, which leaves the unshifted L
-    R = [
-        (zero, zero),
-        (one - s, zero),
-        (a - s, zero),
-        (a, zero),
-        (a, one),
-        (a - s, one),
-        (one - s, one),
-        (zero, one),
-    ]
-    C = [(-s, one), (zero, one), (one - s, one), (one - s, a), (zero, a), (-s, a)]
-    gluings = [
-        ((0, 0), (1, 3)),  # bottom [0, 1-s] ~ column top [0, 1-s]
-        ((0, 1), (0, 5)),  # bottom [1-s, a-s] ~ rectangle top [1-s, a-s]
-        ((0, 2), (0, 4)),  # bottom [a-s, a] ~ rectangle top [a-s, a]
-        ((0, 6), (1, 1)),  # rectangle top [0, 1-s] ~ column bottom, in place
-        ((1, 0), (1, 4)),  # column bottom [-s, 0] ~ column top [-s, 0]
-        ((0, 3), (0, 7)),  # f1: right side ~ left side of the bottom rectangle
-        ((1, 2), (1, 5)),  # f2: column right ~ column left
-    ]
-    return [R, C], gluings
+    Unshifted, the rectangles are the bottom [0,1] and [1,a] (1, 2) and the
+    column over [0,1] (3): St(3). For 0 < s < 1 they are the bottom [0,1-s],
+    [1-s,a-s] and [a-s,a] (1, 2, 3) and the column over [-s,0] and [0,1-s]
+    (4, 5), each of positive width for every a > 1. The column stands on 1
+    and its top over [0,1-s] is glued to 1's bottom; every other top is glued
+    to its own bottom, and each row closes up by the translation across it.
+    """
+    if L.shift == 0:
+        return parse_origami("3; h=(1,2); v=(1,3)")
+    return parse_origami("5; h=(1,2,3)(4,5); v=(1,5)")
 
 
 def lshape_stratum(L: LSurface) -> Stratum:
-    """Exact cone-angle census of the (possibly shifted) L polygon.
-
-    Unshifted surfaces land in H(2); every shift 0 < s < 1 splits the 6π point
-    into two 4π points (H(1,1)). For a > 1 the corners 0 < 1-s < a-s < a and
-    -s < 0 < 1-s, 1 < a of the two rectangles keep their order, so no edge of
-    the complex shrinks to zero and the walk meets the same gluing for every
-    such shift.
+    """Exact cone-angle census of the (possibly shifted) L, read off its
+    rectangle tiling: unshifted surfaces land in H(2), and every shift
+    0 < s < 1 splits the 6π point into two 4π points (H(1,1)).
     """
-    polygons, gluings = _lshape_complex(L.a, L.shift)
-    angles = _walk_cone_angles(polygons, gluings)
-    orders = [q // 4 - 1 for q in angles]
-    strat = Stratum([k for k in orders if k > 0])
+    strat = stratum(_rectangle_tiling(L))
     assert strat == (Stratum([2]) if L.shift == 0 else Stratum([1, 1]))
     return strat

@@ -540,6 +540,83 @@ def run_cli(*argv):
 
 ST3 = "3; h=(1,2); v=(1,3)"
 
+# `lshape` stdout, byte for byte, for four discriminants with and without a
+# shift and for a shift in Q[sqrt(5)]
+LSHAPE_STDOUT = {
+    ('--d', '2'): (
+        '{"a": "1/2 + 1/2*sqrt(2)"'
+        ', "cylinders": [{"height": "1", "width": "1/2 + 1/2*sqrt(2)"}, {"height": "-1/2 + 1/2*sqrt(2)", "width": "1"}]'
+        ', "degree": 2, "field": "Q[sqrt(2)]"'
+        ', "generators": {"A": "[[1, 2 + 2*sqrt(2)], [0, 1]]", "B": "[[1, 0], [2 + 2*sqrt(2), 1]]"}'
+        ', "period_lattice": {"basis": [[1, 1, 0, 0], [0, 2, 0, 0], [0, 0, 1, 1], [0, 0, 0, 2]], "denominator": 2}'
+        ', "shift": "0", "stratum": "H(2)", "trace": "14 + 8*sqrt(2)", "twist_powers": [4, 1]}\n'
+    ),
+    ('--d', '2', '--shift', '1/3'): (
+        '{"a": "1/2 + 1/2*sqrt(2)"'
+        ', "cylinders": [{"height": "1", "width": "1/2 + 1/2*sqrt(2)"}, {"height": "-1/2 + 1/2*sqrt(2)", "width": "1"}]'
+        ', "degree": 2, "field": "Q[sqrt(2)]"'
+        ', "generators": {"A": "[[1, 2 + 2*sqrt(2)], [0, 1]]", "B": "[[1, 0], [2 + 2*sqrt(2), 1]]"}'
+        ', "period_lattice": {"basis": [[1, 1, 0, 0], [0, 2, 0, 0], [0, 0, 1, 1], [0, 0, 0, 2]], "denominator": 2}'
+        ', "shift": "1/3", "stratum": "H(1,1)", "trace": "14 + 8*sqrt(2)", "twist_powers": [4, 1]}\n'
+    ),
+    ('--d', '5'): (
+        '{"a": "1/2 + 1/2*sqrt(5)"'
+        ', "cylinders": [{"height": "1", "width": "1/2 + 1/2*sqrt(5)"}, {"height": "-1/2 + 1/2*sqrt(5)", "width": "1"}]'
+        ', "degree": 2, "field": "Q[sqrt(5)]"'
+        ', "generators": {"A": "[[1, 2 + 2*sqrt(5)], [0, 1]]", "B": "[[1, 0], [2 + 2*sqrt(5), 1]]"}'
+        ', "period_lattice": {"basis": [[1, 1, 0, 0], [0, 2, 0, 0], [0, 0, 1, 1], [0, 0, 0, 2]], "denominator": 2}'
+        ', "shift": "0", "stratum": "H(2)", "trace": "26 + 8*sqrt(5)", "twist_powers": [4, 4]}\n'
+    ),
+    ('--d', '5', '--shift', '1/3'): (
+        '{"a": "1/2 + 1/2*sqrt(5)"'
+        ', "cylinders": [{"height": "1", "width": "1/2 + 1/2*sqrt(5)"}, {"height": "-1/2 + 1/2*sqrt(5)", "width": "1"}]'
+        ', "degree": 2, "field": "Q[sqrt(5)]"'
+        ', "generators": {"A": "[[1, 2 + 2*sqrt(5)], [0, 1]]", "B": "[[1, 0], [2 + 2*sqrt(5), 1]]"}'
+        ', "period_lattice": {"basis": [[1, 1, 0, 0], [0, 2, 0, 0], [0, 0, 1, 1], [0, 0, 0, 2]], "denominator": 2}'
+        ', "shift": "1/3", "stratum": "H(1,1)", "trace": "26 + 8*sqrt(5)", "twist_powers": [4, 4]}\n'
+    ),
+    ('--d', '9'): (
+        '{"a": "2"'
+        ', "cylinders": [{"height": "1", "width": "2"}, {"height": "1", "width": "1"}]'
+        ', "degree": 1, "field": "Q"'
+        ', "generators": {"A": "[[1, 8], [0, 1]]", "B": "[[1, 0], [8, 1]]"}'
+        ', "period_lattice": {"basis": [[1, 0, 0, 0], [0, 0, 1, 0]], "denominator": 1}'
+        ', "shift": "0", "stratum": "H(2)", "trace": "66", "twist_powers": [4, 8]}\n'
+    ),
+    ('--d', '9', '--shift', '1/3'): (
+        '{"a": "2"'
+        ', "cylinders": [{"height": "1", "width": "2"}, {"height": "1", "width": "1"}]'
+        ', "degree": 1, "field": "Q"'
+        ', "generators": {"A": "[[1, 8], [0, 1]]", "B": "[[1, 0], [8, 1]]"}'
+        ', "period_lattice": {"basis": [[1, 0, 0, 0], [0, 0, 1, 0]], "denominator": 1}'
+        ', "shift": "1/3", "stratum": "H(1,1)", "trace": "66", "twist_powers": [4, 8]}\n'
+    ),
+    ('--d', '13'): (
+        '{"a": "1/2 + 1/2*sqrt(13)"'
+        ', "cylinders": [{"height": "1", "width": "1/2 + 1/2*sqrt(13)"}, {"height": "-1/2 + 1/2*sqrt(13)", "width": "1"}]'
+        ', "degree": 2, "field": "Q[sqrt(13)]"'
+        ', "generators": {"A": "[[1, 2 + 2*sqrt(13)], [0, 1]]", "B": "[[1, 0], [2 + 2*sqrt(13), 1]]"}'
+        ', "period_lattice": {"basis": [[1, 1, 0, 0], [0, 2, 0, 0], [0, 0, 1, 1], [0, 0, 0, 2]], "denominator": 2}'
+        ', "shift": "0", "stratum": "H(2)", "trace": "58 + 8*sqrt(13)", "twist_powers": [4, 12]}\n'
+    ),
+    ('--d', '13', '--shift', '1/3'): (
+        '{"a": "1/2 + 1/2*sqrt(13)"'
+        ', "cylinders": [{"height": "1", "width": "1/2 + 1/2*sqrt(13)"}, {"height": "-1/2 + 1/2*sqrt(13)", "width": "1"}]'
+        ', "degree": 2, "field": "Q[sqrt(13)]"'
+        ', "generators": {"A": "[[1, 2 + 2*sqrt(13)], [0, 1]]", "B": "[[1, 0], [2 + 2*sqrt(13), 1]]"}'
+        ', "period_lattice": {"basis": [[1, 1, 0, 0], [0, 2, 0, 0], [0, 0, 1, 1], [0, 0, 0, 2]], "denominator": 2}'
+        ', "shift": "1/3", "stratum": "H(1,1)", "trace": "58 + 8*sqrt(13)", "twist_powers": [4, 12]}\n'
+    ),
+    ('--d', '5', '--shift', '-2 + sqrt(5)'): (
+        '{"a": "1/2 + 1/2*sqrt(5)"'
+        ', "cylinders": [{"height": "1", "width": "1/2 + 1/2*sqrt(5)"}, {"height": "-1/2 + 1/2*sqrt(5)", "width": "1"}]'
+        ', "degree": 2, "field": "Q[sqrt(5)]"'
+        ', "generators": {"A": "[[1, 2 + 2*sqrt(5)], [0, 1]]", "B": "[[1, 0], [2 + 2*sqrt(5), 1]]"}'
+        ', "period_lattice": {"basis": [[1, 1, 0, 0], [0, 2, 0, 0], [0, 0, 1, 1], [0, 0, 0, 2]], "denominator": 2}'
+        ', "shift": "-2 + sqrt(5)", "stratum": "H(1,1)", "trace": "26 + 8*sqrt(5)", "twist_powers": [4, 4]}\n'
+    ),
+}
+
 
 class TestCLI:
     def test_info(self):
@@ -680,6 +757,10 @@ class TestCLI:
     def test_lshape_output_bytes_are_pinned(self, d, sha256):
         code, out, _ = run_cli("lshape", "--d", d)
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == sha256
+
+    @pytest.mark.parametrize("argv", list(LSHAPE_STDOUT))
+    def test_lshape_stdout_is_pinned(self, argv):
+        assert run_cli("lshape", *argv) == (0, LSHAPE_STDOUT[argv], "")
 
     def test_lshape_checks_its_radicand_once(self, monkeypatch):
         # the field's d is checked squarefree when a is built; every QuadNum

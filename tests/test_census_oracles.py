@@ -254,6 +254,23 @@ def test_an_orbit_member_dropped_from_each_report_is_caught(n, monkeypatch):
         enumerate_origamis(n)
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_a_report_without_its_seed_is_caught(n, monkeypatch):
+    # the first seed is the first canonical pair built, so the census stops on
+    # it with the named fault, not a bare KeyError from taking it out of unbuilt
+    orbit = catalog.orbit
+
+    def dropped(o):
+        report = orbit(o)
+        seed = (o.h.images, o.v.images)
+        fields = {name: getattr(report, name) for name in OrbitReport.__match_args__}
+        return OrbitReport(**{**fields, "members": tuple(m for m in report.members if m[0] != seed)})
+
+    monkeypatch.setattr(catalog, "orbit", dropped)
+    with pytest.raises(AssertionError, match="orbit members missing from the enumeration"):
+        enumerate_origamis(n)
+
+
 def test_a_key_two_orbits_place_is_caught(monkeypatch):
     # at n = 4 the orbits, in seed order, hold 6, 9, 4, 6 and 1 surfaces. A
     # member of the second orbit copied into the first report is counted

@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from origamis.lshape import (
     LSurface,
     PeriodLattice,
+    _rectangle_tiling,
     absolute_period_lattice,
     horizontal_cylinders,
     lshape_stratum,
@@ -17,7 +18,7 @@ from origamis.lshape import (
     vertical_cylinders,
 )
 from origamis.intlattice import hermite_form, rational_hermite_form
-from origamis.origami import Stratum
+from origamis.origami import Stratum, vertex_cycles
 from origamis.quadfield import MAX_D, QuadNum, exact_rational, minimal_poly_degree
 
 DS = (2, 3, 5, 7, 13)
@@ -218,6 +219,123 @@ def test_rational_hermite_form_matches_its_gcd_normalising_reference(rows):
     assert rational_hermite_form(rows) == reference_rational_hermite_form(rows)
 
 
+# The polygon corner walk below is a cone-angle census of the L as two glued
+# polygons that shares no code with the origami engine: the oracle that the
+# rectangle tiling's commutator cycles are checked against. It glues the
+# polygons edge by edge and asserts that glued edges are antiparallel, that
+# every edge has a partner and that every vertex angle is a whole turn.
+
+
+# -- stratum of the (possibly shifted) polygon --------------------------------------
+#
+# The L is two rectangles with edges, split at the gluing breakpoints, glued
+# pairwise by translations.  Walking e -> next(twin(e)) around a corner visits
+# one circular sector per step, so the total angle of a vertex class is the
+# sum of the interior angles at the origins of the directed edges in one walk
+# orbit.  All angles here are multiples of π/2, counted in quarter turns.
+
+
+def _quarter_turns(u, w) -> int:
+    cross = u[0] * w[1] - u[1] * w[0]
+    dot = u[0] * w[0] + u[1] * w[1]
+    if cross > 0:
+        return 1
+    if cross == 0 and dot > 0:
+        return 2
+    if cross < 0:
+        return 3
+    raise ValueError("slit corner (angle 2π) in a rectangle complex")
+
+
+def _walk_cone_angles(polygons, gluings) -> list[int]:
+    """Cone angles, in quarter turns, of the vertex classes of a glued
+    rectangle complex.  ``polygons``: lists of ccw corner points (exact
+    scalars); ``gluings``: pairs of directed edges (poly, edge_index).
+
+    Zero-length edges (breakpoints that coincide with a corner) are dropped
+    with their partners before the walk."""
+    keep = [[i for i in range(len(pts)) if pts[i] != pts[(i + 1) % len(pts)]] for pts in polygons]
+    index = [{i: k for k, i in enumerate(kept)} for kept in keep]
+    gluings = [
+        ((pa, index[pa][ia]), (pb, index[pb][ib]))
+        for (pa, ia), (pb, ib) in gluings
+        if ia in index[pa] and ib in index[pb]
+    ]
+    polygons = [[pts[i] for i in kept] for pts, kept in zip(polygons, keep)]
+    nedges = {p: len(polygons[p]) for p in range(len(polygons))}
+    twin = {}
+    for e1, e2 in gluings:
+        for (pa, ia), (pb, ib) in ((e1, e2), (e2, e1)):
+            pts = polygons[pa]
+            qts = polygons[pb]
+            va = (
+                pts[(ia + 1) % nedges[pa]][0] - pts[ia][0],
+                pts[(ia + 1) % nedges[pa]][1] - pts[ia][1],
+            )
+            vb = (
+                qts[(ib + 1) % nedges[pb]][0] - qts[ib][0],
+                qts[(ib + 1) % nedges[pb]][1] - qts[ib][1],
+            )
+            assert va[0] == -vb[0] and va[1] == -vb[1], "glued edges must be antiparallel"
+            twin[(pa, ia)] = (pb, ib)
+    all_edges = {(p, i) for p in range(len(polygons)) for i in range(nedges[p])}
+    assert set(twin) == all_edges, "every boundary edge needs a gluing partner"
+
+    def interior_angle(p, i):
+        pts = polygons[p]
+        m = nedges[p]
+        prev_dir = (pts[i][0] - pts[i - 1][0], pts[i][1] - pts[i - 1][1])
+        cur_dir = (pts[(i + 1) % m][0] - pts[i][0], pts[(i + 1) % m][1] - pts[i][1])
+        return _quarter_turns(prev_dir, cur_dir)
+
+    angles = []
+    todo = set(all_edges)
+    while todo:
+        e = todo.pop()
+        quarters = interior_angle(*e)
+        p, i = twin[e]
+        nxt = (p, (i + 1) % nedges[p])
+        while nxt != e:
+            todo.discard(nxt)
+            quarters += interior_angle(*nxt)
+            p, i = twin[nxt]
+            nxt = (p, (i + 1) % nedges[p])
+        assert quarters % 4 == 0, "vertex angles must be whole multiples of 2π"
+        angles.append(quarters)
+    return angles
+
+
+def _lshape_complex(a: QuadNum, s: QuadNum):
+    zero = a - a
+    one = zero + 1
+    # the column sits over [-s, 1-s]; every gluing is in place up to a shift
+    # by the full width a, so vertical lines over [0, 1-s] and [a-s, a] run
+    # through both rectangles while those over [1-s, a-s] close after height 1;
+    # at s = 0 the edges over [a-s, a] and [-s, 0] have length zero, and the
+    # walk drops them, which leaves the unshifted L
+    R = [
+        (zero, zero),
+        (one - s, zero),
+        (a - s, zero),
+        (a, zero),
+        (a, one),
+        (a - s, one),
+        (one - s, one),
+        (zero, one),
+    ]
+    C = [(-s, one), (zero, one), (one - s, one), (one - s, a), (zero, a), (-s, a)]
+    gluings = [
+        ((0, 0), (1, 3)),  # bottom [0, 1-s] ~ column top [0, 1-s]
+        ((0, 1), (0, 5)),  # bottom [1-s, a-s] ~ rectangle top [1-s, a-s]
+        ((0, 2), (0, 4)),  # bottom [a-s, a] ~ rectangle top [a-s, a]
+        ((0, 6), (1, 1)),  # rectangle top [0, 1-s] ~ column bottom, in place
+        ((1, 0), (1, 4)),  # column bottom [-s, 0] ~ column top [-s, 0]
+        ((0, 3), (0, 7)),  # f1: right side ~ left side of the bottom rectangle
+        ((1, 2), (1, 5)),  # f2: column right ~ column left
+    ]
+    return [R, C], gluings
+
+
 class TestCornerWalkOracle:
     """The polygon corner walk and the commutator convention must agree on
     origamis: each commutator cycle of length ℓ is one walk orbit of angle
@@ -237,7 +355,6 @@ class TestCornerWalkOracle:
         return polygons, gluings
 
     def test_fixtures(self):
-        from origamis.lshape import _walk_cone_angles
         from origamis.origami import st3, st4, torus, vertex_cycles
 
         for o in (torus(), st3(), st4()):
@@ -248,7 +365,6 @@ class TestCornerWalkOracle:
     def test_random_origamis(self):
         import random
 
-        from origamis.lshape import _walk_cone_angles
         from origamis.origami import random_origami, vertex_cycles
 
         rng = random.Random(99)
@@ -257,6 +373,79 @@ class TestCornerWalkOracle:
             angles = sorted(_walk_cone_angles(*self._square_complex(o)))
             expected = sorted(4 * len(c) for c in vertex_cycles(o))
             assert angles == expected
+
+
+def shifted_grid():
+    """L(a, s) for every shift k/den, den <= 12, of four rational a, and for
+    a = (1+√d)/2 shifts with and without a √d part, some near a - 1."""
+    for a in (F(3, 2), 2, F(7, 3), 9):
+        for den in range(2, 13):
+            for k in range(1, den):
+                yield LSurface(a, F(k, den))
+    for d in (2, 3, 5, 7, 9, 13, 17):
+        a = LSurface.from_discriminant(d).a
+        shifts = {F(k, 7) for k in range(1, 7)} | {a - 1 - F(k, 4) for k in range(-4, 8)}
+        shifts |= {QuadNum(F(k, 5), F(j, 9), a.d) for k in range(-5, 6) for j in range(-3, 4)}
+        yield from (LSurface(a, s) for s in shifts if 0 < s < 1)
+
+
+@st.composite
+def l_shapes(draw):
+    """L(a, s) with a > 1 and 0 <= s < 1, over Q or over Q[√d]: t·(√d - ⌊√d⌋)
+    lies in [0, t)."""
+    d = draw(st.sampled_from(DS))
+    m = isqrt(d)
+    unit = st.integers(1, 30).flatmap(lambda q: st.integers(0, q - 1).map(lambda p: F(p, q)))  # [0, 1)
+    r, t = draw(unit), draw(unit)
+    irrational = QuadNum(-m * t, t, d)
+    s = draw(st.sampled_from((r, irrational, (r + irrational) / 2)))
+    width = draw(st.fractions(min_value=F(1, 30), max_value=8, max_denominator=30))
+    a = 1 + width + draw(st.integers(0, 4)) * irrational
+    return LSurface(a, s)
+
+
+class TestRectangleTiling:
+    """The rectangle tiling's vertices, a whole turn for each square of a
+    commutator cycle, are the corner walk's vertex classes, angle for angle;
+    the walk checks its own gluing as it goes."""
+
+    @staticmethod
+    def _agree(L):
+        tiling = sorted(4 * len(c) for c in vertex_cycles(_rectangle_tiling(L)))
+        assert tiling == sorted(_walk_cone_angles(*_lshape_complex(L.a, L.shift))), L
+
+    def test_unshifted(self):
+        for d in (2, 3, 5, 7, 9, 13, 17):
+            self._agree(LSurface.from_discriminant(d))
+        for a in (F(3, 2), 2, F(7, 3), 9):
+            self._agree(LSurface(a))
+
+    def test_shifted_grid(self):
+        for L in shifted_grid():
+            self._agree(L)
+
+    @given(l_shapes())
+    def test_random_l_shapes(self, L):
+        self._agree(L)
+
+    @pytest.mark.parametrize(
+        "shift, edges",
+        [
+            (0, {1: (0, 0, 6), 2: (0, 1, 5), 3: (1, 1, 3)}),
+            (F(1, 3), {1: (0, 0, 6), 2: (0, 1, 5), 3: (0, 2, 4), 4: (1, 0, 4), 5: (1, 1, 3)}),
+        ],
+    )
+    def test_tops_are_glued_as_in_the_walks_complex(self, shift, edges):
+        # rectangle r is (polygon, bottom edge, top edge) of _lshape_complex,
+        # and v(r) is the rectangle whose bottom edge is glued to r's top edge
+        L = LSurface.from_discriminant(5, shift)
+        gluings = _lshape_complex(L.a, L.shift)[1]
+        partner = dict(gluings) | {e2: e1 for e1, e2 in gluings}
+        above = {(p, bottom): r for r, (p, bottom, _) in edges.items()}
+        o = _rectangle_tiling(L)
+        assert o.n == len(edges)
+        for r, (p, _, top) in edges.items():
+            assert o.v(r) == above[partner[(p, top)]], r
 
 
 class TestStratum:
@@ -272,19 +461,8 @@ class TestStratum:
                 assert lshape_stratum(L) == Stratum([1, 1])
 
     def test_every_shift_on_a_grid_is_h11(self):
-        # the corners of the complex keep their order for all 0 < s < 1, so
-        # the singularities never collide
-        for a in (F(3, 2), 2, F(7, 3), 9):
-            for den in range(2, 13):
-                for k in range(1, den):
-                    assert lshape_stratum(LSurface(a, F(k, den))) == Stratum([1, 1]), (a, k, den)
-        for d in (2, 3, 5, 7, 9, 13, 17):
-            a = LSurface.from_discriminant(d).a
-            shifts = {F(k, 7) for k in range(1, 7)} | {a - 1 - F(k, 4) for k in range(-4, 8)}
-            shifts |= {QuadNum(F(k, 5), F(j, 9), a.d) for k in range(-5, 6) for j in range(-3, 4)}
-            for s in shifts:
-                if 0 < s < 1:
-                    assert lshape_stratum(LSurface(a, s)) == Stratum([1, 1]), (d, s)
+        for L in shifted_grid():
+            assert lshape_stratum(L) == Stratum([1, 1]), L
 
     def test_quadratic_shift(self):
         L = LSurface.from_discriminant(5, QuadNum(-2, 1, 5))  # √5 - 2
