@@ -18,8 +18,9 @@ produce byte-identical catalogs.
 
 The catalog is JSONL, one line per write: the table of the orbits the write
 touches, each orbit's fields once, and the new surfaces in the order given,
-each as [origami text, index into the table]. A query filters each table
-once and reads the members of the orbits it keeps.
+as two columns: their origami texts, and the index of each one's orbit in
+the table. A query filters each table once and reads the members of the
+orbits it keeps.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from operator import attrgetter, eq, itemgetter
 from ._record import record
 from .action import orbit
 from .origami import Origami, Stratum, _canonical_key, _pair_text, _tables, stratum
-from .perm import Permutation
+from .perm import Permutation, _cycle_text
 
 DEFAULT_BOUND = 8
 
@@ -59,16 +60,19 @@ class CatalogEntry:
 # the JSON type of each field of an orbit in a catalog line; type() tells an int from a bool
 _ORBIT_TYPES = {"n": int, "genus": int, "stratum": str, "reduced": bool, "orbit_id": str, "index": int,
                 "cusp_widths": list, "curve_genus": int}
-_LINE_TYPES = {"orbits": list, "members": list}
+_LINE_TYPES = {"orbits": list, "texts": list, "orbit_of": list}
+# a field that only a line of an older layout has, and that layout
+_OLD_LAYOUTS = {"origami": "a per-surface record, of the catalog layout before orbit tables",
+                "members": "a [text, orbit] pair record, of the catalog layout before member columns"}
 _orbit_fields = attrgetter(*_ORBIT_TYPES)  # a CatalogEntry's orbit fields, in the layout's order
 _orbit_values = itemgetter(*_ORBIT_TYPES)  # a decoded orbit's fields, in the layout's order
-_INT, _STR, _LIST, _PAIR = frozenset({int}), frozenset({str}), frozenset({list}), frozenset({2})
+_INT, _STR = frozenset({int}), frozenset({str})
 _JSON_SPACE = " \t\n\r"  # the whitespace json.loads allows around a value
 _scan = json.JSONDecoder().raw_decode
 
 
 class _OldLayout(Exception):
-    """A line of the per-surface layout, which held one surface and its orbit's fields."""
+    """A line of an older layout, which is not read; its argument names the layout."""
 
 
 def _wrong_fields(rec, types: dict, what: str) -> str | None:
@@ -96,56 +100,54 @@ def _wrong_orbit(orbit, what: str) -> str | None:
     return wrong
 
 
-def _members_ok(members: list, count: int) -> bool:
-    """Whether each member is a list [str, int] with the int in range(count),
-    in C-level passes: the members are most of a line."""
-    if not (_LIST.issuperset(map(type, members)) and _PAIR.issuperset(map(len, members))):
-        return False
-    if not members:
-        return True
-    texts, ks = zip(*members)
-    return _STR.issuperset(map(type, texts)) and _INT.issuperset(map(type, ks)) and set(ks).issubset(range(count))
-
-
 def _wrong_line(rec) -> str | None:
-    """What is wrong with a decoded catalog line, if it is not an orbit table
-    and members [origami text, index into the table], every field of every
-    orbit and every member of its type."""
+    """What is wrong with a decoded catalog line, if it is not an orbit table,
+    texts of type str and as many orbit_of indices into the table, every
+    field of every orbit of its type. The columns, most of a line, are
+    checked in C-level passes; a loop looks for the entry to name only when
+    they fail."""
     wrong = _wrong_fields(rec, _LINE_TYPES, "the record")
     if wrong:
         return wrong
-    orbits, members = rec["orbits"], rec["members"]
+    orbits, texts, orbit_of = rec["orbits"], rec["texts"], rec["orbit_of"]
     for i, orbit in enumerate(orbits):
         wrong = _wrong_orbit(orbit, f"orbit {i}")
         if wrong:
             return wrong
-    if _members_ok(members, len(orbits)):
+    if len(texts) != len(orbit_of):
+        return f"the record has {len(texts)} texts and {len(orbit_of)} orbit_of indices"
+    if (_STR.issuperset(map(type, texts)) and _INT.issuperset(map(type, orbit_of))
+            and set(orbit_of).issubset(range(len(orbits)))):
         return None
-    for i, member in enumerate(members):
-        if not (type(member) is list and len(member) == 2 and type(member[0]) is str and type(member[1]) is int):
-            return f"member {i} is {member!r}, not a [text, orbit] pair"
-        if not 0 <= member[1] < len(orbits):
-            return f"member {i} names orbit {member[1]} of {len(orbits)}"
-    raise AssertionError("_members_ok refused members that are each well typed and in range")
+    for i, (text, k) in enumerate(zip(texts, orbit_of)):
+        if type(text) is not str:
+            return f"text {i} is {text!r}, not of type str"
+        if type(k) is not int:
+            return f"orbit_of {i} is {k!r}, not of type int"
+        if not 0 <= k < len(orbits):
+            return f"orbit_of {i} names orbit {k} of {len(orbits)}"
+    raise AssertionError("the column check refused columns that are each well typed and in range")
 
 
-def _decode_line(line: str) -> tuple[list[dict], list[list]]:
-    """One catalog line, the record of one write: the orbit table and the
-    members. A line that _wrong_line finds wrong is a TypeError, and one of
-    the per-surface layout an _OldLayout; a line that does not decode is a
-    ValueError (a JSONDecodeError, or an int too long for int()) or (nested
-    too deeply) RecursionError. One C-level scan decodes the line and accepts
-    exactly what json.loads does."""
+def _decode_line(line: str) -> tuple[list[dict], list[str], list[int]]:
+    """One catalog line, the record of one write: the orbit table, the texts
+    and their orbit_of indices. A line that _wrong_line finds wrong is a
+    TypeError, and one of an older layout an _OldLayout; a line that does not
+    decode is a ValueError (a JSONDecodeError, or an int too long for int())
+    or (nested too deeply) RecursionError. One C-level scan decodes the line
+    and accepts exactly what json.loads does."""
     text = line.strip(_JSON_SPACE)
     rec, end = _scan(text)
     if end != len(text):
         raise json.JSONDecodeError("Extra data", text, end)
-    if type(rec) is dict and "origami" in rec:
-        raise _OldLayout()
+    if type(rec) is dict:
+        for field, layout in _OLD_LAYOUTS.items():
+            if field in rec:
+                raise _OldLayout(layout)
     wrong = _wrong_line(rec)
     if wrong:
         raise TypeError(wrong)
-    return rec["orbits"], rec["members"]
+    return rec["orbits"], rec["texts"], rec["orbit_of"]
 
 
 def _orderly_generation(n: int, unbuilt: set, seed) -> None:
@@ -304,7 +306,8 @@ def enumerate_origamis(
     Stratum and reducedness are SL₂(ℤ)-invariant (Per(g·o) = g·Per(o) and
     g·Z² = Z²), so they are computed once, on the seed, and the filters keep
     or drop whole orbits. Only the seed is built as an Origami; the texts
-    come from the keys."""
+    come from the keys, each image tuple's cycles formatted once a call
+    (n ≤ 7 meets 1 001 tuples in 9 842 places)."""
     if not 1 <= n <= bound:
         raise ValueError(f"n must lie in 1..{bound}, got {n}")
     if isinstance(stratum_filter, str):
@@ -313,6 +316,7 @@ def enumerate_origamis(
     entries = []
     classes = _class_count(n)
     placed = 0  # the surfaces in the placed orbits
+    cycle_texts: dict[tuple, str] = {}  # _cycle_text of each image tuple met
 
     def place(key: tuple) -> None:
         nonlocal placed
@@ -330,7 +334,9 @@ def enumerate_origamis(
         placed += len(members)
         s = stratum(o)
         if (stratum_filter is None or s == stratum_filter) and (report.input_reduced or not reduced_only):
-            texts = [_pair_text(*k) for k in members]
+            for images in {images for k in members for images in k}.difference(cycle_texts):
+                cycle_texts[images] = _cycle_text(images)
+            texts = [_pair_text(n, cycle_texts[h], cycle_texts[v]) for h, v in members]
             fields = (n, s.genus, str(s), report.input_reduced, min(texts), report.index, report.cusp_widths(),
                       report.curve_genus)
             entries.extend(CatalogEntry(text, *fields) for text in texts)
@@ -352,17 +358,17 @@ class CatalogError(ValueError):
         self.line = line
 
 
-def _read_entries(path, repair: bool = False) -> list[tuple[list[dict], list[list]]]:
-    """The lines of a catalog file, in file order, as decoded (orbits,
-    members) pairs, one per write; a caller builds a CatalogEntry only for
+def _read_entries(path, repair: bool = False) -> list[tuple[list[dict], list[str], list[int]]]:
+    """The lines of a catalog file, in file order, as decoded (orbits, texts,
+    orbit_of) triples, one per write; a caller builds a CatalogEntry only for
     the members it keeps.
 
     A line nested too deeply for the decoder, or holding an int too long for
-    int(), is a malformed record like any other, and a line of the
-    per-surface layout is refused. A last line with no newline is what an
-    interrupted append leaves. If it does not parse, readers skip it, and
-    with repair it is cut off the file; if it does parse, repair completes it
-    with its newline. Either way the next append starts on a fresh line, and
+    int(), is a malformed record like any other, and a line of an older
+    layout (per surface, or with [text, orbit] pairs) is refused. A last
+    line with no newline is what an interrupted append leaves. If it does
+    not parse, readers skip it, and with repair it is cut off the file; if
+    it does parse, repair completes it with its newline. Either way the next append starts on a fresh line, and
     a write is kept whole or not at all.
     """
     lines = []
@@ -370,9 +376,8 @@ def _read_entries(path, repair: bool = False) -> list[tuple[list[dict], list[lis
         for lineno, line in enumerate(fh, start=1):
             try:
                 lines.append(_decode_line(line))
-            except _OldLayout:
-                raise CatalogError("a per-surface record, of the catalog layout before orbit tables, which is not "
-                                   "read; write the catalog anew", lineno) from None
+            except _OldLayout as old:
+                raise CatalogError(f"{old}, which is not read; write the catalog anew", lineno) from None
             except (ValueError, TypeError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
                 if line.isspace():  # a blank line holds no record
                     continue
@@ -410,7 +415,8 @@ def catalog_write(path, entries) -> tuple[int, int]:
     skipped with a warning.  Returns (written, skipped).
 
     The new entries go in one line: a table of their distinct orbit field
-    tuples, and the members [text, index into the table] in the order given.
+    tuples, their texts in the order given, and the index of each one's
+    orbit in the table.
     The line is checked as the reader will read it before it is appended: an
     entry that would not read back as itself is a TypeError naming the entry
     and its field, and nothing is written. The file is locked from the read
@@ -419,9 +425,9 @@ def catalog_write(path, entries) -> tuple[int, int]:
     skipped = 0
     with open(path, "a", encoding="utf-8") as fh:
         fcntl.flock(fh, fcntl.LOCK_EX)  # released when fh closes, after its last write is flushed
-        existing = {text for _, members in _read_entries(path, repair=True) for text, _ in members}
+        existing = set().union(*[line_texts for _, line_texts, _ in _read_entries(path, repair=True)])
         orbits: dict[tuple, int] = {}
-        members = []
+        texts, orbit_of = [], []
         written = []
         for e in entries:
             try:
@@ -429,20 +435,21 @@ def catalog_write(path, entries) -> tuple[int, int]:
                     warnings.warn(f"duplicate canonical key skipped: {e.origami}")
                     skipped += 1
                     continue
-                members.append([e.origami, orbits.setdefault(_orbit_fields(e), len(orbits))])
+                orbit_of.append(orbits.setdefault(_orbit_fields(e), len(orbits)))
             except TypeError as exc:  # an unhashable field, such as a list cusp_widths
                 raise TypeError(_wrong_entry(e) or str(exc)) from None
+            texts.append(e.origami)
             existing.add(e.origami)
             written.append(e)
-        if members:
+        if texts:
             table = [dict(zip(_ORBIT_TYPES, fields)) for fields in orbits]  # json writes cusp_widths as a list
             try:
-                line = json.dumps({"orbits": table, "members": members}) + "\n"
+                line = json.dumps({"orbits": table, "texts": texts, "orbit_of": orbit_of}) + "\n"
                 _decode_line(line)  # the reader's own check, on the line as it will be read
             except (TypeError, ValueError) as exc:
                 raise TypeError(next(filter(None, map(_wrong_entry, written)), str(exc))) from None
             fh.write(line)
-    return len(members), skipped
+    return len(texts), skipped
 
 
 def _query_rows(
@@ -459,7 +466,7 @@ def _query_rows(
     # read as enumerate_origamis reads it: "H( 0 )" is H(0), "H(1,1" a ValueError
     stratum_text = None if stratum_filter is None else str(Stratum.parse(stratum_filter))
     rows = []
-    for orbits, members in _read_entries(path):
+    for orbits, texts, orbit_of in _read_entries(path):
         kept = [
             tuple([tuple(x) if type(x) is list else x for x in _orbit_values(o)])
             if (n is None or o["n"] == n)
@@ -470,7 +477,7 @@ def _query_rows(
             for o in orbits
         ]
         if any(kept):
-            rows += [(fields, text) for text, k in members if (fields := kept[k])]
+            rows += [(fields, text) for text, k in zip(texts, orbit_of) if (fields := kept[k])]
     return rows
 
 

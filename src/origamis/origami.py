@@ -94,15 +94,16 @@ class Origami:
         return _singular_corners((0, *self.h.images), (0, *self.v.images))
 
     def to_text(self) -> str:
-        return _pair_text(self.h.images, self.v.images)
+        return _pair_text(self.n, _cycle_text(self.h.images), _cycle_text(self.v.images))
 
     def __str__(self) -> str:
         return self.to_text()
 
 
-def _pair_text(h_img: tuple[int, ...], v_img: tuple[int, ...]) -> str:
-    """The text form "n; h=…; v=…" of the pair with image tuples h_img and v_img."""
-    return f"{len(h_img)}; h={_cycle_text(h_img)}; v={_cycle_text(v_img)}"
+def _pair_text(n: int, h_text: str, v_text: str) -> str:
+    """The text form "n; h=…; v=…" of an n-square pair whose permutations
+    have the _cycle_text forms h_text and v_text."""
+    return f"{n}; h={h_text}; v={v_text}"
 
 
 def parse_origami(text: str) -> Origami:

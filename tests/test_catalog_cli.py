@@ -274,11 +274,18 @@ class TestCatalogFile:
           "orbit 0: field 'index' is missing"),
          (lambda d: {**d, "orbits": [{**d["orbits"][0], "indx": 1}]}, "orbit 0: field 'indx' is not a catalog field"),
          (lambda d: [d], "the record is list, not an object"),
-         (lambda d: {"orbits": d["orbits"]}, "the record: field 'members' is missing"),
+         (lambda d: {"orbits": d["orbits"], "texts": d["texts"]}, "the record: field 'orbit_of' is missing"),
+         (lambda d: {"orbits": d["orbits"], "orbit_of": d["orbit_of"]}, "the record: field 'texts' is missing"),
+         (lambda d: {**d, "extra": []}, "the record: field 'extra' is not a catalog field"),
          (lambda d: {**d, "orbits": [d["orbits"][0]["stratum"]]}, "orbit 0 is str, not an object"),
-         (lambda d: {**d, "members": d["members"] + [["x", 1]]}, "member 1 names orbit 1 of 1"),
-         (lambda d: {**d, "members": [["x"]]}, "member 0 is ['x'], not a [text, orbit] pair")],
-        ids=["missing", "extra", "list", "no-members", "orbit-str", "member-index", "member-short"],
+         (lambda d: {**d, "texts": [1]}, "text 0 is 1, not of type str"),
+         (lambda d: {**d, "texts": d["texts"] + ["x"], "orbit_of": d["orbit_of"] + [1]}, "orbit_of 1 names orbit 1 of 1"),
+         (lambda d: {**d, "orbit_of": [-1]}, "orbit_of 0 names orbit -1 of 1"),
+         (lambda d: {**d, "orbit_of": [True]}, "orbit_of 0 is True, not of type int"),
+         (lambda d: {**d, "orbit_of": [0.0]}, "orbit_of 0 is 0.0, not of type int"),
+         (lambda d: {**d, "texts": d["texts"] + ["x"]}, "the record has 2 texts and 1 orbit_of indices")],
+        ids=["missing", "extra", "list", "no-orbit-of", "no-texts", "extra-column", "orbit-str", "text-int",
+             "index-range", "index-negative", "index-bool", "index-float", "unequal-columns"],
     )
     def test_malformed_record_names_what_is_wrong(self, tmp_path, bad, named):
         path = tmp_path / "cat.jsonl"
@@ -291,7 +298,7 @@ class TestCatalogFile:
     # --n 1 query dropped
     UNTYPED = (
         '{"orbits": [{"cusp_widths": [1], "curve_genus": 0, "genus": "one", "index": 1, "n": "1", "orbit_id": 5, '
-        '"reduced": "yes", "stratum": "H(0)"}], "members": [["1; h=(); v=()", 0]]}'
+        '"reduced": "yes", "stratum": "H(0)"}], "texts": ["1; h=(); v=()"], "orbit_of": [0]}'
     )
 
     @pytest.mark.parametrize("filters", [[], ["--n", "1"]], ids=["all", "n=1"])
@@ -317,12 +324,12 @@ class TestCatalogFile:
         catalog_write(path, enumerate_origamis(2))
         line = json.loads(written_line(enumerate_origamis(1)))
         if field == "origami":
-            line["members"] = [[value, 0]]
+            line["texts"] = [value]
         else:
             line["orbits"] = [{**line["orbits"][0], field: value}]
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("\n" + json.dumps(line) + "\n")  # blank lines hold no record
-        named = "member 0" if field == "origami" else f"orbit 0: {field}"
+        named = "text 0" if field == "origami" else f"orbit 0: {field}"
         for n in (1, 2, None):
             with pytest.raises(CatalogError, match=f"line 3: .*{named}"):
                 catalog_query(path, n=n)
@@ -360,7 +367,7 @@ class TestCatalogFile:
 
     DEEP = "[" * 100_000 + "]" * 100_000  # deeper than the JSON decoder recurses
     # more digits than int() converts from text (4 300)
-    LONG_INT = '{"orbits": [{"n": ' + "1" * 5_000 + '}], "members": []}'
+    LONG_INT = '{"orbits": [{"n": ' + "1" * 5_000 + '}], "texts": [], "orbit_of": []}'
 
     @pytest.mark.parametrize("line", [DEEP, LONG_INT], ids=["deep", "long-int"])
     def test_undecodable_line_is_a_malformed_record(self, tmp_path, line):
@@ -420,6 +427,38 @@ class TestCatalogFile:
             fh.write("\n" + enumerate_origamis(1)[0].to_json() + "\n")
         assert run_cli("catalog", "query", "--path", path) == (1, "", self.OLD_LAYOUT.format(3))
 
+    PAIR_LAYOUT = "error: line {}: a [text, orbit] pair record, of the catalog layout before member columns, " \
+                  "which is not read; write the catalog anew\n"
+
+    @pytest.mark.parametrize("end", ["\n", ""], ids=["whole", "no-newline"])
+    def test_a_pair_catalog_is_refused_and_left_as_it_is(self, tmp_path, end):
+        # the lines the pair layout wrote, one a write; its last line is
+        # refused too when it has no newline, not cut off as torn
+        path = str(tmp_path / "pairs.jsonl")
+        old = "".join(pair_line(enumerate_origamis(n)) for n in (1, 2, 3))[:-1] + end
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(old)
+        for argv in (("query", "--path", path), ("query", "--path", path, "--n", "3"),
+                     ("write", "--path", path, "--n", "4")):
+            assert run_cli("catalog", *argv) == (1, "", self.PAIR_LAYOUT.format(1)), argv
+            with open(path, encoding="utf-8") as fh:
+                assert fh.read() == old, argv  # nothing appended, nothing cut
+        with pytest.raises(CatalogError, match=r"^line 1: a \[text, orbit\] pair record"):
+            catalog_query(path, n=3)
+        with pytest.raises(CatalogError, match=r"^line 1: a \[text, orbit\] pair record"):
+            catalog_write(path, enumerate_origamis(4))
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == old
+
+    def test_a_pair_line_after_a_write_is_refused_with_its_line(self, tmp_path):
+        path = str(tmp_path / "c.jsonl")
+        assert run_cli("catalog", "write", "--path", path, "--n", "2")[0] == 0
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("\n" + pair_line(enumerate_origamis(1)))
+        assert run_cli("catalog", "query", "--path", path) == (1, "", self.PAIR_LAYOUT.format(3))
+        with pytest.raises(CatalogError, match=r"^line 3: a \[text, orbit\] pair record"):
+            catalog_query(path, n=2)  # the line holds no surface with two squares
+
     def test_concurrent_writers_append_each_key_once(self, tmp_path):
         # two writers released together on each of five fresh files; without
         # the lock most rounds append some keys twice
@@ -444,7 +483,7 @@ class TestCatalogFile:
             with open(path, encoding="utf-8") as fh:
                 lines = fh.readlines()
             assert len(lines) == 1  # the later writer appends nothing
-            keys = sorted(text for text, _ in json.loads(lines[0])["members"])
+            keys = sorted(json.loads(lines[0])["texts"])
             assert keys == [e.origami for e in six]  # each key exactly once
             assert catalog_query(path) == six
 
@@ -514,6 +553,13 @@ def written_line(entries) -> str:
         catalog_write(path, entries)
         with open(path, encoding="utf-8") as fh:
             return fh.read()
+
+
+def pair_line(entries) -> str:
+    """The line, with its newline, that the pair layout wrote for entries to
+    a fresh file: the orbit table and each member as [text, index into it]."""
+    line = json.loads(written_line(entries))
+    return json.dumps({"orbits": line["orbits"], "members": [list(m) for m in zip(line["texts"], line["orbit_of"])]}) + "\n"
 
 
 def _write_census_to(paths, n, ready, starts, results):

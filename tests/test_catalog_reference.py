@@ -3,14 +3,17 @@
 `catalog_write`, `_read_entries` and `catalog_query` below, with the helpers
 they call, are the catalog that wrote one JSON line per surface, each
 repeating its orbit's fields. The catalog in `origamis.catalog` writes one
-line per write: an orbit table and the new members. For any lists of
+line per write: an orbit table and the new members, as a column of texts and
+a column of indices into the table. For any lists of
 entries, duplicates included, in any order and split into any sequence of
 writes, the two must return the same (written, skipped) counts, warn with
 the same messages, and give the same query results for every combination of
 filters.
 
 The per-write reader's checks are held against `spec_read` below, a plain
-reading of the layout with `json.loads`: on any file the two give the same
+reading of the layout with `json.loads` that refuses a line of either older
+layout (per surface, or members as [text, orbit] pairs): on any file the two
+give the same
 lines (compared by repr, so True does not match 1), or a CatalogError at the
 same line; with repair, the two files end with the same bytes. Error
 messages are not compared.
@@ -248,28 +251,29 @@ ORBIT_TYPES = {"n": int, "genus": int, "stratum": str, "reduced": bool, "orbit_i
 
 
 def spec_line(line: str):
-    """The (orbits, members) of one line, None if it is malformed, or "old" for
-    a record of the per-surface layout."""
+    """The (orbits, texts, orbit_of) of one line, None if it is malformed, or
+    "old" for a record of the per-surface or the pair layout."""
     try:
         rec = json.loads(line)
     except (ValueError, RecursionError):
         return None
-    if isinstance(rec, dict) and "origami" in rec:
+    if isinstance(rec, dict) and ("origami" in rec or "members" in rec):
         return "old"
-    if not (isinstance(rec, dict) and set(rec) == {"orbits", "members"}
-            and type(rec["orbits"]) is list and type(rec["members"]) is list):
+    if not (isinstance(rec, dict) and set(rec) == {"orbits", "texts", "orbit_of"}
+            and all(type(rec[k]) is list for k in rec)):
         return None
-    orbits, members = rec["orbits"], rec["members"]
+    orbits, texts, orbit_of = rec["orbits"], rec["texts"], rec["orbit_of"]
     for orbit in orbits:
         if not (isinstance(orbit, dict) and set(orbit) == set(ORBIT_TYPES)
                 and all(type(orbit[k]) is t for k, t in ORBIT_TYPES.items())
                 and all(type(w) is int for w in orbit["cusp_widths"])):
             return None
-    for member in members:
-        if not (type(member) is list and len(member) == 2 and type(member[0]) is str and type(member[1]) is int
-                and 0 <= member[1] < len(orbits)):
+    if len(texts) != len(orbit_of):
+        return None
+    for text, k in zip(texts, orbit_of):
+        if not (type(text) is str and type(k) is int and 0 <= k < len(orbits)):
             return None
-    return orbits, members
+    return orbits, texts, orbit_of
 
 
 def spec_read(path, repair: bool = False):
@@ -306,6 +310,9 @@ def written(entries) -> dict:
 
 REAL = [written(enumerate_origamis(n)) for n in (1, 2, 3)] + [written(REAL_ENTRIES)]
 OLD = [json.loads(e.to_json()) for e in REAL_ENTRIES[:4]]
+# the lines of REAL in the pair layout, each member a [text, index into the table] list
+PAIRS = [{"orbits": line["orbits"], "members": [list(m) for m in zip(line["texts"], line["orbit_of"])]}
+         for line in REAL]
 
 # every JSON value, NaN and ±Infinity included (json.dumps writes them as such)
 ANY_JSON = st.recursive(
@@ -328,9 +335,9 @@ TYPED_ORBIT = st.fixed_dictionaries({
 def typed_line(draw) -> dict:
     orbits = draw(st.lists(TYPED_ORBIT, max_size=3))
     if not orbits:
-        return {"orbits": [], "members": []}
-    member = st.tuples(st.text(max_size=8), st.integers(0, len(orbits) - 1)).map(list)
-    return {"orbits": orbits, "members": draw(st.lists(member, max_size=4))}
+        return {"orbits": [], "texts": [], "orbit_of": []}
+    members = draw(st.lists(st.tuples(st.text(max_size=8), st.integers(0, len(orbits) - 1)), max_size=4))
+    return {"orbits": orbits, "texts": [text for text, _ in members], "orbit_of": [k for _, k in members]}
 
 
 @st.composite
@@ -347,7 +354,7 @@ def changed(draw, pairs: list, names) -> list:
     elif change == "renamed":
         pairs[at] = (draw(st.text(max_size=4)), pairs[at][1])
     elif change == "extra":
-        pairs.insert(at, (draw(st.text(max_size=4) | st.just("origami")), draw(ANY_JSON)))
+        pairs.insert(at, (draw(st.text(max_size=4) | st.sampled_from(["origami", "members"])), draw(ANY_JSON)))
     elif change == "duplicate":  # the last copy of a key is the one json keeps
         pairs.insert(at, (draw(st.sampled_from(names)), draw(NEAR | ANY_JSON)))
     return draw(st.permutations(pairs))
@@ -366,27 +373,35 @@ def dumps(value, ascii_only) -> str:
 @st.composite
 def line_text(draw) -> str:
     """A line of the per-write layout, perhaps with one thing wrong: in the
-    line's own fields, in one orbit, or in one member; keys in any order."""
+    line's own fields, in one orbit, in one text or orbit index, or in the
+    length of a column; keys in any order."""
     line = draw(st.sampled_from(REAL) | typed_line())
     orbits = [list(o.items()) for o in line["orbits"]]
-    members = [list(m) for m in line["members"]]
-    where = draw(st.sampled_from(["line", "orbit", "member", "none"]))
+    texts, orbit_of = list(line["texts"]), list(line["orbit_of"])
+    where = draw(st.sampled_from(["line", "orbit", "text", "orbit_of", "length", "none"]))
     if where == "orbit" and orbits:
         i = draw(st.integers(0, len(orbits) - 1))
         orbits[i] = draw(changed(orbits[i], list(ORBIT_TYPES)))
-    elif where == "member" and members:
-        i = draw(st.integers(0, len(members) - 1))
-        members[i] = draw(NEAR | ANY_JSON | st.tuples(st.text(max_size=3), st.integers(-2, len(orbits) + 1)).map(list))
-    pairs = [("orbits", orbits), ("members", members)]
+    elif where == "text" and texts:
+        texts[draw(st.integers(0, len(texts) - 1))] = draw(NEAR | ANY_JSON)
+    elif where == "orbit_of" and orbit_of:
+        orbit_of[draw(st.integers(0, len(orbit_of) - 1))] = draw(NEAR | ANY_JSON | st.integers(-2, len(orbits) + 1))
+    elif where == "length":  # one entry more or less in one column
+        column = draw(st.sampled_from([texts, orbit_of]))
+        if column and draw(st.booleans()):
+            del column[draw(st.integers(0, len(column) - 1))]
+        else:
+            column.append(draw(st.text(max_size=3)) if column is texts else draw(st.integers(0, max(len(orbits) - 1, 0))))
+    pairs = [("orbits", orbits), ("texts", texts), ("orbit_of", orbit_of)]
     if where == "line":
-        pairs = draw(changed(pairs, ["orbits", "members"]))
+        pairs = draw(changed(pairs, ["orbits", "texts", "orbit_of"]))
     pairs = draw(st.permutations(pairs))
     return dumps(pairs, draw(st.booleans()))
 
 
 @st.composite
 def catalog_line(draw) -> str:
-    kind = draw(st.sampled_from(["line", "spaced", "trailing", "bom", "old", "non-object", "blank", "text"]))
+    kind = draw(st.sampled_from(["line", "spaced", "trailing", "bom", "old", "pairs", "non-object", "blank", "text"]))
     if kind == "non-object":
         return json.dumps(draw(ANY_JSON.filter(lambda v: type(v) is not dict)))
     if kind == "blank":
@@ -395,6 +410,8 @@ def catalog_line(draw) -> str:
         return draw(st.text(max_size=12))
     if kind == "old":
         return json.dumps(draw(st.sampled_from(OLD)))
+    if kind == "pairs":
+        return json.dumps(draw(st.sampled_from(PAIRS)))
     line = draw(line_text())
     if kind == "spaced":
         return draw(SPACE) + line + draw(SPACE)
@@ -409,6 +426,7 @@ def catalog_line(draw) -> str:
 SPACE = st.text(alphabet=" \t\r\n\x0b\x0c\x1c\x1f\x85\u00a0\u2028\u3000", max_size=3)
 GOOD_TEXT = json.dumps(REAL[1])
 OLD_TEXT = json.dumps(OLD[0])
+PAIR_TEXT = json.dumps(PAIRS[1])
 
 
 def outcome(read, path, repair):
@@ -416,7 +434,7 @@ def outcome(read, path, repair):
         lines = read(path, repair=repair)
     except CatalogError as exc:  # the line, not the message
         return CatalogError, exc.line
-    return [repr((list(orbits), list(members))) for orbits, members in lines]
+    return [repr(tuple(map(list, line))) for line in lines]
 
 
 def read_both(text: str, repair: bool):
@@ -450,11 +468,18 @@ def assert_agree(text: str, repair: bool):
 @example(["\ufeff" + GOOD_TEXT], "\n", False)
 @example([GOOD_TEXT, "[1, 2]", "null"], "\n", False)
 @example([GOOD_TEXT, OLD_TEXT], "", True)  # the per-surface layout, also with no newline
+@example([GOOD_TEXT, PAIR_TEXT], "", True)  # the pair layout, also with no newline
+@example([json.dumps({"orbits": [], "texts": [], "orbit_of": []})], "\n", False)
 @example([json.dumps({"orbits": [], "members": []})], "\n", False)
-@example([json.dumps({**REAL[1], "members": [["x", 1]]})], "\n", False)
-@example([json.dumps({**REAL[1], "members": [["x", -1]]})], "\n", False)
-@example([json.dumps({**REAL[1], "members": [["x", True]]})], "\n", False)
-@example([json.dumps({**REAL[1], "members": [["x", 0, 0]]})], "\n", False)
+@example([json.dumps({**REAL[1], "members": []})], "\n", False)
+@example([json.dumps({**REAL[1], "texts": [1], "orbit_of": [0]})], "\n", False)
+@example([json.dumps({**REAL[1], "texts": ["x"], "orbit_of": [1]})], "\n", False)
+@example([json.dumps({**REAL[1], "texts": ["x"], "orbit_of": [-1]})], "\n", False)
+@example([json.dumps({**REAL[1], "texts": ["x"], "orbit_of": [True]})], "\n", False)
+@example([json.dumps({**REAL[1], "texts": ["x"], "orbit_of": [0.0]})], "\n", False)
+@example([json.dumps({**REAL[1], "texts": ["x", "y"], "orbit_of": [0]})], "\n", False)
+@example([json.dumps({**REAL[1], "texts": ["x"], "orbit_of": [0, 0]})], "", True)
+@example([json.dumps({"orbits": REAL[1]["orbits"], "texts": ["x"]})], "\n", False)
 @example([json.dumps({**REAL[1], "orbits": [{**REAL[1]["orbits"][0], "n": True}]})], "\n", False)
 @example([json.dumps({**REAL[1], "orbits": [{**REAL[1]["orbits"][0], "cusp_widths": [1, 1.0]}]})], "", True)
 @example([GOOD_TEXT.replace('"index": ', '"index": Infinity, "index": ')], "\n", False)
@@ -486,12 +511,17 @@ def test_each_orbit_field_missing_or_with_each_near_value(field):
             assert_agree(GOOD_TEXT + "\n" + text + end, repair=True)
 
 
-@pytest.mark.parametrize("field", ["orbits", "members"])
+@pytest.mark.parametrize("field", ["orbits", "texts", "orbit_of"])
 def test_each_line_field_missing_or_with_each_near_value(field):
     texts = [json.dumps({k: v for k, v in REAL[1].items() if k != field}),
              json.dumps({**REAL[1], f"{field}x": []})]
     texts += [json.dumps({**REAL[1], field: value}) for value in NEAR_VALUES]
-    texts += [json.dumps({**REAL[1], "members": [value]}) for value in NEAR_VALUES]
+    # one member, with each near value as its text or its orbit index
+    texts += [json.dumps({**REAL[1], "texts": [value], "orbit_of": [0]}) for value in NEAR_VALUES]
+    texts += [json.dumps({**REAL[1], "texts": ["x"], "orbit_of": [value]}) for value in NEAR_VALUES]
+    # the line's columns of unequal length: one entry more, or one less
+    texts += [json.dumps({**REAL[1], field: REAL[1][field] + REAL[1][field][:1]}),
+              json.dumps({**REAL[1], field: REAL[1][field][1:]})]
     for text in texts:
         for end in ("\n", ""):
             assert_agree(GOOD_TEXT + "\n" + text + end, repair=True)
@@ -499,9 +529,10 @@ def test_each_line_field_missing_or_with_each_near_value(field):
 
 def test_agreement_is_not_vacuous():
     # two readers that always raised would agree too
-    one = [repr((REAL[1]["orbits"], REAL[1]["members"]))]
+    one = [repr((REAL[1]["orbits"], REAL[1]["texts"], REAL[1]["orbit_of"]))]
     assert read_both(GOOD_TEXT + "\n \n", False)[1][0] == one
     assert read_both("\ufeff" + GOOD_TEXT + "\n", False)[1][0] == (CatalogError, 1)
-    assert read_both(GOOD_TEXT + "\n" + OLD_TEXT, True)[1] == ((CatalogError, 2), (GOOD_TEXT + "\n" + OLD_TEXT).encode())
+    for old in (OLD_TEXT, PAIR_TEXT):
+        assert read_both(GOOD_TEXT + "\n" + old, True)[1] == ((CatalogError, 2), (GOOD_TEXT + "\n" + old).encode())
     assert read_both(GOOD_TEXT + "\n" + GOOD_TEXT + "x", True)[1] == (one, (GOOD_TEXT + "\n").encode())
     assert list(CatalogEntry.__match_args__) == ["origami", *ORBIT_TYPES]
