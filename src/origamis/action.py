@@ -30,7 +30,7 @@ from functools import cached_property
 
 from ._record import record
 from .origami import Origami, _canonical_key, _horizontal_rows, _singular_corners, _tables, genus, is_reduced
-from .perm import Permutation
+from .perm import Permutation, _cycles
 from .quadfield import exact_rational
 
 INFINITY = math.inf
@@ -328,27 +328,20 @@ def orbit(o: Origami) -> OrbitReport:
     for i, j in enumerate(u):
         t[i] = s[j]
     order = sorted(range(index), key=keys.__getitem__)
+    rank = [0] * index  # rank[i]: the place of keys[i] in key order, from 1
+    for r, i in enumerate(order, 1):
+        rank[i] = r
 
-    # cusps: the cycles of t, each walked from its least key
-    cycles = []
-    walked = [False] * index
-    for i in order:
-        cyc = []
-        j = i
-        while not walked[j]:
-            walked[j] = True
-            cyc.append(j)
-            j = t[j]
-        if cyc:
-            cycles.append(cyc)
-    cycles.sort(key=len, reverse=True)
-    cusp_of = [0] * index
+    # cusps: the cycles of t relabelled by key rank, so each starts at its
+    # least key and they come in the order of those, widest first
+    cycles = sorted(_cycles([rank[t[i]] for i in order]), key=len, reverse=True)
+    cusp_of = [0] * (index + 1)  # by rank
     for c, cyc in enumerate(cycles):
-        for i in cyc:
-            cusp_of[i] = c
+        for r in cyc:
+            cusp_of[r] = c
     cusps = []
     for cyc in cycles:  # one cylinder per start row, counted on the least member
-        h, v = ((0, *images) for images in keys[cyc[0]])
+        h, v = ((0, *images) for images in keys[order[cyc[0] - 1]])
         cusps.append(Cusp(len(cyc), len(_horizontal_rows(h, _singular_corners(h, v))[2])))
     cusps = tuple(cusps)
 
@@ -365,7 +358,7 @@ def orbit(o: Origami) -> OrbitReport:
         curve_genus=int(g),
         input_reduced=is_reduced(o),
         minus_id_nontrivial=not half_turn_trivial,
-        members=tuple((keys[i], cusp_of[i]) for i in order),
+        members=tuple((keys[i], cusp_of[r]) for r, i in enumerate(order, 1)),
     )
 
 

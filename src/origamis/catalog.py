@@ -410,46 +410,51 @@ def _wrong_entry(e) -> str | None:
     return wrong
 
 
+def _columns(entries) -> tuple[list[tuple], list[str], list[int]]:
+    """The columns of a catalog line for entries: their distinct orbit field
+    tuples (as _orbit_fields gives them) in order of first appearance, their
+    texts in the order given, and the index of each one's orbit in the table."""
+    orbits: dict[tuple, int] = {}
+    orbit_of = [orbits.setdefault(_orbit_fields(e), len(orbits)) for e in entries]
+    return list(orbits), [e.origami for e in entries], orbit_of
+
+
 def catalog_write(path, entries) -> tuple[int, int]:
     """Append new entries (keyed by canonical origami text); duplicates are
-    skipped with a warning.  Returns (written, skipped).
+    skipped, with one warning that counts them and names the first.
+    Returns (written, skipped).
 
-    The new entries go in one line: a table of their distinct orbit field
-    tuples, their texts in the order given, and the index of each one's
-    orbit in the table.
+    The new entries go in one line, the _columns of the new entries.
     The line is checked as the reader will read it before it is appended: an
     entry that would not read back as itself is a TypeError naming the entry
     and its field, and nothing is written. The file is locked from the read
     of its keys to the end of the append, so concurrent writers take turns
     and each key is written once."""
-    skipped = 0
     with open(path, "a", encoding="utf-8") as fh:
         fcntl.flock(fh, fcntl.LOCK_EX)  # released when fh closes, after its last write is flushed
         existing = set().union(*[line_texts for _, line_texts, _ in _read_entries(path, repair=True)])
-        orbits: dict[tuple, int] = {}
-        texts, orbit_of = [], []
-        written = []
+        new, skipped = [], []
         for e in entries:
             try:
                 if e.origami in existing:
-                    warnings.warn(f"duplicate canonical key skipped: {e.origami}")
-                    skipped += 1
+                    skipped.append(e.origami)
                     continue
-                orbit_of.append(orbits.setdefault(_orbit_fields(e), len(orbits)))
-            except TypeError as exc:  # an unhashable field, such as a list cusp_widths
+            except TypeError as exc:  # an unhashable origami
                 raise TypeError(_wrong_entry(e) or str(exc)) from None
-            texts.append(e.origami)
             existing.add(e.origami)
-            written.append(e)
-        if texts:
-            table = [dict(zip(_ORBIT_TYPES, fields)) for fields in orbits]  # json writes cusp_widths as a list
-            try:
+            new.append(e)
+        if new:
+            try:  # an unhashable field, such as a list cusp_widths, or a line the reader refuses
+                orbits, texts, orbit_of = _columns(new)
+                table = [dict(zip(_ORBIT_TYPES, fields)) for fields in orbits]  # json writes cusp_widths as a list
                 line = json.dumps({"orbits": table, "texts": texts, "orbit_of": orbit_of}) + "\n"
                 _decode_line(line)  # the reader's own check, on the line as it will be read
             except (TypeError, ValueError) as exc:
-                raise TypeError(next(filter(None, map(_wrong_entry, written)), str(exc))) from None
+                raise TypeError(next(filter(None, map(_wrong_entry, new)), str(exc))) from None
             fh.write(line)
-    return len(texts), skipped
+    if skipped:
+        warnings.warn(f"duplicate canonical keys skipped: {len(skipped)}, the first {skipped[0]}")
+    return len(new), len(skipped)
 
 
 def _query_rows(
@@ -458,14 +463,14 @@ def _query_rows(
     stratum_filter: str | None = None,
     orbit_id: str | None = None,
     reduced_only: bool = False,
-) -> list[tuple[tuple, str]]:
-    """The members that pass every filter given, in file order, as rows
-    (orbit fields as _orbit_fields gives them, the list one as a tuple,
-    origami text); the members of one orbit in one line share their fields
-    tuple, built once."""
+) -> list[tuple[list[tuple | None], list[str], list[int]]]:
+    """The lines that keep an orbit, in file order, as (orbits, texts,
+    orbit_of): each orbit that passes every filter given is the tuple of its
+    fields as _orbit_fields gives them (the list one as a tuple), and each
+    other one is None; the columns are as read."""
     # read as enumerate_origamis reads it: "H( 0 )" is H(0), "H(1,1" a ValueError
     stratum_text = None if stratum_filter is None else str(Stratum.parse(stratum_filter))
-    rows = []
+    lines = []
     for orbits, texts, orbit_of in _read_entries(path):
         kept = [
             tuple([tuple(x) if type(x) is list else x for x in _orbit_values(o)])
@@ -477,25 +482,28 @@ def _query_rows(
             for o in orbits
         ]
         if any(kept):
-            rows += [(fields, text) for text, k in zip(texts, orbit_of) if (fields := kept[k])]
-    return rows
+            lines.append((kept, texts, orbit_of))
+    return lines
 
 
-def _entries_json(rows) -> str:
-    """json.dumps([vars(e) for e in entries], sort_keys=True) for the entries
-    of rows (orbit fields in the layout's order, origami text), with each
-    orbit's fields encoded once: its object with an empty origami, split at
-    that key, is the head and tail of each of its members (no encoded string
-    holds an unescaped quote, so the split finds the key)."""
-    parts: dict[tuple, tuple[str, str]] = {}
+def _head_tail(fields: tuple) -> tuple[str, str]:
+    """The JSON text of the entries of the orbit with these fields (in the
+    layout's order) before and after the origami's text: the object with an
+    empty origami, split at that field. The split is at the field, not at its
+    empty value, since a stratum or an orbit_id may be empty too; no encoded
+    string holds an unescaped quote, so only the field matches."""
+    head, tail = json.dumps({**dict(zip(_ORBIT_TYPES, fields)), "origami": ""}, sort_keys=True).split('"origami": ""')
+    return head + '"origami": ', tail
+
+
+def _entries_json(lines) -> str:
+    """json.dumps([vars(e) for e in entries], sort_keys=True) for the members
+    of the kept orbits of lines, each (orbits, texts, orbit_of) as _query_rows
+    gives them, with each kept orbit's _head_tail encoded once a line."""
     out = []
-    for fields, text in rows:
-        head_tail = parts.get(fields)
-        if head_tail is None:
-            obj = json.dumps({**dict(zip(_ORBIT_TYPES, fields)), "origami": ""}, sort_keys=True)
-            head, tail = obj.split('"origami": ""')
-            head_tail = parts[fields] = (head + '"origami": ', tail)
-        out.append(head_tail[0] + _encode_str(text) + head_tail[1])
+    for orbits, texts, orbit_of in lines:
+        parts = [None if fields is None else _head_tail(fields) for fields in orbits]
+        out += [parts[k][0] + _encode_str(text) + parts[k][1] for text, k in zip(texts, orbit_of) if parts[k]]
     return "[" + ", ".join(out) + "]"
 
 
@@ -506,5 +514,7 @@ def catalog_query(
     orbit_id: str | None = None,
     reduced_only: bool = False,
 ) -> list[CatalogEntry]:
-    rows = _query_rows(path, n, stratum_filter, orbit_id, reduced_only)
-    return [CatalogEntry(text, *fields) for fields, text in rows]
+    entries = []
+    for orbits, texts, orbit_of in _query_rows(path, n, stratum_filter, orbit_id, reduced_only):
+        entries += [CatalogEntry(text, *orbits[k]) for text, k in zip(texts, orbit_of) if orbits[k]]
+    return entries

@@ -158,7 +158,7 @@ def _cmd_enumerate(args) -> None:
         reduced_only=args.reduced,
         bound=args.bound,
     )
-    print(cat._entries_json((cat._orbit_fields(e), e.origami) for e in entries))
+    print(cat._entries_json([cat._columns(entries)]))
 
 
 def _cmd_catalog_write(args) -> None:

@@ -17,7 +17,7 @@ from functools import cached_property
 
 from ._record import record
 from .intlattice import hermite_form
-from .perm import Permutation, _cycle_text, compose, conjugate, cycles, is_transitive
+from .perm import Permutation, _cycle_text, _cycles, compose, conjugate, cycles, is_transitive
 
 
 @record
@@ -76,16 +76,6 @@ class Origami:
     @cached_property
     def commutator(self) -> Permutation:
         return compose(self.h, compose(self.v, compose(self.h.inverse(), self.v.inverse())))
-
-    @cached_property
-    def square_vertex(self) -> tuple[int, ...]:
-        """square_vertex[s-1] = index into vertex_cycles(self) of the cycle
-        owning the bottom-left corner of s."""
-        owner = [0] * self.n
-        for idx, c in enumerate(vertex_cycles(self)):
-            for s in c:
-                owner[s - 1] = idx
-        return tuple(owner)
 
     @cached_property
     def singular(self) -> tuple[bool, ...]:
@@ -228,24 +218,17 @@ def _singular_corners(h, v) -> tuple[bool, ...]:
 
 def _horizontal_rows(h, singular) -> tuple[list[tuple[int, ...]], list[int], set[int]]:
     """The rows of the pair with forward move table h and singular-corner table
-    singular: the cycles of h, each starting at its least square, in the order
-    of those; the row of each square (entry 0 unused); and the start rows, the
-    rows with a singular bottom corner, or row 0 when there is none (genus
-    one). A row whose bottom corners are all regular continues the cylinder
-    below it, so each horizontal cylinder has one start row, its bottom one."""
-    n = len(h) - 1
-    rows = []
-    row_of = [-1] * (n + 1)
-    for first in range(1, n + 1):  # a row's least square meets it first
-        row = []
-        s = first
-        while row_of[s] < 0:
-            row_of[s] = len(rows)
-            row.append(s)
-            s = h[s]
-        if row:
-            rows.append(tuple(row))
-    starts = {i for i, r in enumerate(rows) if any(singular[s - 1] for s in r)} or {0}
+    singular: the cycles of h, as _cycles gives them; the row of each square
+    (entry 0 unused); and the start rows, the rows with a singular bottom
+    corner, or row 0 when there is none (genus one). A row whose bottom
+    corners are all regular continues the cylinder below it, so each
+    horizontal cylinder has one start row, its bottom one."""
+    rows = _cycles(h[1:])
+    row_of = [-1] * len(h)
+    for i, row in enumerate(rows):
+        for s in row:
+            row_of[s] = i
+    starts = {row_of[s] for s, corner in enumerate(singular, 1) if corner} or {0}
     return rows, row_of, starts
 
 
@@ -435,35 +418,25 @@ def relabel(o: Origami, g: Permutation) -> Origami:
 def period_lattice(o: Origami) -> list[tuple[int, int]]:
     """Hermite basis of the absolute period lattice inside ℤ².
 
-    The 1-skeleton of the square complex has the vertex cycles as nodes; each
-    square contributes its bottom edge (holonomy (1,0), from the corner of s
-    to the corner of h(s)) and its left edge (holonomy (0,1), from the corner
-    of s to the corner of v(s)). Fundamental cycles of a spanning tree
-    surject onto H₁ of the surface, so their holonomies generate the lattice.
+    The surface minus its vertices retracts onto the graph of square centres,
+    with an edge s → h(s) of holonomy (1, 0) and one s → v(s) of holonomy
+    (0, 1) per square, so the closed curves of that graph span H₁ of the
+    surface. A breadth-first search from square 1 along h and v places the
+    bottom-left corner of each square in ℤ²; each edge then closes the curve
+    "tree path, edge, tree path back", of holonomy its step minus the placed
+    difference. Search edges give (0, 0), which hermite_form drops.
     """
-    owner = o.square_vertex
-    nverts = max(owner) + 1
-    edges = []  # (from_vertex, to_vertex, dx, dy)
-    for s in range(1, o.n + 1):
-        edges.append((owner[s - 1], owner[o.h(s) - 1], 1, 0))
-        edges.append((owner[s - 1], owner[o.v(s) - 1], 0, 1))
-    adj = [[] for _ in range(nverts)]
-    for a, b, dx, dy in edges:
-        adj[a].append((b, dx, dy))
-        adj[b].append((a, -dx, -dy))
-    # spanning tree potentials: pot[w] = holonomy of the BFS tree path root -> w
-    pot = [None] * nverts
-    pot[0] = (0, 0)
-    order = [0]
-    for a in order:  # order grows while the loop runs: this is the BFS queue
-        x, y = pot[a]
-        for b, dx, dy in adj[a]:
-            if pot[b] is None:
-                pot[b] = (x + dx, y + dy)
-                order.append(b)
-    assert len(order) == nverts, "surface is connected, so the tree spans"
-    # tree edges give (0, 0), which hermite_form drops
-    gens = [(dx + pot[a][0] - pot[b][0], dy + pot[a][1] - pot[b][1]) for a, b, dx, dy in edges]
+    h, v = o.h.images, o.v.images
+    x, y = [None] * (o.n + 1), [0] * (o.n + 1)  # the corner of each square, x None until it is placed
+    x[1] = 0
+    order = [1]
+    for s in order:  # order grows while the loop runs: this is the BFS queue
+        for t, dx, dy in ((h[s - 1], 1, 0), (v[s - 1], 0, 1)):
+            if x[t] is None:
+                x[t], y[t] = x[s] + dx, y[s] + dy
+                order.append(t)
+    gens = [(1 + x[s] - x[t], y[s] - y[t]) for s, t in enumerate(h, 1)]
+    gens += [(x[s] - x[t], 1 + y[s] - y[t]) for s, t in enumerate(v, 1)]
     return [(r[0], r[1]) for r in hermite_form(gens)]
 
 

@@ -103,18 +103,8 @@ class Permutation:
 def _cycle_text(images: tuple[int, ...]) -> str:
     """The cycles of length two and more of the permutation with one-line
     images, as cycles() orders them; "()" for the identity."""
-    seen = [False] * (len(images) + 1)
-    parts = []
-    for start, j in enumerate(images, start=1):
-        if seen[start] or j == start:
-            continue
-        c = [start]  # the least point of its cycle: the walk meets only later ones
-        while j != start:
-            c.append(j)
-            seen[j] = True
-            j = images[j - 1]
-        parts.append("(" + ",".join(map(str, c)) + ")")
-    return "".join(parts) or "()"
+    # str((1, 3, 2)) is "(1, 3, 2)"; a cycle of one point, "(1,)", is left out
+    return "".join([str(c) for c in _cycles(images) if len(c) > 1]).replace(" ", "") or "()"
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
@@ -124,10 +114,10 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     return Permutation(tuple(p.images[j - 1] for j in q.images))
 
 
-def cycles(p: Permutation) -> list[tuple[int, ...]]:
-    """Disjoint cycles covering 1..n, fixed points included, each cycle starting
-    at its least element, cycles ordered by least element."""
-    images = p.images
+def _cycles(images) -> list[tuple[int, ...]]:
+    """The cycles of the permutation with 1-based one-line images, a tuple or
+    a list: disjoint, covering 1..n, fixed points included, each starting at
+    its least point, ordered by least point. The package's one cycle walk."""
     seen = [False] * (len(images) + 1)
     out = []
     for start, j in enumerate(images, start=1):
@@ -140,6 +130,12 @@ def cycles(p: Permutation) -> list[tuple[int, ...]]:
             j = images[j - 1]
         out.append(tuple(c))
     return out
+
+
+def cycles(p: Permutation) -> list[tuple[int, ...]]:
+    """Disjoint cycles covering 1..n, fixed points included, each cycle starting
+    at its least element, cycles ordered by least element."""
+    return _cycles(p.images)
 
 
 def conjugate(p: Permutation, g: Permutation) -> Permutation:

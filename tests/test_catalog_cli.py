@@ -178,21 +178,27 @@ class TestCatalogFile:
         assert back == entries
 
     def test_query_rows_hold_the_orbit_fields_of_their_entries(self, tmp_path):
-        # a row's fields tuple is built from the orbit table's layout: it must
-        # be exactly what _orbit_fields reads off the entry built from the row
+        # a kept orbit's fields tuple is built from the orbit table's layout:
+        # it must be exactly what _orbit_fields reads off the entry built from
+        # it and a member's text
         from origamis import catalog
+
+        def rows(lines):
+            return [(orbits[k], text) for orbits, texts, orbit_of in lines for text, k in zip(texts, orbit_of)
+                    if orbits[k] is not None]
 
         path = tmp_path / "cat.jsonl"
         entries = enumerate_origamis(5)
         catalog_write(path, entries[:40])
         catalog_write(path, entries[40:])
         for options in ({}, {"n": 5, "stratum_filter": "H(2)"}, {"reduced_only": True}):
-            rows = catalog._query_rows(path, **options)
-            assert rows
-            for fields, text in rows:
+            lines = catalog._query_rows(path, **options)
+            assert lines and all(any(orbits) for orbits, _, _ in lines)  # a line that keeps no orbit is dropped
+            assert rows(lines)
+            for fields, text in rows(lines):
                 assert catalog._orbit_fields(CatalogEntry(text, *fields)) == fields
                 assert type(fields) is tuple and list not in map(type, fields)  # cusp_widths a tuple
-        assert [CatalogEntry(text, *fields) for fields, text in catalog._query_rows(path)] == entries
+        assert [CatalogEntry(text, *fields) for fields, text in rows(catalog._query_rows(path))] == entries
 
     def test_idempotent_append(self, tmp_path):
         path = tmp_path / "cat.jsonl"
@@ -999,7 +1005,7 @@ class TestCLI:
         assert (code, err) == (0, "") and out.startswith("usage: origamis")
 
     def test_repeated_write_prints_only_its_json(self, tmp_path):
-        # the library warns for each duplicate key; the CLI counts them in "skipped"
+        # the library warns once a write that skips duplicate keys; the CLI counts them in "skipped"
         path = str(tmp_path / "c.jsonl")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

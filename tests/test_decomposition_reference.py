@@ -2,17 +2,31 @@
 
 `reference_horizontal_decomposition` (a union-find over rows) and
 `reference_period_lattice` (a spanning tree grown until it stops growing) are
-the previous package versions, kept verbatim. The package's results must equal
-them on every input, cylinder order and Hermite basis included.
+the previous package versions, kept verbatim but for their owner table, which
+they take from `square_vertex` below instead of the attribute of the same name
+that Origami no longer has. The package's results must equal them on every
+input, cylinder order and Hermite basis included.
 """
 
+import pytest
 from hypothesis import given
 
+from origamis.catalog import canonical_origamis
 from origamis.cylinders import Cylinder, horizontal_decomposition
 from origamis.intlattice import hermite_form
-from origamis.origami import Origami, period_lattice, vertex_cycles
+from origamis.origami import Origami, is_reduced, period_lattice, vertex_cycles
 from origamis.perm import Permutation, cycles
 from strategies import transitive_origamis
+
+
+def square_vertex(o: Origami) -> tuple[int, ...]:
+    """square_vertex(o)[s-1] = index into vertex_cycles(o) of the cycle
+    owning the bottom-left corner of s."""
+    owner = [0] * o.n
+    for idx, c in enumerate(vertex_cycles(o)):
+        for s in c:
+            owner[s - 1] = idx
+    return tuple(owner)
 
 
 def reference_horizontal_decomposition(o: Origami) -> list[Cylinder]:
@@ -29,7 +43,7 @@ def reference_horizontal_decomposition(o: Origami) -> list[Cylinder]:
         for s in r:
             row_of[s] = i
     vcycles = vertex_cycles(o)
-    owner = o.square_vertex
+    owner = square_vertex(o)
     singular = {s: len(vcycles[owner[s - 1]]) > 1 for s in range(1, o.n + 1)}
 
     parent = list(range(len(rows)))
@@ -69,7 +83,7 @@ def reference_period_lattice(o: Origami) -> list[tuple[int, int]]:
     of s to the corner of v(s)). Fundamental cycles of a spanning tree
     surject onto H₁ of the surface, so their holonomies generate the lattice.
     """
-    owner = o.square_vertex
+    owner = square_vertex(o)
     nverts = len(vertex_cycles(o))
     edges = []  # (from_vertex, to_vertex, (dx, dy))
     for s in range(1, o.n + 1):
@@ -111,10 +125,30 @@ def test_period_lattice_matches_the_grown_tree(o):
     assert period_lattice(o) == reference_period_lattice(o)
 
 
+def assert_lattices_match_the_grown_tree(n_values):
+    count = 0
+    for n in n_values:
+        for o in canonical_origamis(n):
+            want = reference_period_lattice(o)
+            assert period_lattice(o) == want, o
+            assert is_reduced(o) == (want == [(1, 0), (0, 1)]), o
+            count += 1
+    return count
+
+
+def test_period_lattice_matches_the_grown_tree_on_every_surface_up_to_six_squares():
+    assert assert_lattices_match_the_grown_tree(range(1, 7)) == 758  # 1 + 3 + 7 + 26 + 97 + 624
+
+
+@pytest.mark.slow
+def test_period_lattice_matches_the_grown_tree_on_every_seven_square_surface():
+    assert assert_lattices_match_the_grown_tree([7]) == 4163
+
+
 @given(origamis)
 def test_singular_corners_match_the_vertex_cycles(o):
     vcycles = vertex_cycles(o)
-    owner = o.square_vertex
+    owner = square_vertex(o)
     assert o.singular == tuple(len(vcycles[owner[s - 1]]) > 1 for s in range(1, o.n + 1))
 
 
