@@ -31,7 +31,7 @@ from functools import cached_property
 from ._record import record
 from .origami import Origami, _canonical_key, _horizontal_rows, _singular_corners, _tables, genus, is_reduced
 from .perm import Permutation, _cycles
-from .quadfield import exact_rational
+from .quadfield import _int_arg, exact_rational
 
 INFINITY = math.inf
 
@@ -115,7 +115,9 @@ def _column_word(a: int, c: int) -> tuple[str, ...]:
 
 def direction_to_horizontal(p: int, q: int) -> SL2ZWord:
     """A word whose matrix U satisfies U·(p,q)ᵀ = (1,0)ᵀ: Euclid on the
-    column (p, q)."""
+    column (p, q). p and q must be ints, not bools."""
+    _int_arg("p", p)
+    _int_arg("q", q)
     if (p, q) == (0, 0):
         raise ValueError("direction (0, 0)")
     if math.gcd(p, q) != 1:

@@ -15,13 +15,14 @@ vector (p, q); geometric length is then (elapsed time)·√(p²+q²).
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from fractions import Fraction
 
 from ._record import record
 from .cylinders import RadicalLength, decomposition_in_direction
 from .origami import Origami
-from .quadfield import QuadNum, _quad, _sign, in_one_field
+from .quadfield import QuadNum, _int_arg, _quad, _sign, in_one_field
 
 Scalar = Fraction | QuadNum
 
@@ -65,13 +66,6 @@ def _corner_square(o: Origami, sq: int, cx: int, cy: int) -> int:
     return o.v(sq) if cy else sq
 
 
-def _int_arg(name: str, v) -> int:
-    """v when it is an int and not a bool; anything else is a TypeError naming ``name``."""
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise TypeError(f"{name} must be an int, got {type(v).__name__} {v!r}")
-    return v
-
-
 def trace(
     o: Origami,
     start: FlowState,
@@ -91,9 +85,15 @@ def trace(
     denominators, every set-up test is a ``quadfield._sign`` of such an
     integer pair, and the loop runs on the integers U + V·√d = D²·u. A state
     is a square and a chord, which pins the point where the chord entered the
-    square. Times come from the wall counts m and j, each by one exact
-    division: the m-th vertical wall is reached at (m − x₀)/P and the j-th
-    horizontal one at (j − y₀)/Q. Only recorded events use field arithmetic.
+    square. Two states are kept, not one per crossing: the start, when it lies
+    on an entry wall, and the state after the first crossing; the first state
+    to recur is one of them. Times come from the wall counts m and j, each by
+    one exact division: the m-th vertical wall is reached at (m − x₀)/P and
+    the j-th horizontal one at (j − y₀)/Q. Only recorded events use field
+    arithmetic.
+
+    Cost: time O(max_crossings); memory O(1), or one event per crossing when
+    ``record_events`` is set.
     """
     sq = _int_arg("start.square", start.square)
     _int_arg("max_crossings", max_crossings)
@@ -153,8 +153,14 @@ def trace(
         elif not qs and cy is not None:
             grid_corner = (int(not right), cy)
     # every state after a crossing lies on an entry wall; the start is one
-    # of them only when it lies on the entry wall of a coordinate that moves
-    seen = {(sq, U, V): (0, 0)} if (ps and not (xa or xb)) or (qs and not (ya or yb)) else {}
+    # of them only when it lies on the entry wall of a coordinate that moves.
+    # The crossing map is injective on the states a crossing reaches, so when
+    # s_j = s_i with i ≥ 2, then s_{j−1} = s_{i−1} recurred first: the first
+    # state to recur is the start, when it is kept, or s_1, the state after the
+    # first crossing. These two are kept, U None standing for one not (yet) kept.
+    kept_start = (ps and not (xa or xb)) or (qs and not (ya or yb))
+    sq0, U0, V0 = (sq, U, V) if kept_start else (0, None, 0)
+    sq1, U1, V1 = 0, None, 0
     m = j = 0  # vertical and horizontal walls crossed; a corner is both
 
     def time(s):  # of the crossing just made, whose sign test gave s
@@ -196,12 +202,16 @@ def trace(
             ex = zero if s <= 0 else X + P * t - m
             ey = zero if s >= 0 else Y + Q * t - j
             events.append((t, sq, ex if p >= 0 else one - ex, ey if q >= 0 else one - ey))
-        state = (sq, U, V)
-        if state in seen:
-            m0, j0 = seen[state]
-            period = ratio((m - m0) * D, 0, pa, pb) if s <= 0 else ratio((j - j0) * D, 0, qa, qb)
-            return TraceResult(True, False, crossing, time(s), period, radicand, tuple(events))
-        seen[state] = (m, j)
+        if U == U1 and V == V1 and sq == sq1:
+            m0, j0 = m1, j1
+        elif U == U0 and V == V0 and sq == sq0:
+            m0 = j0 = 0
+        else:
+            if U1 is None:
+                sq1, U1, V1, m1, j1 = sq, U, V, m, j
+            continue
+        period = ratio((m - m0) * D, 0, pa, pb) if s <= 0 else ratio((j - j0) * D, 0, qa, qb)
+        return TraceResult(True, False, crossing, time(s), period, radicand, tuple(events))
     return TraceResult(False, False, max_crossings, time(s), None, radicand, tuple(events))
 
 
@@ -268,12 +278,17 @@ def discrepancy(o: Origami, slope: float, crossings: int, grid: int) -> float:
     min(crossings, 2n(grid+1)²) segment walks of about
     grid·(1 + min(|slope|, 1/|slope|)) cells each. Memory: n·grid² cell times
     and a count and an offset sum for each of at most 2n(grid+1)² buckets.
-    n·grid² above MAX_CELLS is a ValueError.
+    n·grid² above MAX_CELLS is a ValueError. ``slope`` is an int, a float, a
+    Fraction or a QuadNum, read once as a float; a bool or anything else is
+    a TypeError.
 
     Floating point on purpose: this is a statistic, not a certificate.
     """
     _int_arg("crossings", crossings)
     _int_arg("grid", grid)
+    if isinstance(slope, bool) or not isinstance(slope, (numbers.Real, QuadNum)):
+        raise TypeError(f"slope must be a real number, got {type(slope).__name__} {slope!r}")
+    slope = float(slope)  # once, so the loop bisects floats into float breakpoints
     if crossings < 1 or grid < 1:
         raise ValueError("need crossings >= 1 and grid >= 1")
     if not math.isfinite(slope):

@@ -298,6 +298,13 @@ def exact_rational(x) -> Fraction:
     raise TypeError(f"expected an exact rational (int or Fraction), got {type(x).__name__} {x!r}")
 
 
+def _int_arg(name: str, v) -> int:
+    """v when it is an int and not a bool; anything else is a TypeError naming ``name``."""
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise TypeError(f"{name} must be an int, got {type(v).__name__} {v!r}")
+    return v
+
+
 def in_one_field(*values, rational_d: int | None = None) -> tuple:
     """``values`` (ints, Fractions or QuadNums) placed in one field.
 

@@ -4,8 +4,11 @@ Every public function or constructor that takes exact scalars accepts ints,
 Fractions and QuadNums only: a float, a bool, a string or a Decimal is a
 TypeError naming its type, never a value read off its binary expansion.
 Values from two quadratic fields are a ValueError at the call, naming both.
-The flow's counts (a start square, a crossing bound, a grid) take ints only:
-anything else, a bool included, is a TypeError naming the argument.
+The flow's counts (a start square, a crossing bound, a grid) and the
+components p and q of a rational direction take ints only: anything else, a
+bool included, is a TypeError naming the argument. `discrepancy`'s slope is
+a real number read once as a float; a bool, a string or a Decimal is a
+TypeError naming it.
 """
 
 import re
@@ -18,14 +21,16 @@ from origamis.action import (
     SL2ZWord,
     T_WORD,
     act_point,
+    direction_to_horizontal,
     geodesic_endpoints,
     horocycle_data,
+    slope_cusp,
     torus_point,
     transport_direction,
     transport_point,
 )
-from origamis.cylinders import QuadCylinder, RadicalLength
-from origamis.flow import FlowState, ShearedSt3, discrepancy, sheared_st3_return, trace
+from origamis.cylinders import QuadCylinder, RadicalLength, decomposition_in_direction
+from origamis.flow import FlowState, ShearedSt3, direction_is_periodic, discrepancy, sheared_st3_return, trace
 from origamis.intlattice import hermite_form, rational_hermite_form
 from origamis.lshape import LSurface, twist_powers
 from origamis.origami import Origami
@@ -83,6 +88,8 @@ INT_ARGS = {
     "max_crossings": lambda k: trace(ST3, FlowState(1, (F(1, 3), F(1, 5)), (1, 2)), k),
     "crossings": lambda k: discrepancy(ST3, 1.618, k, 10),
     "grid": lambda k: discrepancy(ST3, 1.618, 10, k),
+    "p": lambda k: direction_is_periodic(ST3, k, 1),
+    "q": lambda k: direction_is_periodic(ST3, 1, k),
 }
 
 BAD_INTS = [2.0, True, F(2), "2", Decimal(2)]
@@ -110,6 +117,39 @@ def test_flow_counts_are_checked_before_any_work():
         discrepancy(ST3, float("nan"), True, 10**9)
     with pytest.raises(TypeError, match="grid"):
         discrepancy(ST3, 1.618, 10**12, True)
+
+
+DIRECTION_TAKERS = {
+    "direction_to_horizontal": lambda p, q: direction_to_horizontal(p, q),
+    "decomposition_in_direction": lambda p, q: decomposition_in_direction(ST3, p, q),
+    "direction_is_periodic": lambda p, q: direction_is_periodic(ST3, p, q),
+    "slope_cusp": lambda p, q: slope_cusp(ST3, p, q),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIRECTION_TAKERS))
+def test_direction_components_take_ints_only(name):
+    # (True, 0) once passed as the direction (1, 0) and was recorded as
+    # (True, False); a float or a Fraction failed in math.gcd without a name
+    call = DIRECTION_TAKERS[name]
+    with pytest.raises(TypeError, match=r"^p must be an int, got bool True$"):
+        call(True, 0)
+    with pytest.raises(TypeError, match=r"^q must be an int, got float 1\.0$"):
+        call(1, 1.0)
+    with pytest.raises(TypeError, match=r"^p must be an int, got Fraction "):
+        call(F(1), 2)
+    assert call(1, 0) is not None
+
+
+@pytest.mark.parametrize("bad", [True, False, "1.618", Decimal("1.618"), None], ids=repr)
+def test_discrepancy_slope_is_a_real_number(bad):
+    with pytest.raises(TypeError, match=rf"^slope must be a real number, got {type(bad).__name__} "):
+        discrepancy(ST3, bad, 10, 3)
+
+
+@pytest.mark.parametrize("slope", [2, -3, F(1, 3), F(-7, 5), (1 + RT5) / 2])
+def test_discrepancy_reads_an_exact_slope_as_its_float(slope):
+    assert discrepancy(ST3, slope, 2000, 7) == discrepancy(ST3, float(slope), 2000, 7)
 
 
 @pytest.mark.parametrize("bad", [0, -3, F(-1, 2)], ids=str)

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -75,6 +76,26 @@ class TestTrace:
     def test_negative_direction(self):
         r = trace(st3(), FlowState(1, (F(1, 2), F(1)), (F(0), F(-1))))
         assert r.periodic and r.period_time == 2
+
+    @pytest.mark.parametrize(
+        "o, start",
+        [
+            (st3(), FlowState(1, (F(1, 3), F(2, 7)), (F(1), QuadNum(0, 1, 5)))),
+            (torus(), FlowState(1, (F(1, 3), F(2, 7)), (F(999999), F(1000000)))),
+        ],
+        ids=["quadratic St(3)", "torus (999999, 1000000)"],
+    )
+    def test_a_long_trace_keeps_constant_memory(self, o, start):
+        # two states are kept, not one per crossing: a trace that keeps every
+        # state peaks at 23-26 MB on these
+        tracemalloc.start()
+        try:
+            r = trace(o, start, 100_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (r.periodic, r.singular, r.crossings) == (False, False, 100_000)
+        assert peak < 64 * 1024, f"peak {peak} bytes"
 
     def test_diagonal_steps_match_the_four_way_reference(self):
         # from a square centre, a diagonal direction passes through a corner at

@@ -9,7 +9,11 @@ events, time types and field included, on every input, and raise the same
 error where it raises. The strategies cover generic starts, axis directions,
 directions through lattice corners, and starts on a wall (the one the flow
 enters by or the one it leaves by), with axis directions along a grid line;
-one test follows a quadratic direction for 2 000 recorded crossings.
+one test follows a quadratic direction for 2 000 recorded crossings. The
+reference keeps every state in a dict, and `trace` keeps two: the start,
+when it lies on an entry wall, and the state after the first crossing.
+Explicit examples pin both ways an orbit can close, and a rational orbit
+whose period is over 2 000 crossings.
 `_coerce_scalars` is the flow module's scalar coercion of the reference's
 version, kept verbatim with it so that the reference loop is whole.
 """
@@ -22,7 +26,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from origamis.flow import FlowState, TraceResult, _corner_square, trace
-from origamis.origami import Origami
+from origamis.origami import Origami, st3, torus
 from origamis.perm import Permutation
 from origamis.quadfield import QuadNum
 from strategies import transitive_origamis
@@ -323,3 +327,31 @@ def test_long_quadratic_orbit_matches_the_reference_event_by_event():
         got = trace(o, start, 2000, record_events=True)
         assert repr(got) == repr(reference_trace(o, start, 2000, record_events=True))
         assert (got.periodic, got.singular, got.crossings, len(got.events)) == (False, False, 2000, 2000)
+
+
+def test_a_corner_start_closes_on_the_state_after_the_first_crossing():
+    # (0, 0) in direction (1, −1) lies on the wall y = 0 the flow leaves by, so
+    # its state never recurs; the orbit closes on the first crossing's state
+    start = FlowState(1, (F(0), F(0)), (F(1), F(-1)))
+    got = trace(torus(), start, 2, record_events=True)
+    assert repr(got) == repr(reference_trace(torus(), start, 2, record_events=True))
+    assert (got.periodic, got.crossings, got.period_time) == (True, 2, 1)
+
+
+def test_a_start_on_an_entry_wall_closes_on_itself():
+    # from the left wall of square 2 of St(3), the direction (2, 3) is back at
+    # its start after 5 crossings, one time unit: the period is the whole time
+    start = FlowState(2, (F(0), F(2, 7)), (F(2), F(3)))
+    got = trace(st3(), start, 100, record_events=True)
+    assert repr(got) == repr(reference_trace(st3(), start, 100, record_events=True))
+    assert (got.periodic, got.crossings) == (True, 5)
+    assert got.period_time == got.total_time == 1
+
+
+def test_a_long_rational_orbit_matches_the_reference_event_by_event():
+    # the direction (401, −333) on five squares closes after 2 203 crossings
+    o = Origami(Permutation((2, 3, 4, 5, 1)), Permutation((1, 3, 2, 5, 4)))
+    start = FlowState(2, (F(1, 3), F(2, 7)), (F(401), F(-333)))
+    got = trace(o, start, 3000, record_events=True)
+    assert repr(got) == repr(reference_trace(o, start, 3000, record_events=True))
+    assert (got.periodic, got.singular, got.crossings, got.period_time) == (True, False, 2203, 3)
