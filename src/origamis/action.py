@@ -29,9 +29,9 @@ from fractions import Fraction
 from functools import cached_property
 
 from ._record import record
+from .intlattice import _int_arg, exact_rational
 from .origami import Origami, _canonical_key, _horizontal_rows, _singular_corners, _tables, genus, is_reduced
 from .perm import Permutation, _cycles
-from .quadfield import _int_arg, exact_rational
 
 INFINITY = math.inf
 

@@ -17,9 +17,8 @@ import sys
 import warnings
 from fractions import Fraction
 
-# cylinders, flow, lshape and quadfield are imported by the handlers that use
-# them, so that info, orbit, enumerate and catalog do not pay for loading them
-from . import catalog as cat
+# catalog, cylinders, flow, lshape and quadfield are imported by the handlers
+# that use them, so that no subcommand pays for loading what it does not run
 from .action import orbit
 from .origami import genus, is_reduced, parse_origami, stratum, stratum_dim_abelian, stratum_dim_quadratic
 
@@ -152,16 +151,20 @@ def _cmd_lshape(args) -> None:
 
 
 def _cmd_enumerate(args) -> None:
+    from . import catalog as cat
+
     entries = cat.enumerate_origamis(
         args.n,
         stratum_filter=args.stratum,
         reduced_only=args.reduced,
-        bound=args.bound,
+        bound=getattr(args, "bound", cat.DEFAULT_BOUND),
     )
     print(cat._entries_json([cat._columns(entries)]))
 
 
 def _cmd_catalog_write(args) -> None:
+    from . import catalog as cat
+
     entries = cat.enumerate_origamis(args.n, stratum_filter=args.stratum, reduced_only=args.reduced)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # "skipped" counts the duplicate keys; stderr is for the one-line error
@@ -170,6 +173,8 @@ def _cmd_catalog_write(args) -> None:
 
 
 def _cmd_catalog_query(args) -> None:
+    from . import catalog as cat
+
     print(cat._entries_json(cat._query_rows(args.path, args.n, args.stratum, args.orbit_id, args.reduced)))
 
 
@@ -228,7 +233,8 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--stratum", default=None, help="filter, e.g. 'H(2)'")
     p.add_argument("--reduced", action="store_true", help="keep only primitive (reduced) origamis")
-    p.add_argument("--bound", type=int, default=cat.DEFAULT_BOUND)
+    # absent unless given, and then catalog.DEFAULT_BOUND: every subcommand builds this parser
+    p.add_argument("--bound", type=int, default=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("catalog", help="write/query the JSONL catalog")

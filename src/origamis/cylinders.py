@@ -15,8 +15,9 @@ from functools import cached_property
 
 from ._record import record
 from .action import SL2ZWord, apply_word, direction_to_horizontal
+from .intlattice import exact_rational
 from .origami import Origami, _horizontal_rows
-from .quadfield import QuadNum, _square_part, exact_rational, in_one_field
+from .quadfield import QuadNum, _square_part, in_one_field
 
 
 @record

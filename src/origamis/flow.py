@@ -21,8 +21,9 @@ from fractions import Fraction
 
 from ._record import record
 from .cylinders import RadicalLength, decomposition_in_direction
+from .intlattice import _int_arg
 from .origami import Origami
-from .quadfield import QuadNum, _int_arg, _quad, _sign, in_one_field
+from .quadfield import QuadNum, _quad, _sign, in_one_field
 
 Scalar = Fraction | QuadNum
 

@@ -1,15 +1,36 @@
-"""Small integer lattices via Hermite normal form.
+"""The integer and rational layer: the package's int and rational argument
+checks, and small integer lattices via Hermite normal form.
 
-Row-style HNF by Euclidean elimination; fine for the handful of columns
-(2 for period lattices of origamis, 4 for L-shape lattices over Q[√d])
-this package ever sees.
+``exact_rational`` (an int or a Fraction, as a Fraction) and ``_int_arg`` (an
+int) are the checks the package's entry points take their scalars through.
+``quadfield`` builds on them, so this module imports nothing of the package
+and a caller of the checks alone loads no Q[√d] arithmetic. The HNF is
+row-style, by Euclidean elimination; fine for the handful of columns (2 for
+period lattices of origamis, 4 for L-shape lattices over Q[√d]) this package
+ever sees.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
 
-from .quadfield import exact_rational
+
+def exact_rational(x) -> Fraction:
+    """x as a Fraction, when it is an exact rational: an int or a Fraction,
+    never a bool (the rule ``quadfield._coerce`` applies to arithmetic operands)."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return Fraction(x)
+    raise TypeError(f"expected an exact rational (int or Fraction), got {type(x).__name__} {x!r}")
+
+
+def _int_arg(name: str, v) -> int:
+    """v when it is an int and not a bool; anything else is a TypeError naming ``name``."""
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise TypeError(f"{name} must be an int, got {type(v).__name__} {v!r}")
+    return v
 
 
 def hermite_form(rows) -> list[tuple[int, ...]]:

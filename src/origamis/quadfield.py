@@ -14,9 +14,9 @@ their coefficients are already Fractions and their d comes from a checked
 operand.
 
 The package's public constructors and its flow, L-shape and hyperbolic
-entry points take their exact scalars through ``exact_rational`` (one
-rational) or ``in_one_field`` (several values that share a field); anything
-but an int, a Fraction or a QuadNum is a TypeError.
+entry points take their exact scalars through ``intlattice.exact_rational``
+(one rational) or ``in_one_field`` (several values that share a field);
+anything but an int, a Fraction or a QuadNum is a TypeError.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from ._record import record
+from .intlattice import exact_rational
 
 
 def _square_part(d: int) -> int:
@@ -286,23 +287,6 @@ def _coerce(x, d: int):
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return _quad(Fraction(x), _ZERO, d)
     return NotImplemented
-
-
-def exact_rational(x) -> Fraction:
-    """x as a Fraction, when it is an exact rational: an int or a Fraction,
-    never a bool (the rule ``_coerce`` applies to arithmetic operands)."""
-    if type(x) is Fraction:
-        return x
-    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
-        return Fraction(x)
-    raise TypeError(f"expected an exact rational (int or Fraction), got {type(x).__name__} {x!r}")
-
-
-def _int_arg(name: str, v) -> int:
-    """v when it is an int and not a bool; anything else is a TypeError naming ``name``."""
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise TypeError(f"{name} must be an int, got {type(v).__name__} {v!r}")
-    return v
 
 
 def in_one_field(*values, rational_d: int | None = None) -> tuple:

@@ -23,6 +23,7 @@ from origamis.action import (
     word_for_matrix,
 )
 from origamis.cylinders import _horizontal_cylinders
+from origamis.intlattice import exact_rational
 from origamis.origami import (
     Origami,
     _singular_corners,
@@ -35,7 +36,6 @@ from origamis.origami import (
     torus,
 )
 from origamis.perm import Permutation, compose
-from origamis.quadfield import exact_rational
 from strategies import transitive_origamis
 
 _INVERSE_LETTER = {"T": "T^-1", "T^-1": "T", "S": "S^-1", "S^-1": "S"}

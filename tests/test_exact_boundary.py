@@ -31,11 +31,11 @@ from origamis.action import (
 )
 from origamis.cylinders import QuadCylinder, RadicalLength, decomposition_in_direction
 from origamis.flow import FlowState, ShearedSt3, direction_is_periodic, discrepancy, sheared_st3_return, trace
-from origamis.intlattice import hermite_form, rational_hermite_form
+from origamis.intlattice import exact_rational, hermite_form, rational_hermite_form
 from origamis.lshape import LSurface, twist_powers
 from origamis.origami import Origami
 from origamis.perm import Permutation
-from origamis.quadfield import QuadMatrix, QuadNum, exact_rational
+from origamis.quadfield import QuadMatrix, QuadNum
 
 ST3 = Origami(Permutation((2, 1, 3)), Permutation((3, 2, 1)))
 RT2 = QuadNum.sqrt(2)

@@ -17,9 +17,9 @@ from origamis.lshape import (
     veech_generators,
     vertical_cylinders,
 )
-from origamis.intlattice import hermite_form, rational_hermite_form
+from origamis.intlattice import exact_rational, hermite_form, rational_hermite_form
 from origamis.origami import Stratum, vertex_cycles
-from origamis.quadfield import MAX_D, QuadNum, exact_rational, minimal_poly_degree
+from origamis.quadfield import MAX_D, QuadNum, minimal_poly_degree
 
 DS = (2, 3, 5, 7, 13)
 

@@ -81,8 +81,28 @@ def test_import_loads_no_submodule():
 
 def test_orbit_loads_only_what_it_uses():
     loaded = fresh(f"import sys, origamis\norigamis.orbit(origamis.st3())\n{LOADED}")
-    # the cusps count their cylinders by origami._horizontal_rows, so no cylinders
-    assert loaded == ["_record", "action", "intlattice", "origami", "perm", "quadfield"]
+    # the cusps count their cylinders by origami._horizontal_rows, so no cylinders;
+    # the exact-scalar checks live in intlattice, so no quadfield
+    assert loaded == ["_record", "action", "intlattice", "origami", "perm"]
+
+
+def test_the_census_and_the_catalog_load_no_quadfield(tmp_path):
+    code = f"""
+        import sys
+        from origamis import catalog_query, catalog_write, enumerate_origamis
+        path = sys.argv[1]
+        catalog_write(path, enumerate_origamis(5))
+        assert catalog_query(path, n=5)
+        {LOADED}
+        """
+    loaded = fresh(code, str(tmp_path / "catalog.jsonl"))
+    assert loaded == ["_record", "action", "catalog", "intlattice", "origami", "perm"]
+
+
+def test_intlattice_loads_no_quadfield():
+    # the exact-scalar checks live in intlattice, and quadfield imports them
+    # from there, never the other way round
+    assert fresh(f"import sys\nimport origamis.intlattice\n{LOADED}") == ["intlattice"]
 
 
 def test_action_imports_no_cylinders():
@@ -109,6 +129,25 @@ def test_cli_subcommands_that_need_neither_flow_nor_lshape_load_neither(tmp_path
     loaded = fresh(code, str(tmp_path / "catalog.jsonl"))
     assert "catalog" in loaded
     assert not {"flow", "lshape"} & set(loaded)
+
+
+def test_cli_subcommands_that_need_no_catalog_load_neither_catalog_nor_quadfield():
+    code = f"""
+        import contextlib, io, sys
+        from origamis import cli
+        runs = (
+            ["info", "3; h=(1,2,3); v=(1,2)"],
+            ["orbit", "3; h=(1,2,3); v=(1,2)"],
+            ["strata-dim", "--abelian", "2"],
+        )
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.main(argv) for argv in runs]
+        assert codes == [0] * len(runs), codes
+        {LOADED}
+        """
+    loaded = fresh(code)
+    assert "cli" in loaded
+    assert not {"catalog", "quadfield"} & set(loaded)
 
 
 @pytest.mark.parametrize("module", MODULES)
