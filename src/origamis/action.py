@@ -404,10 +404,8 @@ def geodesic_endpoints(A):
     the diagonal flow applied to A; a zero denominator gives the point ∞."""
     (a, b), (c, d) = A
     a, b, c, d = map(exact_rational, (a, b, c, d))
-    if a * d - b * c <= 0:
+    if a * d - b * c <= 0:  # also when the first column is zero
         raise ValueError("need det A > 0")
-    if a == 0 and c == 0:
-        raise ValueError("zero first column")
     first = b / a if a != 0 else INFINITY
     second = d / c if c != 0 else INFINITY
     return first, second

@@ -35,6 +35,7 @@ from operator import attrgetter, eq, itemgetter
 
 from ._record import record
 from .action import orbit
+from .intlattice import _int_arg
 from .origami import Origami, Stratum, _canonical_key, _pair_text, _tables, stratum
 from .perm import Permutation, _cycle_text
 
@@ -308,7 +309,7 @@ def enumerate_origamis(
     or drop whole orbits. Only the seed is built as an Origami; the texts
     come from the keys, each image tuple's cycles formatted once a call
     (n ≤ 7 meets 1 001 tuples in 9 842 places)."""
-    if not 1 <= n <= bound:
+    if not 1 <= _int_arg("n", n) <= _int_arg("bound", bound):
         raise ValueError(f"n must lie in 1..{bound}, got {n}")
     if isinstance(stratum_filter, str):
         stratum_filter = Stratum.parse(stratum_filter)

@@ -44,10 +44,11 @@ def _parse_dir(text: str) -> tuple[int, int]:
 
 
 def _parse_start(text: str):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"bad start {text!r}, expected sq:x:y")
-    return int(parts[0]), Fraction(parts[1]), Fraction(parts[2])
+    try:
+        sq, x, y = text.split(":")
+        return int(sq), Fraction(x), Fraction(y)
+    except (ValueError, ZeroDivisionError):  # a zero denominator too
+        raise ValueError(f"bad start {text!r}, expected sq:x:y") from None
 
 
 def _emit(obj) -> None:
@@ -181,7 +182,10 @@ def _cmd_catalog_query(args) -> None:
 def _cmd_strata_dim(args) -> None:
     abelian = args.orders_abelian is not None
     text = args.orders_abelian if abelian else args.orders_quadratic
-    orders = [int(t) for t in text.split(",")] if text else []
+    try:
+        orders = [int(t) for t in text.split(",")] if text else []
+    except ValueError:
+        raise ValueError(f"bad orders {text!r}, expected k1,k2,...") from None
     total = sum(orders)
     if abelian:
         if total % 2:

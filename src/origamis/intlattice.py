@@ -38,14 +38,10 @@ def hermite_form(rows) -> list[tuple[int, ...]]:
 
     Pivots are positive, entries above a pivot are reduced into [0, pivot),
     zero rows dropped. Two generating sets span the same lattice iff their
-    Hermite forms are equal. Entries must be ints (not bools): anything else
-    is a TypeError naming its type, never a truncated value.
+    Hermite forms are equal. Entries must be ints (see _int_arg): anything
+    else is a TypeError naming its type, never a truncated value.
     """
-    mat = [list(r) for r in rows]
-    for r in mat:
-        for x in r:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise TypeError(f"expected an int entry, got {type(x).__name__} {x!r}")
+    mat = [[_int_arg("entry", x) for x in r] for r in rows]
     mat = [r for r in mat if any(r)]
     if not mat:
         return []

@@ -20,7 +20,7 @@ from functools import cached_property
 
 from ._record import record
 from .cylinders import QuadCylinder
-from .intlattice import rational_hermite_form
+from .intlattice import _int_arg, rational_hermite_form
 from .origami import Origami, Stratum, parse_origami, stratum
 from .quadfield import MAX_D, QuadMatrix, QuadNum, _quad, _square_part, in_one_field, minimal_poly_degree
 
@@ -43,7 +43,7 @@ class LSurface:
     def from_discriminant(d: int, shift=0) -> "LSurface":
         """The surface L(a,1) with a = (1+√d)/2; square d gives the rational,
         parallelogram-tiled members of the family."""
-        if not 2 <= d <= MAX_D:
+        if not 2 <= _int_arg("d", d) <= MAX_D:
             raise ValueError(f"need 2 <= d <= {MAX_D}, got {d}")
         s = _square_part(d)
         core = d // (s * s)  # squarefree, since s² is the largest square dividing d
@@ -66,17 +66,16 @@ class LSurface:
 def horizontal_cylinders(L: LSurface) -> list[QuadCylinder]:
     """Bottom cylinder a wide and 1 tall, top cylinder 1 wide and a-1 tall;
     the shift slides the top cylinder without changing either."""
-    one = L.a - L.a + 1  # in a's field, whose d is checked already
-    return [QuadCylinder(L.a, one), QuadCylinder(one, L.a - 1)]
+    return [QuadCylinder(L.a, 1), QuadCylinder(1, L.a - 1)]
 
 
 def vertical_cylinders(L: LSurface) -> list[QuadCylinder]:
     """For the unshifted surface the picture is diagonal-symmetric: vertical
-    lines over [0,1] close up after 1 + (a-1) = a, those over [1,a] after 1."""
+    lines over [0,1] close up after 1 + (a-1) = a, those over [1,a] after 1,
+    so these are the horizontal cylinders."""
     if L.shift != 0:
         raise ValueError("vertical cylinders are only computed for the unshifted surface")
-    one = L.a - L.a + 1
-    return [QuadCylinder(one + (L.a - 1), one), QuadCylinder(one, L.a - 1)]
+    return horizontal_cylinders(L)
 
 
 def twist_powers(L: LSurface, t) -> tuple[int, int] | None:
@@ -104,12 +103,7 @@ def veech_generators(L: LSurface) -> tuple[QuadMatrix, QuadMatrix]:
         raise ValueError(f"a = {L.a} is not of the form (1+sqrt(d))/2")
     t = 4 * L.a
     assert twist_powers(L, t) == (4, L.discriminant - 1)
-    zero = L.a - L.a
-    one = zero + 1
-    return (
-        QuadMatrix(one, t, zero, one),
-        QuadMatrix(one, zero, t, one),
-    )
+    return QuadMatrix(1, t, 0, 1), QuadMatrix(1, 0, t, 1)
 
 
 @record

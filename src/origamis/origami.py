@@ -16,7 +16,7 @@ import random
 from functools import cached_property
 
 from ._record import record
-from .intlattice import hermite_form
+from .intlattice import _int_arg, hermite_form
 from .perm import Permutation, _cycle_text, _cycles, compose, conjugate, cycles, is_transitive
 
 
@@ -31,7 +31,7 @@ class Stratum:
     orders: tuple[int, ...]
 
     def __init__(self, orders=()):
-        orders = tuple(sorted((k for k in orders if k != 0), reverse=True))
+        orders = tuple(sorted((k for k in orders if _int_arg("order", k)), reverse=True))  # zeros drop out
         if any(k < 0 for k in orders):
             raise ValueError(f"negative cone order in {orders}")
         if sum(orders) % 2:
@@ -162,11 +162,11 @@ def stratum_dim_abelian(orders, g: int) -> int:
     """Complex dimension 2g + n - 1 of an abelian stratum, with H(0) counted
     as one marked regular point (n = 1). Orders are ≥ 0: an abelian
     differential has no poles, and 0 is a marked point."""
-    orders = [k for k in orders if k != 0]
+    orders = [k for k in orders if _int_arg("order", k)]  # zeros drop out
     if any(k < 0 for k in orders):
         raise ValueError(f"abelian orders must be >= 0, got {orders}")
     n = len(orders) if orders else 1
-    if sum(orders) != 2 * g - 2:
+    if sum(orders) != 2 * _int_arg("g", g) - 2:
         raise ValueError(f"orders {orders} do not sum to 2g-2 = {2 * g - 2}")
     return 2 * g + n - 1
 
@@ -177,10 +177,10 @@ def stratum_dim_quadratic(orders, g: int) -> int:
     half-turn, and is then determined by the others). Poles are simple:
     orders are ≥ -1. Q(∅) and Q(1,-1) in genus 1 and Q(4) and Q(3,1) in
     genus 2 are empty (Masur–Smillie, 1993), with or without marked points."""
-    orders = list(orders)
+    orders = [_int_arg("order", k) for k in orders]
     if any(k < -1 for k in orders):
         raise ValueError(f"quadratic orders must be >= -1, got {orders}")
-    if sum(orders) != 4 * g - 4:
+    if sum(orders) != 4 * _int_arg("g", g) - 4:
         raise ValueError(f"orders {orders} do not sum to 4g-4 = {4 * g - 4}")
     if sorted(k for k in orders if k != 0) in ([], [-1, 1], [4], [1, 3]):
         raise ValueError(f"the quadratic stratum with orders {orders} is empty")
@@ -264,39 +264,32 @@ def _canonical_key(h, hinv, v, vinv, minus_id: bool = False, bfs_labelled: bool 
     where all its roots fall behind it.
 
     bfs_labelled promises that (h, v) is labelled by this BFS from square 1,
-    so that root's key is the input itself: it is the known key from the
-    start and root 1 is skipped. The other roots race the input alone, so
-    they run one at a time, in root order, each as a lone root, and the
-    search returns the key of the first one that beats it, cut at the entry
-    where it does (an h-key prefix and an empty v-key, or a whole key when
-    the h-keys tie). Only the roots of square 1's class or a lesser one
-    start: the others lose to the input by entry 1. The result equals the
-    image tuples of (h, v) exactly when the input is its canonical key, and
-    is less otherwise: the census's test of orderly generation.
+    and that square 1 lies in an h-cycle of least class, as every pair the
+    census builds does: root 1 is then one of the roots that start, and its
+    key is the input itself. The input is the known key from the start and
+    root 1 is skipped. The other roots race the input alone, so they run one
+    at a time, in root order, each as a lone root, and the search returns
+    the key of the first one that beats it, cut at the entry where it does
+    (an h-key prefix and an empty v-key, or a whole key when the h-keys
+    tie). The result equals the image tuples of (h, v) exactly when the
+    input is its canonical key, and is less otherwise: the census's test of
+    orderly generation.
     """
     n = len(h) - 1
     names = tuple(range(1, n + 1))  # labels, one int object each, shared by all roots
     squares = range(1, n + 1)
     orientations = ((h, hinv, v, vinv), (hinv, h, vinv, v))
-    if bfs_labelled:  # the roots of square 1's class or a lesser one, in root order
-        if h[1] == 1:
-            start = [r for r in squares if h[r] == r]
-        elif h[h[1]] == 1:
-            start = [r for r in squares if h[h[r]] == r]
-        elif h[h[h[1]]] == 1:
-            start = [r for r in squares if h[h[h[r]]] == r or h[h[r]] == r]
-        else:
-            start = squares
-        roots = start[1:]  # root 1 of (h, v) gives the input
+    start = (  # the roots of the least class
+        [r for r in squares if h[r] == r]
+        or [r for r in squares if h[h[r]] == r]
+        or [r for r in squares if h[h[h[r]]] == r]
+        or squares
+    )
+    if bfs_labelled:
+        roots = [r for r in start if r != 1]  # root 1 of (h, v) gives the input
         best_h, best_v = list(h[1:]), list(v[1:])  # copies: the key keeps no reference to the input
         step = 1
-    else:  # the roots of the least class
-        start = (
-            [r for r in squares if h[r] == r]
-            or [r for r in squares if h[h[r]] == r]
-            or [r for r in squares if h[h[h[r]]] == r]
-            or squares
-        )
+    else:
         roots = start
         best_h = best_v = None
         step = _LIVE_ROOTS

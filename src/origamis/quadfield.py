@@ -6,7 +6,11 @@ is exact. No floating point enters this module.
 
 Pure rationals are QuadNums with b = 0; they compare equal and combine across
 different d, which keeps mixed expressions like ``QuadNum.sqrt(5) + 1`` legal,
-and hash like the Fraction they equal.
+and hash like the Fraction they equal. Every binary operation and comparison
+takes its operand through ``_operand``: an int or a Fraction joins self's
+field, a QuadNum is kept, and anything else is NotImplemented, which Python
+turns into a TypeError (into False for ==). The radicand d and an exponent
+are ints (``intlattice._int_arg``).
 
 The public constructor ``QuadNum(a, b, d)`` normalises a and b and checks d.
 Field operations build their results with ``_quad``, which checks nothing:
@@ -25,9 +29,10 @@ import math
 import re
 from collections import namedtuple
 from fractions import Fraction
+from operator import ge, gt, le, lt
 
 from ._record import record
-from .intlattice import exact_rational
+from .intlattice import _int_arg, exact_rational
 
 
 def _square_part(d: int) -> int:
@@ -57,9 +62,7 @@ MAX_D = 10**18
 
 
 def _check_d(d: int) -> int:
-    if not isinstance(d, int) or isinstance(d, bool):
-        raise TypeError(f"d must be an int, got {d!r}")
-    if not 2 <= d <= MAX_D:
+    if not 2 <= _int_arg("d", d) <= MAX_D:
         raise ValueError(f"d must satisfy 2 <= d <= {MAX_D}, got {d}")
     s = _square_part(d)
     if s != 1:
@@ -68,6 +71,25 @@ def _check_d(d: int) -> int:
             f"use d={d // (s * s)} and fold the factor {s} into b"
         )
     return d
+
+
+def _operand(method):
+    """The binary method that runs on the operand as a QuadNum in self's
+    field (see _coerce), and returns NotImplemented for any other operand."""
+
+    def coerced(self, other):
+        other = _coerce(other, self.d)
+        if other is NotImplemented:
+            return NotImplemented
+        return method(self, other)
+
+    return coerced
+
+
+def _comparison(holds):
+    """The order method that says whether holds(sign of self - other, 0),
+    without building the difference."""
+    return _operand(lambda self, other: holds(_sign(self.a - other.a, self.b - other.b, self._common_d(other)), 0))
 
 
 @record
@@ -99,10 +121,8 @@ class QuadNum:
     def conjugate(self) -> "QuadNum":
         return _quad(self.a, -self.b, self.d)
 
+    @_operand
     def __eq__(self, other) -> bool:
-        other = _coerce(other, self.d)
-        if other is NotImplemented:
-            return NotImplemented
         # rationals are equal across fields
         return self.a == other.a and self.b == other.b and (not self.b or self.d == other.d)
 
@@ -110,28 +130,7 @@ class QuadNum:
         # a rational equals its Fraction in every field, so it hashes like it
         return hash((self.a, self.b, self.d)) if self.b else hash(self.a)
 
-    def _cmp(self, other) -> int:
-        """Sign of self - other, without building the difference."""
-        other = _coerce(other, self.d)
-        if other is NotImplemented:
-            return NotImplemented
-        return _sign(self.a - other.a, self.b - other.b, self._common_d(other))
-
-    def __lt__(self, other):
-        s = self._cmp(other)
-        return s if s is NotImplemented else s < 0
-
-    def __le__(self, other):
-        s = self._cmp(other)
-        return s if s is NotImplemented else s <= 0
-
-    def __gt__(self, other):
-        s = self._cmp(other)
-        return s if s is NotImplemented else s > 0
-
-    def __ge__(self, other):
-        s = self._cmp(other)
-        return s if s is NotImplemented else s >= 0
+    __lt__, __le__, __gt__, __ge__ = map(_comparison, (lt, le, gt, ge))
 
     def __bool__(self) -> bool:
         return self.a != 0 or self.b != 0
@@ -150,10 +149,8 @@ class QuadNum:
             raise ValueError(f"incompatible fields Q[sqrt({self.d})] and Q[sqrt({other.d})]")
         return self.d
 
+    @_operand
     def __add__(self, other):
-        other = _coerce(other, self.d)
-        if other is NotImplemented:
-            return NotImplemented
         return _quad(self.a + other.a, self.b + other.b, self._common_d(other))
 
     __radd__ = __add__
@@ -161,22 +158,16 @@ class QuadNum:
     def __neg__(self):
         return _quad(-self.a, -self.b, self.d)
 
+    @_operand
     def __sub__(self, other):
-        other = _coerce(other, self.d)
-        if other is NotImplemented:
-            return NotImplemented
         return _quad(self.a - other.a, self.b - other.b, self._common_d(other))
 
+    @_operand
     def __rsub__(self, other):
-        other = _coerce(other, self.d)
-        if other is NotImplemented:
-            return NotImplemented
         return other - self
 
+    @_operand
     def __mul__(self, other):
-        other = _coerce(other, self.d)
-        if other is NotImplemented:
-            return NotImplemented
         d = self._common_d(other)
         a, b, c, e = self.a, self.b, other.a, other.b
         # a rational factor, as in every rescaling, costs two products
@@ -188,10 +179,8 @@ class QuadNum:
 
     __rmul__ = __mul__
 
+    @_operand
     def __truediv__(self, other):
-        other = _coerce(other, self.d)
-        if other is NotImplemented:
-            return NotImplemented
         if not other:
             raise ZeroDivisionError("division by zero QuadNum")
         d = self._common_d(other)
@@ -200,14 +189,12 @@ class QuadNum:
         num = self * other.conjugate()
         return _quad(num.a / norm, num.b / norm, d)
 
+    @_operand
     def __rtruediv__(self, other):
-        other = _coerce(other, self.d)
-        if other is NotImplemented:
-            return NotImplemented
         return other / self
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+        if _int_arg("exponent", k) < 0:
             raise ValueError("only non-negative integer powers")
         out = _quad(Fraction(1), _ZERO, self.d)
         base = self

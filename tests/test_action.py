@@ -223,6 +223,10 @@ class TestWords:
         assert S_WORD.matrix == ((0, -1), (1, 0))
         assert (S_WORD * S_WORD).matrix == ((-1, 0), (0, -1))
 
+    def test_word_text(self):
+        assert str(SL2ZWord(("T", "S^-1", "T"))) == "T S^-1 T"
+        assert str(SL2ZWord()) == "1"
+
     def test_word_for_matrix_round_trip(self):
         rng = random.Random(5)
         mats = [((1, 0), (0, 1)), ((0, -1), (1, 0)), ((-1, 0), (0, -1)), ((2, 1), (1, 1))]
@@ -454,7 +458,7 @@ class TestHyperbolicHelpers:
     def test_geodesic_validation(self):
         with pytest.raises(ValueError):
             geodesic_endpoints(((1, 0), (0, -1)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^need det A > 0$"):  # a zero first column has det 0
             geodesic_endpoints(((0, 1), (0, 1)))
 
     def test_horocycle(self):

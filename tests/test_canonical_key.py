@@ -6,8 +6,10 @@ equal it on every input, not just induce the same equivalence; with minus_id
 it must equal the lesser reference key of (h, v) and (h⁻¹, v⁻¹).
 
 With bfs_labelled, on a pair labelled by the BFS from square 1, the key
-stops at the first root, in root order, that beats the input, cut at the entry
-where it does; it must equal the input exactly when the reference key does.
+stops at the first root of least class, in root order, that beats the input,
+cut at the entry where it does; it must equal the input exactly when the
+reference key does. On the census's pairs, whose square 1 is of least class,
+that is the first of all roots that beats the input.
 
 The symmetric inputs (torus grids, cyclic covers) tie on every root, so the
 larger ones run more than one batch of live roots to the end.
@@ -101,13 +103,20 @@ def bfs_relabelled(h, v, root):
     return tuple(new_h), tuple(new_v)
 
 
-def test_early_exit_keeps_exactly_the_reference_keys_up_to_five_squares():
+def bfs_labelled_pairs(max_n):
+    """Every transitive pair on 1..max_n squares that is labelled by the BFS
+    from its square 1."""
     labelled = set()
-    for n in range(1, 6):
+    for n in range(1, max_n + 1):
         perms = list(permutations(range(1, n + 1)))
         for h, v in product(perms, perms):
             if _transitive(h, v):
                 labelled.update(bfs_relabelled(h, v, root) for root in range(1, n + 1))
+    return labelled
+
+
+def test_early_exit_keeps_exactly_the_reference_keys_up_to_five_squares():
+    labelled = bfs_labelled_pairs(5)
     kept = {pair for pair in labelled if _canonical_key(*_tables(*pair), bfs_labelled=True) == pair}
     assert kept == {reference_key(*pair) for pair in labelled}
     # the BFS-labelled pairs a_n/(n-1)! and the classes (OEIS A057005), n = 1..5
@@ -171,16 +180,42 @@ def test_minus_id_on_random_and_relabelled_pairs(pair, rnd):
     assert _canonical_key(*_tables(*relabelled(h, v, rnd)), minus_id=True) == want
 
 
+def h_class(h, s):
+    """The class of square s: the length of its h-cycle, or 4 for four and more."""
+    t, length = h[s - 1], 1
+    while t != s and length < 4:
+        t, length = h[t - 1], length + 1
+    return length
+
+
 def reference_bfs_labelled(h, v, minus_id=False):
     """The key the search returns on a BFS-labelled (h, v): that of the first
     root, in root order, whose key is less than (h, v), cut after the first
     h-key entry where it is less, or whole when the h-keys tie; (h, v) itself
-    when no root beats it. The roots are 2..n of (h, v), then, with minus_id,
-    1..n of (h⁻¹, v⁻¹). The key of a root is the pair relabelled by the BFS
-    from it."""
+    when no root beats it. The roots are those of least class (h⁻¹ has the
+    cycles of h): those of (h, v) but square 1, then, with minus_id, those of
+    (h⁻¹, v⁻¹). The key of a root is the pair relabelled by the BFS from it."""
+    least = min(h_class(h, s) for s in range(1, len(h) + 1))
+    roots = [s for s in range(1, len(h) + 1) if h_class(h, s) == least]
+    rivals = [bfs_relabelled(h, v, root) for root in roots if root != 1]
+    if minus_id:
+        rivals += [bfs_relabelled(inverse(h), inverse(v), root) for root in roots]
+    return first_beating(h, v, rivals)
+
+
+def reference_bfs_labelled_all_roots(h, v, minus_id=False):
+    """reference_bfs_labelled with every root racing: 2..n of (h, v), then,
+    with minus_id, 1..n of (h⁻¹, v⁻¹)."""
     rivals = [bfs_relabelled(h, v, root) for root in range(2, len(h) + 1)]
     if minus_id:
         rivals += [bfs_relabelled(inverse(h), inverse(v), root) for root in range(1, len(h) + 1)]
+    return first_beating(h, v, rivals)
+
+
+def first_beating(h, v, rivals):
+    """The first of the keys rivals less than (h, v), cut after the first
+    h-key entry where it is less, or whole when the h-keys tie; (h, v) itself
+    when none is less."""
     for h_key, v_key in rivals:
         if (h_key, v_key) < (h, v):
             for j, (e, b) in enumerate(zip(h_key, h)):
@@ -191,15 +226,23 @@ def reference_bfs_labelled(h, v, minus_id=False):
 
 
 def test_early_exit_returns_the_first_beating_root_up_to_five_squares():
-    labelled = set()
-    for n in range(1, 6):
-        perms = list(permutations(range(1, n + 1)))
-        for h, v in product(perms, perms):
-            if _transitive(h, v):
-                labelled.update(bfs_relabelled(h, v, root) for root in range(1, n + 1))
-    for pair in labelled:
+    for pair in bfs_labelled_pairs(5):
         assert _canonical_key(*_tables(*pair), bfs_labelled=True) == reference_bfs_labelled(*pair), pair
         assert _canonical_key(*_tables(*pair), True, True) == reference_bfs_labelled(*pair, minus_id=True), pair
+
+
+def test_on_census_pairs_the_least_class_roots_give_the_all_roots_key_up_to_five_squares():
+    # a root of a greater class than square 1's loses to the input at its
+    # first entries, so on the pairs the census builds it never beats it
+    census = []
+    for h, v in bfs_labelled_pairs(5):
+        if h_class(h, 1) == min(h_class(h, s) for s in range(1, len(h) + 1)):
+            census.append((h, v))
+            for minus_id in (False, True):
+                want = reference_bfs_labelled_all_roots(h, v, minus_id)
+                assert reference_bfs_labelled(h, v, minus_id) == want, (h, v, minus_id)
+    # the pairs the census builds, n = 1..5; 97 of the 227 at n = 5 are canonical
+    assert len(census) == 1 + 3 + 9 + 47 + 227
 
 
 @st.composite
@@ -227,7 +270,7 @@ def test_early_exit_verdict_on_bfs_labelled_pairs(pair, data):
     # a random root gives a non-canonical labelling most of the time, the
     # canonical key's own root a canonical one; pairs with mixed h-cycle
     # classes put square 1 in a 2- or 3-cycle with a lesser class elsewhere,
-    # whose roots race the input too
+    # whose roots alone race the input
     h, v = pair
     root = data.draw(st.integers(0, len(h)))
     h, v = _canonical_key(*_tables(h, v)) if root == 0 else bfs_relabelled(h, v, root)
@@ -255,11 +298,12 @@ def pairs_with_a_fixed_point_of_h_off_square_one(draw, max_n=10):
 @given(pairs_with_a_fixed_point_of_h_off_square_one())
 def test_bfs_labelled_pairs_beaten_by_a_fixed_point(pair):
     # a fixed point of h starts its h-key with 1, and square 1 starts it with
-    # 2: the input is never canonical, and only the roots before the first
-    # fixed point can beat it sooner in root order
+    # 2: the input is never canonical, and the fixed points are the roots of
+    # least class, so the first one beats it at its first entry
     h, v = pair
     early = _canonical_key(*_tables(h, v), bfs_labelled=True)
     assert early < (h, v)
+    assert early == ((1,), ())
     assert early == reference_bfs_labelled(h, v)
     assert _canonical_key(*_tables(h, v)) == reference_key(h, v) < (h, v)
 

@@ -511,8 +511,10 @@ class TestCatalogFile:
         [(CatalogEntry("x", 1, 0, "H(0)", 1, "a", 1, (1,), 0), "reduced is 1, not of type bool"),
          (CatalogEntry("x", 1, 0, "H(0)", True, "a", 1, [1], 0), "cusp_widths is [1], not a tuple"),
          (CatalogEntry(1, 1, 0, "H(0)", True, "a", 1, (1,), 0), "origami is 1, not of type str"),
-         (CatalogEntry("x", 1, 0, "H(0)", True, 1, 1, (1,), 0), "orbit_id is 1, not of type str")],
-        ids=["int-reduced", "list-widths", "int-origami", "int-orbit-id"],
+         (CatalogEntry("x", 1, 0, "H(0)", True, 1, 1, (1,), 0), "orbit_id is 1, not of type str"),
+         # unhashable, so it fails the duplicate test before the line is built
+         (CatalogEntry(["x"], 1, 0, "H(0)", True, "a", 1, (1,), 0), "origami is ['x'], not of type str")],
+        ids=["int-reduced", "list-widths", "int-origami", "int-orbit-id", "list-origami"],
     )
     def test_an_entry_that_would_not_read_back_is_refused_and_nothing_is_written(self, tmp_path, bad, named):
         # the entry is checked as the reader will read its line, whether it
@@ -760,7 +762,8 @@ class TestCLI:
         )
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
-        assert proc.stderr == "error: Fraction(1, 0)\n"
+        message = {"flow": "bad start '1:1/0:0', expected sq:x:y", "lshape": "Fraction(1, 0)"}[argv[0]]
+        assert proc.stderr == f"error: {message}\n"
 
     def test_unexpected_exception_is_an_internal_error(self, monkeypatch):
         import origamis.cli
@@ -961,7 +964,10 @@ class TestCLI:
          (("info", ST3, "--bogus"), "unrecognized arguments: --bogus"),
          (("strata-dim", "--quadratic", "-1,-1"), "argument --quadratic: expected one argument"),
          (("catalog", "write", "--path", "c.jsonl"), "the following arguments are required: --n"),
-         (("catalog",), "the following arguments are required: mode")],
+         (("catalog",), "the following arguments are required: mode"),
+         # a value the subcommand cannot parse is named, with the form it expects
+         (("flow", ST3, "--start", "1:1/0:0"), "bad start '1:1/0:0', expected sq:x:y"),
+         (("strata-dim", "--abelian", "1,,1"), "bad orders '1,,1', expected k1,k2,...")],
     )
     def test_argparse_failure_is_one_line(self, argv, message):
         code, out, err = run_cli(*argv)

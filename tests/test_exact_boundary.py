@@ -8,7 +8,9 @@ The flow's counts (a start square, a crossing bound, a grid) and the
 components p and q of a rational direction take ints only: anything else, a
 bool included, is a TypeError naming the argument. `discrepancy`'s slope is
 a real number read once as a float; a bool, a string or a Decimal is a
-TypeError naming it.
+TypeError naming it. So are the other int arguments: a radicand d, an
+exponent, the census's n and bound, and the cone orders and genus g of a
+stratum.
 """
 
 import re
@@ -29,11 +31,12 @@ from origamis.action import (
     transport_direction,
     transport_point,
 )
+from origamis.catalog import enumerate_origamis
 from origamis.cylinders import QuadCylinder, RadicalLength, decomposition_in_direction
 from origamis.flow import FlowState, ShearedSt3, direction_is_periodic, discrepancy, sheared_st3_return, trace
 from origamis.intlattice import exact_rational, hermite_form, rational_hermite_form
 from origamis.lshape import LSurface, twist_powers
-from origamis.origami import Origami
+from origamis.origami import Origami, Stratum, stratum_dim_abelian, stratum_dim_quadratic
 from origamis.perm import Permutation
 from origamis.quadfield import QuadMatrix, QuadNum
 
@@ -107,6 +110,37 @@ def test_flow_counts_accept_ints(name):
     INT_ARGS[name](2)
 
 
+# (the argument's name, a call that takes the bad value where the int 2 would be accepted)
+OTHER_INT_ARGS = {
+    "QuadNum d": ("d", lambda k: QuadNum(1, 1, k)),
+    "QuadNum exponent": ("exponent", lambda k: RT5**k),
+    "from_discriminant d": ("d", lambda k: LSurface.from_discriminant(k)),
+    "enumerate_origamis n": ("n", lambda k: enumerate_origamis(k)),
+    "enumerate_origamis bound": ("bound", lambda k: enumerate_origamis(2, bound=k)),
+    "Stratum order": ("order", lambda k: Stratum([k])),
+    "stratum_dim_abelian order": ("order", lambda k: stratum_dim_abelian([k], 2)),
+    "stratum_dim_abelian g": ("g", lambda k: stratum_dim_abelian([2], k)),
+    "stratum_dim_quadratic order": ("order", lambda k: stratum_dim_quadratic([k, 2], 2)),
+    "stratum_dim_quadratic g": ("g", lambda k: stratum_dim_quadratic([2, 2], k)),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_INTS, ids=lambda x: type(x).__name__)
+@pytest.mark.parametrize("label", sorted(OTHER_INT_ARGS))
+def test_other_int_arguments_take_ints_only(label, bad):
+    # a bool once ran as 1 (enumerate_origamis(True)) or printed as itself
+    # (H(True,True)), a float came back as a float dimension, and the rest
+    # failed deep inside without a name
+    name, call = OTHER_INT_ARGS[label]
+    with pytest.raises(TypeError, match=rf"^{name} must be an int, got {type(bad).__name__} "):
+        call(bad)
+
+
+@pytest.mark.parametrize("label", sorted(OTHER_INT_ARGS))
+def test_other_int_arguments_accept_ints(label):
+    OTHER_INT_ARGS[label][1](2)
+
+
 def test_flow_counts_are_checked_before_any_work():
     # each call is also wrong, or long, in a way its other arguments would report
     with pytest.raises(TypeError, match="start.square"):
@@ -162,6 +196,7 @@ def test_radical_length_reads_a_rational_radicand():
     # (1/2)·√(8/9) = (1/2)·√72/9 = √2/3; an int radicand gives the same length
     assert RadicalLength(F(1, 2), F(8, 9)) == RadicalLength(F(1, 3), 2) == RadicalLength(F(1, 6), 8)
     assert str(RadicalLength(3, F(1, 4))) == "3/2"
+    assert float(RadicalLength(F(1, 2), 8)) == 1.4142135623730951  # √2, from its reduced form
 
 
 def test_exact_rational_keeps_a_fraction_as_it_is():
@@ -173,9 +208,11 @@ def test_exact_rational_keeps_a_fraction_as_it_is():
 def test_hermite_form_takes_ints_only():
     # its callers scale rationals to ints first; a Fraction entry is refused
     # like a float, not truncated by int()
-    with pytest.raises(TypeError, match="Fraction"):
+    with pytest.raises(TypeError, match=r"^entry must be an int, got Fraction "):
         hermite_form([(F(1, 2), 1), (2, 0)])
     assert hermite_form([(1, 1), (2, 0)]) == [(1, 1), (0, 2)]
+    with pytest.raises(ValueError, match="^ragged rows$"):
+        hermite_form([(1, 2), (3,)])
 
 
 TWO_FIELDS = {

@@ -274,6 +274,7 @@ class TestShearedSt3:
         r = sheared_st3_return(x)
         assert not r.rotation_is_rational and r.big_cylinder_dense
         assert r.periodic_cylinder_length == 1
+        assert r.big_cylinder_orbit_length is None
 
     def test_shear_range_validated(self):
         with pytest.raises(ValueError):

@@ -161,6 +161,10 @@ class TestTraceField:
 
 
 class TestPeriodLattice:
+    def test_text(self):
+        lat = absolute_period_lattice(LSurface.from_discriminant(5))
+        assert str(lat) == "(1/2)·span{(1, 1, 0, 0), (0, 2, 0, 0), (0, 0, 1, 1), (0, 0, 0, 2)}"
+
     def test_rational_case_is_z2(self):
         lat = absolute_period_lattice(LSurface(2))
         assert lat == PeriodLattice(1, ((1, 0, 0, 0), (0, 0, 1, 0)))

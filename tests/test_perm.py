@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -180,3 +182,17 @@ class TestText:
             P("[1,1]")
         with pytest.raises(ValueError):
             P("()")  # identity requires a degree
+
+    @pytest.mark.parametrize(
+        "text, n, message",
+        [("[2,1,3", None, "unbalanced one-line notation: '[2,1,3'"),
+         ("[2,1,3]", 2, "degree 3 does not match n=2"),
+         ("2 1 3", None, "unrecognized permutation text: '2 1 3'")],
+    )
+    def test_bad_text_messages(self, text, n, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            P(text, n)
+
+    def test_cycle_entry_out_of_range(self):
+        with pytest.raises(ValueError, match=r"^cycle entries must lie in 1\.\.3$"):
+            Permutation.from_cycles([(1, 4)], 3)

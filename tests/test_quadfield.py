@@ -193,7 +193,12 @@ class TestValidation:
 
     @pytest.mark.parametrize("k", [True, False, 1.0, -1], ids=repr)
     def test_powers_are_non_negative_ints(self, k):
-        with pytest.raises(ValueError, match="only non-negative integer powers"):
+        # a bool or a float is no int, as everywhere in the package; a negative int is out of range
+        if type(k) is int:
+            error, message = ValueError, "^only non-negative integer powers$"
+        else:
+            error, message = TypeError, rf"^exponent must be an int, got {type(k).__name__} {k!r}$"
+        with pytest.raises(error, match=message):
             QuadNum(1, 1, 5) ** k
 
     def test_mixed_irrational_fields_do_not_compare(self):
