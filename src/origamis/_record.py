@@ -6,10 +6,10 @@ importing the standard library's module for it or the ``inspect`` it loads.
 * ``__init__``, built by one ``exec`` per class: it sets the fields with
   ``object.__setattr__``, takes the class attributes of the fields as defaults
   and ends with ``__post_init__()`` when the class has one;
-* ``__eq__`` and ``__hash__``, closures over the class's field-tuple getter
-  (an ``operator.attrgetter``) whose code is compiled once, for all classes:
-  ``__eq__`` compares field tuples between instances of the same class only;
-  ``__hash__`` hashes the field tuple;
+* ``__eq__`` and ``__hash__``, plain closures over the class's field-tuple
+  getter (an ``operator.attrgetter``): ``__eq__`` compares field tuples
+  between instances of the same class only; ``__hash__`` hashes the field
+  tuple;
 * a ``__repr__`` in dataclass format, ``Name(field=value, ...)``;
 * ``__setattr__`` and ``__delattr__``, which raise ``FrozenInstanceError``;
 * ``__match_args__``, the tuple of field names.
@@ -49,21 +49,16 @@ def _field_tuple(fields):
     return lambda self: ()
 
 
-# compiled once, from source like each __init__, so that every method a record
-# is given has the file "<string>", which tells it from a method the class defines
-_shared: dict = {}
-exec(
-    "def eq_and_hash(key):\n"
-    "    def __eq__(self, other):\n"
-    "        if other.__class__ is self.__class__:\n"
-    "            return key(self) == key(other)\n"
-    "        return NotImplemented\n"
-    "    def __hash__(self):\n"
-    "        return hash(key(self))\n"
-    "    return __eq__, __hash__\n",
-    _shared,
-)
-_eq_and_hash = _shared.pop("eq_and_hash")
+def _eq_and_hash(key):
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    return __eq__, __hash__
 
 
 def record(cls):

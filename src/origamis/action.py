@@ -33,8 +33,6 @@ from .intlattice import _int_arg, exact_rational
 from .origami import Origami, _canonical_key, _horizontal_rows, _singular_corners, _tables, genus, is_reduced
 from .perm import Permutation, _cycles
 
-INFINITY = math.inf
-
 _GEN_MATS = {
     "T": ((1, 1), (0, 1)),
     "T^-1": ((1, -1), (0, 1)),
@@ -58,6 +56,9 @@ class SL2ZWord:
     gens: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if isinstance(self.gens, str):  # a str would be read letter by letter
+            raise TypeError(f"gens must be a sequence of generator names, got str {self.gens!r}")
+        object.__setattr__(self, "gens", tuple(self.gens))
         for g in self.gens:
             if g not in _GEN_MATS:
                 raise ValueError(f"unknown generator {g!r}")
@@ -76,7 +77,7 @@ class SL2ZWord:
         return SL2ZWord(tuple(_INVERSE_GEN[g] for g in reversed(self.gens)))
 
     def __pow__(self, k: int) -> "SL2ZWord":
-        if k < 0:
+        if _int_arg("exponent", k) < 0:
             return self.inverse() ** (-k)
         return SL2ZWord(self.gens * k)
 
@@ -406,8 +407,8 @@ def geodesic_endpoints(A):
     a, b, c, d = map(exact_rational, (a, b, c, d))
     if a * d - b * c <= 0:  # also when the first column is zero
         raise ValueError("need det A > 0")
-    first = b / a if a != 0 else INFINITY
-    second = d / c if c != 0 else INFINITY
+    first = b / a if a != 0 else math.inf
+    second = d / c if c != 0 else math.inf
     return first, second
 
 
@@ -427,7 +428,7 @@ def horocycle_data(A) -> HorocycleData:
     if a * d - b * c != 1:
         raise ValueError("need det A = 1")
     if c == 0:
-        return HorocycleData(INFINITY, None, based_at_infinity=True)
+        return HorocycleData(math.inf, None, based_at_infinity=True)
     return HorocycleData(d / c, (d / c, 1 / (c * c)))
 
 

@@ -31,12 +31,12 @@ import os
 import warnings
 from json.encoder import encode_basestring_ascii as _encode_str
 from math import factorial
-from operator import attrgetter, eq, itemgetter
+from operator import attrgetter, itemgetter
 
 from ._record import record
 from .action import orbit
 from .intlattice import _int_arg
-from .origami import Origami, Stratum, _canonical_key, _pair_text, _tables, stratum
+from .origami import Origami, Stratum, _canonical_key, _least_class, _pair_text, _tables, stratum
 from .perm import Permutation, _cycle_text
 
 DEFAULT_BOUND = 8
@@ -259,14 +259,7 @@ def _build_order(key: tuple) -> tuple:
                 if t != met + 1:
                     return ()
                 met = t
-    hk, squares = key[0], range(1, len(steps))
-    for _ in range(3):  # hk holds the images of h, h², h³ in turn
-        if hk[0] == 1:  # square 1's class is this power
-            break
-        if any(map(eq, hk, squares)):  # a square of this class, below square 1's
-            return ()
-        hk = tuple(map(h.__getitem__, hk))
-    return steps[1:]
+    return steps[1:] if 1 in _least_class(h) else ()
 
 
 class _AllPlaced(Exception):
@@ -276,7 +269,7 @@ class _AllPlaced(Exception):
 def canonical_origamis(n: int) -> list[Origami]:
     """All connected n-square origamis up to relabeling, lexicographically:
     the pairs of the orderly generation that are their own canonical key."""
-    if n < 1:
+    if _int_arg("n", n) < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     keys = []
     _orderly_generation(n, set(), keys.append)

@@ -186,15 +186,9 @@ def _cmd_strata_dim(args) -> None:
         orders = [int(t) for t in text.split(",")] if text else []
     except ValueError:
         raise ValueError(f"bad orders {text!r}, expected k1,k2,...") from None
-    total = sum(orders)
-    if abelian:
-        if total % 2:
-            raise ValueError(f"abelian orders must sum to an even number, got {total}")
-        _emit(stratum_dim_abelian(orders, 1 + total // 2))
-    else:
-        if total % 4:
-            raise ValueError(f"quadratic orders must sum to 4g-4, got {total}")
-        _emit(stratum_dim_quadratic(orders, 1 + total // 4))
+    # g is read off the sum (2g - 2, or 4g - 4), which the dimension function checks
+    dim, k = (stratum_dim_abelian, 2) if abelian else (stratum_dim_quadratic, 4)
+    _emit(dim(orders, 1 + sum(orders) // k))
 
 
 def build_parser() -> _Parser:

@@ -35,22 +35,16 @@ class Cylinder:
 
 
 def horizontal_decomposition(o: Origami) -> list[Cylinder]:
-    """Cylinders of the horizontal direction, widest first."""
-    # o.singular is cached on o, where a trace of the same surface reads it again
-    return _horizontal_cylinders((0, *o.h.images), (0, *o.v.images), o.singular)
-
-
-def _horizontal_cylinders(h, v, singular) -> list[Cylinder]:
-    """Cylinders of the horizontal direction of the pair with move tables h
-    and v (see origami._tables) and singular-corner table singular (see
-    origami._singular_corners), widest first.
+    """Cylinders of the horizontal direction, widest first.
 
     Each cylinder is walked upwards from its start row (see
     origami._horizontal_rows): a row whose bottom corners are all regular
     continues the cylinder below it, since the regularity forces v to map the
     row below onto it, in the same cyclic order.
     """
-    rows, row_of, starts = _horizontal_rows(h, singular)
+    v = (0, *o.v.images)
+    # o.singular is cached on o, where a trace of the same surface reads it again
+    rows, row_of, starts = _horizontal_rows((0, *o.h.images), o.singular)
     cyls = []
     for i in starts:
         members = [i]

@@ -146,9 +146,7 @@ def vertex_cycles(o: Origami) -> list[tuple[int, ...]]:
 
 
 def genus(o: Origami) -> int:
-    V = len(vertex_cycles(o))
-    assert (o.n - V) % 2 == 0, "n - V must be even"
-    return 1 + (o.n - V) // 2
+    return stratum(o).genus
 
 
 def stratum(o: Origami) -> Stratum:
@@ -162,13 +160,10 @@ def stratum_dim_abelian(orders, g: int) -> int:
     """Complex dimension 2g + n - 1 of an abelian stratum, with H(0) counted
     as one marked regular point (n = 1). Orders are ≥ 0: an abelian
     differential has no poles, and 0 is a marked point."""
-    orders = [k for k in orders if _int_arg("order", k)]  # zeros drop out
-    if any(k < 0 for k in orders):
-        raise ValueError(f"abelian orders must be >= 0, got {orders}")
-    n = len(orders) if orders else 1
-    if sum(orders) != 2 * _int_arg("g", g) - 2:
-        raise ValueError(f"orders {orders} do not sum to 2g-2 = {2 * g - 2}")
-    return 2 * g + n - 1
+    s = Stratum(orders)  # zeros drop out
+    if s.genus != _int_arg("g", g):
+        raise ValueError(f"orders {s.orders} do not sum to 2g-2 = {2 * g - 2}")
+    return 2 * g + max(len(s.orders), 1) - 1
 
 
 def stratum_dim_quadratic(orders, g: int) -> int:
@@ -232,6 +227,18 @@ def _horizontal_rows(h, singular) -> tuple[list[tuple[int, ...]], list[int], set
     return rows, row_of, starts
 
 
+def _least_class(h) -> list[int] | range:
+    """The squares of least class of the pair with forward move table h: a
+    square's class is the length of its h-cycle, or 4 for four and more."""
+    squares = range(1, len(h))
+    return (
+        [r for r in squares if h[r] == r]
+        or [r for r in squares if h[h[r]] == r]
+        or [r for r in squares if h[h[h[r]]] == r]
+        or squares
+    )
+
+
 def _canonical_key(h, hinv, v, vinv, minus_id: bool = False, bfs_labelled: bool = False) -> tuple:
     """Lexicographically least relabeled (h, v) over all BFS roots, as a pair
     of image tuples.
@@ -248,20 +255,19 @@ def _canonical_key(h, hinv, v, vinv, minus_id: bool = False, bfs_labelled: bool 
     (h⁻¹, h, v⁻¹, v), join the search, and the key is the lesser of the keys
     of (h, v) and (h⁻¹, v⁻¹).
 
-    A root's class is the length of its h-cycle, or 4 for four and more. The
-    BFS from a root meets h(r), h⁻¹(r), v(r), v⁻¹(r) first, so its h-key
-    starts (1, …), (2, 1, …), (2, 3, …) or (2, e, …) with e ≥ 4 by its class,
-    and only the roots of the least class start; h⁻¹ has the cycles of h, so
-    this holds for both orientations. The roots are refined in lockstep, one
-    h-key entry per step (the entry of a square is known as soon as it leaves
-    its root's BFS queue), and only the roots at the least entry go on; each
-    root carries its own move tables, so with minus_id the roots of both
-    orientations race in one lockstep. A lone root runs on by itself,
-    comparing entries only while it ties the known key, and v-keys are read
-    only for the roots tied on the whole h-key. At most _LIVE_ROOTS roots are
-    live at once: the roots run in batches, and the least key so far competes
-    in each batch as a known key, which ends the batch at the first entry
-    where all its roots fall behind it.
+    The BFS from a root meets h(r), h⁻¹(r), v(r), v⁻¹(r) first, so its h-key
+    starts (1, …), (2, 1, …), (2, 3, …) or (2, e, …) with e ≥ 4 by its class
+    (see _least_class), and only the roots of the least class start; h⁻¹ has
+    the cycles of h, so this holds for both orientations. The roots are
+    refined in lockstep, one h-key entry per step (the entry of a square is
+    known as soon as it leaves its root's BFS queue), and only the roots at
+    the least entry go on; each root carries its own move tables, so with
+    minus_id the roots of both orientations race in one lockstep. A lone root
+    runs on by itself, comparing entries only while it ties the known key,
+    and v-keys are read only for the roots tied on the whole h-key. At most
+    _LIVE_ROOTS roots are live at once: the roots run in batches, and the
+    least key so far competes in each batch as a known key, which ends the
+    batch at the first entry where all its roots fall behind it.
 
     bfs_labelled promises that (h, v) is labelled by this BFS from square 1,
     and that square 1 lies in an h-cycle of least class, as every pair the
@@ -277,14 +283,8 @@ def _canonical_key(h, hinv, v, vinv, minus_id: bool = False, bfs_labelled: bool 
     """
     n = len(h) - 1
     names = tuple(range(1, n + 1))  # labels, one int object each, shared by all roots
-    squares = range(1, n + 1)
     orientations = ((h, hinv, v, vinv), (hinv, h, vinv, v))
-    start = (  # the roots of the least class
-        [r for r in squares if h[r] == r]
-        or [r for r in squares if h[h[r]] == r]
-        or [r for r in squares if h[h[h[r]]] == r]
-        or squares
-    )
+    start = _least_class(h)
     if bfs_labelled:
         roots = [r for r in start if r != 1]  # root 1 of (h, v) gives the input
         best_h, best_v = list(h[1:]), list(v[1:])  # copies: the key keeps no reference to the input

@@ -12,6 +12,9 @@ from __future__ import annotations
 import re
 
 from ._record import record
+from .intlattice import _int_arg
+
+_INT_ONLY = frozenset({int})  # the image types that need no closer look
 
 
 @record
@@ -21,6 +24,9 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self):
+        if not _INT_ONLY.issuperset(map(type, self.images)):  # one C-level pass over the types
+            for i in self.images:
+                _int_arg("image", i)
         n = len(self.images)
         if sorted(self.images) != list(range(1, n + 1)):
             raise ValueError(f"not a bijection of 1..{n}: {self.images!r}")
@@ -34,8 +40,7 @@ class Permutation:
         """Build from a list of cycles, e.g. ``[(1, 2), (3,)]``; n defaults to the
         largest point mentioned."""
         points = [i for c in cycles for i in c]
-        if n is None:
-            n = max(points, default=0)
+        n = max(points, default=0) if n is None else _int_arg("n", n)
         if any(i < 1 or i > n for i in points):
             raise ValueError(f"cycle entries must lie in 1..{n}")
         if len(points) != len(set(points)):

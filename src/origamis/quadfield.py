@@ -228,14 +228,17 @@ class QuadNum:
         if re.search(r"\d\s+[\d/]", text):
             raise ValueError(f"cannot parse QuadNum: {text!r}")
         t = re.sub(r"\s", "", text)
-        if re.fullmatch(QuadNum._RAT, t):
-            return QuadNum(Fraction(t), 0, 2)
-        # a rational part is followed by the sign of the root part
-        m = re.fullmatch(f"(?:(?P<rat>{QuadNum._RAT})(?=[+-]))?(?P<sign>[+-])?" + QuadNum._ROOT, t)
-        if not m:
-            raise ValueError(f"cannot parse QuadNum: {text!r}")
-        b = Fraction(m.group("coef") or 1)
-        return QuadNum(Fraction(m.group("rat") or 0), -b if m.group("sign") == "-" else b, int(m.group("d")))
+        try:
+            if re.fullmatch(QuadNum._RAT, t):
+                return QuadNum(Fraction(t), 0, 2)
+            # a rational part is followed by the sign of the root part
+            m = re.fullmatch(f"(?:(?P<rat>{QuadNum._RAT})(?=[+-]))?(?P<sign>[+-])?" + QuadNum._ROOT, t)
+            if m:
+                b = Fraction(m.group("coef") or 1)
+                return QuadNum(Fraction(m.group("rat") or 0), -b if m.group("sign") == "-" else b, int(m.group("d")))
+        except ZeroDivisionError:  # a zero denominator
+            pass
+        raise ValueError(f"cannot parse QuadNum: {text!r}")
 
 
 _new = object.__new__

@@ -22,11 +22,10 @@ from origamis.action import (
     transport_point,
     word_for_matrix,
 )
-from origamis.cylinders import _horizontal_cylinders
+from origamis.cylinders import horizontal_decomposition
 from origamis.intlattice import exact_rational
 from origamis.origami import (
     Origami,
-    _singular_corners,
     canonical_form,
     random_origami,
     relabel,
@@ -227,6 +226,21 @@ class TestWords:
         assert str(SL2ZWord(("T", "S^-1", "T"))) == "T S^-1 T"
         assert str(SL2ZWord()) == "1"
 
+    def test_a_word_holds_a_tuple_of_generators(self):
+        # a str was read letter by letter, and a list was kept: unhashable, and unequal to its tuple
+        with pytest.raises(TypeError, match=r"^gens must be a sequence of generator names, got str 'TS'$"):
+            SL2ZWord("TS")
+        word = SL2ZWord(["T", "S"])
+        assert word.gens == ("T", "S") and word == SL2ZWord(("T", "S"))
+        assert hash(word) == hash(SL2ZWord(("T", "S")))
+
+    def test_a_power_takes_an_int_exponent(self):
+        # T_WORD ** True was T, and T_WORD ** 2.0 failed inside tuple repetition
+        assert T_WORD**2 == SL2ZWord(("T", "T")) and (T_WORD**-1).gens == ("T^-1",)
+        for bad in (True, 2.0):
+            with pytest.raises(TypeError, match=rf"^exponent must be an int, got {type(bad).__name__} "):
+                T_WORD**bad
+
     def test_word_for_matrix_round_trip(self):
         rng = random.Random(5)
         mats = [((1, 0), (0, 1)), ((0, -1), (1, 0)), ((-1, 0), (0, -1)), ((2, 1), (1, 1))]
@@ -356,9 +370,8 @@ def _assert_cusp_cylinder_counts(o):
     for key, c in rep.members:
         least.setdefault(c, key)
     assert sorted(least) == list(range(len(rep.cusps)))
-    for c, key in least.items():
-        h, v = ((0, *images) for images in key)
-        assert rep.cusps[c].cylinder_count == len(_horizontal_cylinders(h, v, _singular_corners(h, v)))
+    for c, (h, v) in least.items():
+        assert rep.cusps[c].cylinder_count == len(horizontal_decomposition(Origami(Permutation(h), Permutation(v))))
 
 
 class TestCuspCylinders:

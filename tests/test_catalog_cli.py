@@ -762,7 +762,7 @@ class TestCLI:
         )
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
-        message = {"flow": "bad start '1:1/0:0', expected sq:x:y", "lshape": "Fraction(1, 0)"}[argv[0]]
+        message = {"flow": "bad start '1:1/0:0', expected sq:x:y", "lshape": "cannot parse QuadNum: '1/0'"}[argv[0]]
         assert proc.stderr == f"error: {message}\n"
 
     def test_unexpected_exception_is_an_internal_error(self, monkeypatch):
@@ -856,6 +856,8 @@ class TestCLI:
     @pytest.mark.parametrize(
         "argv",
         [("--abelian=-2,4",), ("--abelian=-1,1",), ("--quadratic=-3,-1",)]
+        # sums that are not 4g - 4: the dimension function, not the CLI, refuses them
+        + [("--quadratic=1,1",), ("--quadratic=5",)]
         # the empty quadratic strata Q(1,-1), Q(4), Q(3,1), Q() and Q(0,0)
         # (Masur–Smillie, Comment. Math. Helv. 68, 1993)
         + [(f"--quadratic={orders}",) for orders in ("1,-1", "4", "3,1", "", "0,0")],
@@ -1025,13 +1027,30 @@ class TestCLI:
         readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
         with open(readme, encoding="utf-8") as fh:
             block = fh.read().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-        lines = [line for line in block.splitlines() if line.startswith("origamis ")]
-        assert len(lines) >= 12
+        lines = block.splitlines()
+        examples = [(i, line) for i, line in enumerate(lines) if line.startswith("origamis ")]
+        assert len(examples) >= 12
+        decode = json.JSONDecoder().raw_decode
+        checked = 0
         monkeypatch.chdir(tmp_path)
-        for line in lines:
+        for i, line in examples:
             code, out, err = run_cli(*shlex.split(line, comments=True)[1:])
             assert (code, err) == (0, ""), line
-            json.loads(out)
+            got = json.loads(out)
+            # the value README gives: "# -> v" after the example, or a comment line below it that opens with one
+            if "# -> " in line:
+                shown = line.split("# -> ", 1)[1]
+            elif i + 1 < len(lines) and lines[i + 1].startswith("# "):
+                shown = lines[i + 1][2:]
+            else:
+                continue
+            try:
+                want = decode(shown)[0]
+            except ValueError:  # prose, or a value cut short with "..."
+                continue
+            assert got == want, line
+            checked += 1
+        assert checked == 5  # info, cylinders, the 10⁶-crossing flow and two strata-dim
 
     def test_console_script_entry(self):
         proc = subprocess.run(

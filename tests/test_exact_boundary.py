@@ -31,7 +31,7 @@ from origamis.action import (
     transport_direction,
     transport_point,
 )
-from origamis.catalog import enumerate_origamis
+from origamis.catalog import canonical_origamis, enumerate_origamis
 from origamis.cylinders import QuadCylinder, RadicalLength, decomposition_in_direction
 from origamis.flow import FlowState, ShearedSt3, direction_is_periodic, discrepancy, sheared_st3_return, trace
 from origamis.intlattice import exact_rational, hermite_form, rational_hermite_form
@@ -122,6 +122,10 @@ OTHER_INT_ARGS = {
     "stratum_dim_abelian g": ("g", lambda k: stratum_dim_abelian([2], k)),
     "stratum_dim_quadratic order": ("order", lambda k: stratum_dim_quadratic([k, 2], 2)),
     "stratum_dim_quadratic g": ("g", lambda k: stratum_dim_quadratic([2, 2], k)),
+    "Permutation image": ("image", lambda k: Permutation((k, 1))),
+    "Permutation.from_cycles n": ("n", lambda k: Permutation.from_cycles([(1, 2)], k)),
+    "canonical_origamis n": ("n", lambda k: canonical_origamis(k)),
+    "SL2ZWord exponent": ("exponent", lambda k: T_WORD**k),
 }
 
 
@@ -139,6 +143,16 @@ def test_other_int_arguments_take_ints_only(label, bad):
 @pytest.mark.parametrize("label", sorted(OTHER_INT_ARGS))
 def test_other_int_arguments_accept_ints(label):
     OTHER_INT_ARGS[label][1](2)
+
+
+def test_permutation_images_are_ints_only():
+    # (True,) was built and printed as "()", and (1.0, 2.0) kept its float images
+    with pytest.raises(TypeError, match=r"^image must be an int, got bool True$"):
+        Permutation((True,))
+    with pytest.raises(TypeError, match=r"^image must be an int, got float 1\.0$"):
+        Permutation((1.0, 2.0))
+    with pytest.raises(TypeError, match=r"^n must be an int, got bool True$"):
+        Permutation.from_cycles([(1, 2)], True)
 
 
 def test_flow_counts_are_checked_before_any_work():

@@ -1,3 +1,4 @@
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
 from math import isqrt
@@ -181,6 +182,12 @@ class TestText:
         for bad in ("", "sqrt()", "1 +", "sqrt(8)", "one"):
             with pytest.raises(ValueError):
                 QuadNum.parse(bad)
+
+    @pytest.mark.parametrize("text", ["1/0", "1/0*sqrt(5)", "1/0 + sqrt(5)", "1 + 2/00*sqrt(5)"])
+    def test_a_zero_denominator_is_a_parse_error(self, text):
+        # it was a bare ZeroDivisionError, "Fraction(1, 0)", naming no input
+        with pytest.raises(ValueError, match=rf"^cannot parse QuadNum: {re.escape(repr(text))}$"):
+            QuadNum.parse(text)
 
 
 class TestValidation:
